@@ -107,6 +107,8 @@ class JointDistribution:
         arr = np.array(probs, dtype=float)
         if arr.shape != (6, 6):
             raise InputError(f"probability table must be 6x6, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InputError("probability table contains NaN or infinite entries")
         if arr.min() < -PHYSICS_TOL:
             raise InputError(f"negative probability {arr.min()} in table")
         arr[np.abs(arr) < CLAMP_TOL] = 0.0

@@ -22,7 +22,6 @@ which is equivalent and single threaded.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,6 +43,16 @@ _N_SETTING_PAIRS = 4
 
 # classify detected (n_plus, n_minus) -> outcome code, indexed [n_plus][n_minus]
 _CLASSIFY = np.array([[3, 1, 6], [2, 4, 0], [5, 0, 0]], dtype=np.int8)
+
+_CSV_HEADER = b"bin,setting1,setting2,outcome1,outcome2"
+# Rows rendered per write and bytes read per block by the CSV event-log I/O.
+_WRITE_BLOCK = 1 << 16
+_READ_BLOCK = 1 << 19
+# No valid row comes near this length (an int64 bin has at most 19 digits).
+_MAX_LINE = 64
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# Value range of each single-digit field after the bin: setting1, setting2, outcome1, outcome2.
+_FIELD_RANGES = ((0, 1), (0, 1), (1, 6), (1, 6))
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ class RunConfig:
                     None if data.get("cascade_n") is None else int(data["cascade_n"])
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError(f"malformed run config: {exc}") from exc
 
 
@@ -109,8 +118,23 @@ class ConfigReport:
 
 
 def validate_config(config: RunConfig) -> ConfigReport:
-    """Check every RunConfig invariant; p_pair above 0.1 warns, not errors."""
-    errors: list[str] = []
+    """Check every RunConfig invariant; p_pair above 0.1 warns, not errors.
+
+    Non-finite values are reported alone, before any arithmetic on them.
+    """
+    errors = [
+        f"{name} = {value} is not finite"
+        for name, value in (
+            ("T", config.total_time),
+            ("tau", config.bin_width),
+            ("p_pair", config.pair_probability),
+            ("L", config.station_separation),
+            ("detector_efficiency", config.detector_efficiency),
+        )
+        if value is not None and not math.isfinite(value)
+    ]
+    if errors:
+        return ConfigReport(tuple(errors), ())
     warns: list[str] = []
     if config.total_time <= 0 or config.bin_width <= 0:
         errors.append(
@@ -204,40 +228,98 @@ class EventLog:
             )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["bin", "setting1", "setting2", "outcome1", "outcome2"])
-            writer.writerows(
-                zip(
-                    range(1, len(self) + 1),
-                    self.setting1.tolist(),
-                    self.setting2.tolist(),
-                    self.outcome1.tolist(),
-                    self.outcome2.tolist(),
-                )
-            )
+        """Write the log as CSV: the header, then one CRLF-terminated row per bin.
+
+        Rows are rendered as bytes in blocks of at most ``_WRITE_BLOCK`` bins,
+        so memory stays bounded whatever the log's length.
+        """
+        n = len(self)
+        columns = (self.setting1, self.setting2, self.outcome1, self.outcome2)
+        with open(path, "wb") as handle:
+            handle.write(_CSV_HEADER + b"\r\n")
+            for digits in range(1, len(str(n)) + 1):
+                stop = min(10**digits, n + 1)
+                for first in range(10 ** (digits - 1), stop, _WRITE_BLOCK):
+                    bins = np.arange(first, min(first + _WRITE_BLOCK, stop))
+                    rows = np.empty((bins.size, digits + 10), dtype=np.uint8)
+                    for k in range(digits):
+                        rows[:, digits - 1 - k] = ord("0") + bins // 10**k % 10
+                    rows[:, digits : digits + 8 : 2] = ord(",")
+                    for j, column in enumerate(columns):
+                        rows[:, digits + 1 + 2 * j] = ord("0") + column[first - 1 : bins[-1]]
+                    rows[:, -2:] = (ord("\r"), ord("\n"))
+                    handle.write(rows)
 
     @classmethod
     def from_csv(cls, path) -> "EventLog":
+        """Read a log written by ``to_csv``; any other form raises InputError.
+
+        Accepted: the header line, then rows ``<bin>,<s1>,<s2>,<o1>,<o2>``
+        with the bin written in canonical decimal and equal to the row's
+        1-based number, single-digit settings 0/1 and outcomes 1-6, lines
+        ending in CRLF or LF, the last one optionally unterminated.  The file
+        is read in blocks of ``_READ_BLOCK`` bytes cut after the last newline.
+        """
         try:
-            handle = open(path, newline="")
+            handle = open(path, "rb")
         except OSError as exc:
             raise InputError(f"cannot read event log {path}: {exc}") from exc
         with handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["bin", "setting1", "setting2", "outcome1", "outcome2"]:
-                raise InputError(f"unexpected event log header: {header}")
-            columns = ([], [], [], [])
-            try:
-                for row in reader:
-                    if not row:
-                        continue
-                    for col, value in zip(columns, row[1:5]):
-                        col.append(int(value))
-            except (ValueError, IndexError) as exc:
-                raise InputError(f"malformed event log row: {exc}") from exc
-        return cls(*columns)
+            header = handle.readline(len(_CSV_HEADER) + 2)
+            if header.removesuffix(b"\n").removesuffix(b"\r") != _CSV_HEADER:
+                raise InputError(f"event log {path} line 1: unexpected header {header!r}")
+            blocks = [np.empty((4, 0), dtype=np.int8)]
+            rows = 0
+            carry = b""
+            while chunk := handle.read(_READ_BLOCK):
+                buf = carry + chunk
+                cut = buf.rfind(b"\n") + 1
+                blocks.append(_parse_rows(buf[:cut], rows, path))
+                rows += blocks[-1].shape[1]
+                carry = buf[cut:]
+                if len(carry) > _MAX_LINE:
+                    raise InputError(
+                        f"event log {path} line {rows + 2}: row longer than {_MAX_LINE} bytes"
+                    )
+            if carry:
+                blocks.append(_parse_rows(carry + b"\n", rows, path))
+        return cls(*np.concatenate(blocks, axis=1))
+
+
+def _parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
+    """Check newline-terminated CSV rows and return their (4, n) int8 columns.
+
+    ``first_row`` counts the rows before ``buf``; the error names the first
+    bad line by its number in the file (the header is line 1).
+    """
+    data = bytes(8) + buf  # the 8-byte gathers below never reach before the buffer
+    a = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray((a.size - 7,), dtype="<u8", buffer=data, strides=(1,))
+    ends = np.flatnonzero(a == ord("\n"))
+    starts = np.concatenate(([8], ends[:-1] + 1))
+    stops = ends - (a[ends - 1] == ord("\r"))
+    bins = first_row + 1 + np.arange(ends.size)
+    width = np.searchsorted(_POW10, bins, side="right")
+    ok = stops - starts == width + 8
+    tail = words[stops - 8].view(np.uint8).reshape(-1, 8)
+    # uint8 arithmetic: a byte below the allowed range wraps round to a large value
+    fields = tail[:, 1::2].T - np.uint8(ord("0"))
+    for j, (low, high) in enumerate(_FIELD_RANGES):
+        ok &= (tail[:, 2 * j] == ord(",")) & (fields[j] - np.uint8(low) <= high - low)
+    value = np.zeros_like(bins)
+    for k in range(int(width.max(initial=0))):
+        byte = a[np.maximum(stops - 9 - k, 0)]
+        digit = np.where(k < width, byte - np.uint8(ord("0")), 0)
+        ok &= digit <= 9
+        value += digit.astype(np.int64) * 10**k
+    ok &= value == bins
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        line = data[starts[bad] : ends[bad] + 1]
+        raise InputError(
+            f"event log {path} line {first_row + bad + 2}: malformed row {line[:_MAX_LINE]!r}"
+        )
+    return fields.astype(np.int8)
 
 
 def run_experiment(config: RunConfig) -> EventLog:

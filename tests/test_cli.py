@@ -125,6 +125,15 @@ def test_lhv_check_malformed_json(tmp_path, capsys):
     assert run_cli("lhv-check", "--input", str(tmp_path / "missing.json")) == 2
 
 
+def test_lhv_check_nan_cell_exits_2(tmp_path, capsys, quantum_tables):
+    data = tables_to_json_dict(quantum_tables)
+    data["tables"][1]["probs"][7] = math.nan
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("lhv-check", "--input", str(path)) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
 def _write_config(path, **overrides):
     payload = {
         "T": 1e-5,
@@ -161,6 +170,14 @@ def test_simulate_invalid_config_exits_2(tmp_path):
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
 
 
+@pytest.mark.parametrize("overrides", [{"T": math.nan}, {"tau": math.inf}, {"L": math.nan}])
+def test_simulate_non_finite_config_exits_2(tmp_path, capsys, overrides):
+    config = tmp_path / "run.json"
+    _write_config(config, **overrides)
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_analyze_vacuum_log(tmp_path, capsys):
     config = tmp_path / "run.json"
     _write_config(config, p_pair=0.0)
@@ -186,6 +203,15 @@ def test_analyze_echoes_settings(tmp_path, capsys):
 def test_analyze_missing_file_exits_2(tmp_path, capsys):
     events = tmp_path / "none.csv"
     assert run_cli("analyze", "--input", str(events)) == 2
+
+
+@pytest.mark.parametrize("row", ["2,0,0,300,3", "2,0,0,3,3,3", "2,2,0,3,3", ""])
+def test_analyze_malformed_log_exits_2(tmp_path, capsys, row):
+    events = tmp_path / "events.csv"
+    lines = ["bin,setting1,setting2,outcome1,outcome2", "1,0,0,3,3", row, "3,1,1,1,2"]
+    events.write_text("\n".join(lines) + "\n")
+    assert run_cli("analyze", "--input", str(events)) == 2
+    assert "line 3: malformed row" in capsys.readouterr().err
 
 
 def test_simulate_then_analyze_resolves_violation(tmp_path, capsys):

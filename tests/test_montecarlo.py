@@ -1,8 +1,11 @@
+import csv
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from pdcbell import montecarlo
 from pdcbell.bell import ChshSettings, OPTIMAL_SETTINGS
 from pdcbell.errors import EmptySettingPairError, InputError, InvalidConfigError
 from pdcbell.measurement import LEGAL_MASK, PolarizerAngle, joint_distribution, outcome_occupation
@@ -69,6 +72,18 @@ def test_config_errors_collected():
     assert len(report.errors) == 3
     with pytest.raises(InvalidConfigError):
         run_experiment(make_config(pair_probability=-0.1))
+
+
+@pytest.mark.parametrize(
+    "field", ["total_time", "bin_width", "pair_probability", "station_separation", "detector_efficiency"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    report = validate_config(make_config(**{field: value}))
+    assert not report.ok
+    assert "is not finite" in report.errors[0]
+    with pytest.raises(InvalidConfigError):
+        run_experiment(make_config(**{field: value}))
 
 
 def test_config_json_round_trip():
@@ -273,6 +288,94 @@ def test_report_json_counts_shape():
 # -- event log io -------------------------------------------------------------
 
 
+HEADER = ["bin", "setting1", "setting2", "outcome1", "outcome2"]
+
+#: The README run shortened to 40 000 bins, seed 20240817; SHA-256 of the CSV
+#: written by the csv-module writer, frozen before the vectorised one replaced it.
+SMALL_README_CONFIG = {
+    "T": 4e-4,
+    "tau": 1e-8,
+    "p_pair": 0.01,
+    "settings_rad": [0.0, 0.7853981633974483, 1.9634954084936207, 1.1780972450961724],
+    "seed": 20240817,
+    "L": 10.0,
+    "detector_efficiency": 1.0,
+}
+SMALL_README_LOG_SHA256 = "3a8cd5830c5091fd1a2720cab64346226c450196e63c6622fec4ed1d7b8f2dbf"
+
+
+def reference_to_csv(log: EventLog, path) -> None:
+    """Row-at-a-time csv-module writer: the byte-level oracle for EventLog.to_csv."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(HEADER)
+        writer.writerows(
+            zip(
+                range(1, len(log) + 1),
+                log.setting1.tolist(),
+                log.setting2.tolist(),
+                log.outcome1.tolist(),
+                log.outcome2.tolist(),
+            )
+        )
+
+
+def reference_from_csv(path) -> EventLog:
+    """Row-at-a-time csv-module reader, the oracle for EventLog.from_csv on valid logs."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        assert next(reader) == HEADER
+        columns = ([], [], [], [])
+        for row in reader:
+            for col, value in zip(columns, row[1:5]):
+                col.append(int(value))
+    return EventLog(*columns)
+
+
+def random_log(n: int, seed: int = 0) -> EventLog:
+    rng = np.random.default_rng(seed)
+    return EventLog(
+        rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(1, 7, n), rng.integers(1, 7, n)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 1000, 12345, montecarlo._WRITE_BLOCK + 1])
+def test_event_log_csv_matches_reference(tmp_path, n):
+    log = random_log(n, seed=n)
+    path, reference = tmp_path / "events.csv", tmp_path / "reference.csv"
+    log.to_csv(path)
+    reference_to_csv(log, reference)
+    data = path.read_bytes()
+    assert data == reference.read_bytes()
+    if n > montecarlo._WRITE_BLOCK:
+        assert len(data) > montecarlo._READ_BLOCK  # the reader crosses a block boundary
+    assert EventLog.from_csv(path) == reference_from_csv(path) == log
+    lf = data.replace(b"\r\n", b"\n")
+    for variant in (lf, lf[:-1], data[:-2]):
+        path.write_bytes(variant)
+        assert EventLog.from_csv(path) == log
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_event_log_csv_small_blocks(tmp_path, monkeypatch, block):
+    log = random_log(1000, seed=1)
+    path, reference = tmp_path / "events.csv", tmp_path / "reference.csv"
+    monkeypatch.setattr(montecarlo, "_WRITE_BLOCK", block)
+    monkeypatch.setattr(montecarlo, "_READ_BLOCK", block)
+    log.to_csv(path)
+    reference_to_csv(log, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert EventLog.from_csv(path) == log
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    assert EventLog.from_csv(path) == log
+
+
+def test_event_log_csv_frozen_digest(tmp_path):
+    path = tmp_path / "events.csv"
+    run_experiment(RunConfig.from_json_dict(SMALL_README_CONFIG)).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_README_LOG_SHA256
+
+
 def test_event_log_csv_round_trip(tmp_path):
     log = run_experiment(make_config(total_time=1e-5))
     path = tmp_path / "events.csv"
@@ -280,6 +383,52 @@ def test_event_log_csv_round_trip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "bin,setting1,setting2,outcome1,outcome2"
     assert EventLog.from_csv(path) == log
+
+
+#: Replacements for the second data row (line 3) of a valid three-row log.
+MALFORMED_ROWS = {
+    "out of range value": "2,0,0,300,3",
+    "short row": "2,0,0,3",
+    "extra field": "2,0,0,3,3,3",
+    "leading space": " 2,0,0,3,3",
+    "trailing space": "2,0,0,3,3 ",
+    "quoted field": '"2",0,0,3,3',
+    "zero-padded bin": "02,0,0,3,3",
+    "wrong bin order": "3,0,0,3,3",
+    "non-numeric bin": "x,0,0,3,3",
+    "blank line": "",
+    "setting 2": "2,2,0,3,3",
+    "outcome 7": "2,0,0,7,3",
+    "outcome 0": "2,0,0,0,3",
+}
+
+
+def write_log_with_row(path, row: str) -> None:
+    rows = ["1,0,0,3,3", row, "3,1,1,1,2"]
+    path.write_bytes(("bin,setting1,setting2,outcome1,outcome2\r\n" + "\r\n".join(rows) + "\r\n").encode())
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_event_log_csv_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    write_log_with_row(path, row)
+    with pytest.raises(InputError, match="line 3: malformed row"):
+        EventLog.from_csv(path)
+
+
+def test_event_log_csv_rejects_non_digit_bin(tmp_path):
+    rows = [f"{k},0,0,3,3" for k in range(1, 10)] + ["0:,0,0,3,3"]  # b"0:" would weigh in as 10
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["bin,setting1,setting2,outcome1,outcome2"] + rows) + "\n")
+    with pytest.raises(InputError, match="line 11: malformed row"):
+        EventLog.from_csv(path)
+
+
+def test_event_log_csv_rejects_overlong_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"bin,setting1,setting2,outcome1,outcome2\n1,0,0,3,3\n" + b"9" * 100_000)
+    with pytest.raises(InputError, match="line 3: row longer than"):
+        EventLog.from_csv(path)
 
 
 def test_event_log_csv_rejects_bad_header(tmp_path):
