@@ -12,8 +12,14 @@ probability tables (chsh_from_tables) and from operator expectations taken
 directly in Fock space (chsh_operator_expectation).  They must agree to
 1e-12, which the test suite checks.
 
-Pure functions throughout; grid points in the angle optimizer could be
-evaluated concurrently since the argmax reduction is order independent.
+Pure functions throughout.  The angle optimizer exploits the harmonic
+structure of the correlator: under the two-photon cap each outcome
+amplitude at a station is a polynomial of degree at most 2 in the cosine
+and sine of that station's analyzer angle, so every correlator is a
+trigonometric polynomial with harmonics {0, 2, 4} in each angle,
+E(xi, eta) = b(xi)^T C b(eta) with b(x) = (1, cos 2x, sin 2x, cos 4x,
+sin 4x).  Twenty-five Fock-space samples fix the 5x5 matrix C, and the
+whole search runs on that polynomial.
 """
 
 from __future__ import annotations
@@ -280,6 +286,59 @@ def _golden_section_max(g: Callable[[float], float], lo: float, hi: float, tol: 
     return x, g(x)
 
 
+#: Analyzer angles k*pi/5 at which the correlator is sampled to fit C.
+_SAMPLE_ANGLES = np.arange(5) * (math.pi / 5)
+
+#: CHSH values closer than this count as equal: grid points this close to
+#: the maximum are tied, and a refinement step must gain more than this, so
+#: rounding noise never moves the settings.
+_VALUE_TOL = 1e-12
+
+
+def _harmonics(angles) -> np.ndarray:
+    """Rows b(x) = (1, cos 2x, sin 2x, cos 4x, sin 4x), one per angle."""
+    x = np.asarray(angles, dtype=float)
+    return np.stack(
+        [np.ones_like(x), np.cos(2 * x), np.sin(2 * x), np.cos(4 * x), np.sin(4 * x)], axis=-1
+    )
+
+
+def _correlator_coefficients(state: StateVector, assignment: ValueAssignment) -> np.ndarray:
+    """The 5x5 matrix C with E(xi, eta) = b(xi)^T C b(eta) for ``state``.
+
+    E is sampled in Fock space on the 5x5 grid of _SAMPLE_ANGLES, where the
+    harmonic basis b is invertible (five equally spaced axis angles).
+    """
+    samples = np.empty((5, 5))
+    for i, x in enumerate(_SAMPLE_ANGLES):
+        rot1 = rotate_station_basis(state, state.spatial[0], PolarizerAngle(x))
+        for j, e in enumerate(_SAMPLE_ANGLES):
+            rot = rotate_station_basis(rot1, state.spatial[1], PolarizerAngle(e))
+            samples[i, j] = sum(
+                _value_sign(occ, assignment) * abs(amp) ** 2 for occ, amp in rot.terms.items()
+            )
+    basis_inv = np.linalg.inv(_harmonics(_SAMPLE_ANGLES))
+    return basis_inv @ samples @ basis_inv.T
+
+
+def _best_grid_indices(e_grid: np.ndarray) -> tuple[int, int, int, int]:
+    """Grid maximizer of E(xi,eta) + E(xi,eta') + E(xi',eta) - E(xi',eta').
+
+    The combination splits into an eta part E(xi,.) + E(xi',.) and an eta'
+    part E(xi,.) - E(xi',.), maximized independently for every (xi, xi').
+    Among values within _VALUE_TOL of the maximum the lexicographically
+    smallest (xi, xi', eta, eta') index tuple wins.
+    """
+    eta_part = e_grid[:, None, :] + e_grid[None, :, :]
+    etap_part = e_grid[:, None, :] - e_grid[None, :, :]
+    pair_best = eta_part.max(axis=2) + etap_part.max(axis=2)
+    cutoff = pair_best.max() - _VALUE_TOL
+    i_xi, i_xip = np.unravel_index(np.flatnonzero(pair_best >= cutoff)[0], pair_best.shape)
+    combo = eta_part[i_xi, i_xip][:, None] + etap_part[i_xi, i_xip][None, :]
+    i_eta, i_etap = np.unravel_index(np.flatnonzero(combo >= cutoff)[0], combo.shape)
+    return int(i_xi), int(i_xip), int(i_eta), int(i_etap)
+
+
 def optimize_angles(
     state: StateVector,
     assignment: ValueAssignment = DEFAULT_ASSIGNMENT,
@@ -288,58 +347,40 @@ def optimize_angles(
 ) -> tuple[ChshSettings, float]:
     """Settings maximizing the CHSH value for ``state``.
 
-    Coarse stage: all angle combinations on a pi/grid_points grid, using the
-    fact that the CHSH value is a four-term combination of a pairwise
-    correlator grid.  Ties break toward the lexicographically smallest
-    (xi, xi', eta, eta') tuple.  Fine stage: coordinate descent with
-    golden-section line search down to refine_tol angular resolution.
+    Coarse stage: all angle combinations on a pi/grid_points grid, from the
+    correlator grid B C B^T of the harmonic form.  Among grid points whose
+    value lies within 1e-12 of the maximum, the lexicographically smallest
+    (xi, xi', eta, eta') index tuple wins.  Fine stage: coordinate ascent
+    with golden-section line search on the same polynomial down to
+    refine_tol angular resolution, accepting a step only when it gains more
+    than 1e-12.  The returned value comes from the joint-distribution
+    tables at the final settings.
     """
     step = math.pi / grid_points
     grid = np.arange(grid_points) * step
+    coeffs = _correlator_coefficients(state, assignment)
+    basis = _harmonics(grid)
+    angles = [grid[k] for k in _best_grid_indices(basis @ coeffs @ basis.T)]
 
-    e_grid = np.empty((grid_points, grid_points))
-    for i, x in enumerate(grid):
-        rot1 = rotate_station_basis(state, state.spatial[0], PolarizerAngle(x))
-        for j, e in enumerate(grid):
-            rot = rotate_station_basis(rot1, state.spatial[1], PolarizerAngle(e))
-            value = 0.0
-            for occ, amp in rot.terms.items():
-                value += _value_sign(occ, assignment) * abs(amp) ** 2
-            e_grid[i, j] = value
+    def chsh_poly(trial: Sequence[float]) -> float:
+        b_xi, b_xip, b_eta, b_etap = _harmonics(trial)
+        return float(b_xi @ coeffs @ (b_eta + b_etap) + b_xip @ coeffs @ (b_eta - b_etap))
 
-    best_value = -math.inf
-    best_idx = (0, 0, 0, 0)
-    for i_xi in range(grid_points):
-        # combo[xi', eta, eta'] for this xi
-        combo = (
-            e_grid[i_xi][None, :, None]
-            + e_grid[i_xi][None, None, :]
-            + e_grid[:, :, None]
-            - e_grid[:, None, :]
-        )
-        flat = int(np.argmax(combo))
-        value = float(combo.reshape(-1)[flat])
-        if value > best_value + 1e-15:
-            best_value = value
-            i_xip, i_eta, i_etap = np.unravel_index(flat, combo.shape)
-            best_idx = (i_xi, int(i_xip), int(i_eta), int(i_etap))
-
-    angles = [grid[k] for k in best_idx]
-    best = _chsh_value(state, angles, assignment)
+    best = chsh_poly(angles)
     for _ in range(50):
         improved = best
         for k in range(4):
             def g(t: float, k: int = k) -> float:
                 trial = list(angles)
                 trial[k] = t
-                return _chsh_value(state, trial, assignment)
+                return chsh_poly(trial)
 
             x, v = _golden_section_max(g, angles[k] - step, angles[k] + step, refine_tol)
-            if v > best:
+            if v > best + _VALUE_TOL:
                 best = v
                 angles[k] = x
-        if best - improved < 1e-12:
+        if best - improved < _VALUE_TOL:
             break
 
     settings = ChshSettings.from_radians(*angles)
-    return settings, best
+    return settings, _chsh_value(state, angles, assignment)

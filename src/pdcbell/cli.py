@@ -48,9 +48,12 @@ def parse_angle(text: str) -> float:
     for suffix, factor in (("deg", math.pi / 180.0), ("rad", 1.0)):
         if text.endswith(suffix):
             try:
-                return float(text[: -len(suffix)]) * factor
+                value = float(text[: -len(suffix)]) * factor
             except ValueError as exc:
                 raise InputError(f"cannot parse angle {text!r}") from exc
+            if not math.isfinite(value):
+                raise InputError(f"angle {text!r} is not finite")
+            return value
     raise InputError(f"angle {text!r} needs an explicit 'deg' or 'rad' suffix")
 
 
@@ -91,7 +94,7 @@ def _load_json(path: str) -> dict:
 
 def _prepared_state(p_pair: float) -> StateVector:
     state = build_experiment_state()
-    if p_pair >= 1.0:
+    if p_pair == 1.0:
         return state
     return attach_vacuum(state, PairAmplitude.from_pair_probability(p_pair))
 

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bell import CHSH_SIGNS, ChshSettings, DEFAULT_ASSIGNMENT, ValueAssignment
 from .errors import (
@@ -34,6 +33,18 @@ from .errors import (
     MalformedTablesError,
 )
 from .measurement import JointDistribution
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use.
+
+    scipy.optimize takes most of the package's import time, and only the
+    LP needs it, so commands that never decide feasibility do not pay it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
 
 N_OUTCOMES = 6
 N_STRATEGIES = (N_OUTCOMES**2) ** 2  # 1296

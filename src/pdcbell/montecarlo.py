@@ -160,6 +160,8 @@ def validate_config(config: RunConfig) -> ConfigReport:
             )
     if not 0.0 < config.detector_efficiency <= 1.0:
         errors.append(f"detector_efficiency = {config.detector_efficiency} outside (0, 1]")
+    if config.seed < 0:
+        errors.append(f"seed = {config.seed} must be non-negative")
     if config.cascade_fanout is not None and config.cascade_fanout < 2:
         errors.append(f"cascade_n = {config.cascade_fanout} must be at least 2")
     return ConfigReport(tuple(errors), tuple(warns))

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_station_state
 from pdcbell.bell import (
     ChshSettings,
+    DEFAULT_ASSIGNMENT,
     OPTIMAL_SETTINGS,
     ValueAssignment,
     chsh_decomposition,
@@ -14,12 +15,15 @@ from pdcbell.bell import (
     correlator,
     diluted_chsh,
     optimize_angles,
+    _correlator_coefficients,
+    _harmonics,
+    _value_sign,
 )
 from pdcbell.errors import InconsistentSettingsError, InputError
 from pdcbell.fock import STATION_LABELS, vacuum
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables
-from pdcbell.measurement import PolarizerAngle, joint_distribution
-from pdcbell.optics import PairAmplitude, attach_vacuum, split_by_locality
+from pdcbell.measurement import PolarizerAngle, joint_distribution, rotate_station_basis
+from pdcbell.optics import PairAmplitude, attach_vacuum, build_experiment_state, split_by_locality
 
 SQRT2 = math.sqrt(2.0)
 
@@ -206,11 +210,60 @@ def test_chsh_serialization(psi):
     assert data["total"] == pytest.approx(1 + SQRT2, abs=1e-12)
 
 
+def fock_correlator_grid(state, assignment=DEFAULT_ASSIGNMENT, grid_points=72):
+    """E(xi, eta) on the pi/grid_points grid, one Fock-space rotation per point."""
+    grid = np.arange(grid_points) * (math.pi / grid_points)
+    e_grid = np.empty((grid_points, grid_points))
+    for i, x in enumerate(grid):
+        rot1 = rotate_station_basis(state, state.spatial[0], PolarizerAngle(x))
+        for j, e in enumerate(grid):
+            rot = rotate_station_basis(rot1, state.spatial[1], PolarizerAngle(e))
+            value = 0.0
+            for occ, amp in rot.terms.items():
+                value += _value_sign(occ, assignment) * abs(amp) ** 2
+            e_grid[i, j] = value
+    return e_grid
+
+
+def _oracle_cases():
+    psi = build_experiment_state()
+    favorable, unfavorable = split_by_locality(psi)
+    rng = np.random.default_rng(38)
+    odd = ValueAssignment(a=(1.0, 1.0, 1.0, -1.0, 1.0, 1.0), b=(1.0, 1.0, 1.0, 1.0, 1.0, -1.0))
+    cases = [
+        ("psi", psi, DEFAULT_ASSIGNMENT),
+        ("psi-p0.01", attach_vacuum(psi, PairAmplitude.from_pair_probability(0.01)), DEFAULT_ASSIGNMENT),
+        ("singlet", favorable.normalize(), DEFAULT_ASSIGNMENT),
+        ("unfavorable", unfavorable.normalize(), DEFAULT_ASSIGNMENT),
+        ("vacuum", vacuum(STATION_LABELS), DEFAULT_ASSIGNMENT),
+    ]
+    cases += [(f"random-{k}", random_station_state(rng), DEFAULT_ASSIGNMENT) for k in range(3)]
+    cases.append(("random-odd-assignment", random_station_state(rng), odd))
+    return [pytest.param(state, assignment, id=name) for name, state, assignment in cases]
+
+
+@pytest.mark.parametrize("state, assignment", _oracle_cases())
+def test_harmonic_grid_matches_fock_grid(state, assignment):
+    grid = np.arange(72) * (math.pi / 72)
+    basis = _harmonics(grid)
+    closed_form = basis @ _correlator_coefficients(state, assignment) @ basis.T
+    assert np.abs(closed_form - fock_correlator_grid(state, assignment)).max() <= 1e-13
+
+
 def test_optimize_angles_experiment_state(psi):
     settings, value = optimize_angles(psi)
-    assert value == pytest.approx(1 + SQRT2, abs=1e-6)
+    assert settings == OPTIMAL_SETTINGS
+    assert value == pytest.approx(1 + SQRT2, abs=1e-12)
     check = chsh_from_tables(tables_at(psi, settings)).total
-    assert check == pytest.approx(value, abs=1e-12)
+    assert check == value
+
+
+@pytest.mark.parametrize("p_pair", [0.01, 1e-6])
+def test_optimize_angles_diluted_state(psi, p_pair):
+    state = attach_vacuum(psi, PairAmplitude.from_pair_probability(p_pair))
+    settings, value = optimize_angles(state)
+    assert settings == OPTIMAL_SETTINGS
+    assert value == pytest.approx(diluted_chsh(1.0 - p_pair, 1 + SQRT2), abs=1e-12)
 
 
 def test_optimize_angles_singlet(psi):
@@ -221,5 +274,5 @@ def test_optimize_angles_singlet(psi):
 
 def test_optimize_angles_vacuum():
     settings, value = optimize_angles(vacuum(STATION_LABELS))
-    assert value == pytest.approx(2.0, abs=1e-12)
+    assert value == 2.0
     assert settings.as_radians() == (0.0, 0.0, 0.0, 0.0)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdcbell import cli
+import pdcbell
+from pdcbell import cli, lhv
 from pdcbell.bell import OPTIMAL_SETTINGS
 from pdcbell.errors import InputError, ModelError
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables, tables_to_json_dict
@@ -19,9 +24,6 @@ def run_cli(*argv):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     result = subprocess.run(
         [sys.executable, "-m", "pdcbell", "--version"], capture_output=True, text=True
     )
@@ -33,7 +35,7 @@ def test_parse_angle_suffixes():
     assert cli.parse_angle("45deg") == pytest.approx(math.pi / 4)
     assert cli.parse_angle("0.5rad") == pytest.approx(0.5)
     assert cli.parse_angle(" 90DEG ") == pytest.approx(math.pi / 2)
-    for bad in ("1.0", "45", "deg", "45degs"):
+    for bad in ("1.0", "45", "deg", "45degs", "nandeg", "infrad", "-infdeg", "1e400deg"):
         with pytest.raises(InputError):
             cli.parse_angle(bad)
 
@@ -64,6 +66,31 @@ def test_table_command_pure_vacuum(capsys):
 def test_table_command_bad_angle_exits_2(capsys):
     assert run_cli("table", "--xi", "0", "--eta", "0deg") == 2
     assert "suffix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--xi", "nandeg", "--eta", "0deg"),
+        ("table", "--xi", "0deg", "--eta", "infrad"),
+        ("chsh", "--settings", "nandeg,45deg,112.5deg,67.5deg"),
+        ("chsh", "--settings", "0deg,45deg,112.5deg,-infdeg"),
+    ],
+)
+def test_non_finite_angle_exits_2(capsys, argv):
+    assert run_cli(*argv) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p_pair", ["2", "1.5", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--xi", "0deg", "--eta", "0deg"), ("chsh", "--settings", OPTIMAL_FLAG), ("optimize",)],
+    ids=["table", "chsh", "optimize"],
+)
+def test_p_pair_out_of_range_exits_2(capsys, argv, p_pair):
+    assert run_cli(*argv, "--p-pair", p_pair) == 2
+    assert "pair probability must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_chsh_command_optimal(capsys):
@@ -178,6 +205,16 @@ def test_simulate_non_finite_config_exits_2(tmp_path, capsys, overrides):
     assert "is not finite" in capsys.readouterr().err
 
 
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    _write_config(config, seed=-1)
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
+    assert "seed = -1 must be non-negative" in capsys.readouterr().err
+    _write_config(config)
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"), "--seed", "-1") == 2
+    assert "seed = -1 must be non-negative" in capsys.readouterr().err
+
+
 def test_analyze_vacuum_log(tmp_path, capsys):
     config = tmp_path / "run.json"
     _write_config(config, p_pair=0.0)
@@ -249,3 +286,53 @@ def test_internal_invariant_maps_to_exit_4(monkeypatch, capsys):
     monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", lambda self, argv=None: args)
     assert cli.main(["state"]) == 4
     assert "synthetic failure" in capsys.readouterr().err
+
+
+def _run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this pdcbell."""
+    src = str(Path(pdcbell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+
+
+#: Runs ``python -m pdcbell <args>`` in-process and reports, on the last line
+#: of stderr, the exit code and the scipy modules it imported.
+_RUN_MODULE = """
+import json, runpy, sys
+sys.argv = ["pdcbell", *sys.argv[1:]]
+try:
+    runpy.run_module("pdcbell", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"code": code, "scipy": scipy}), file=sys.stderr)
+"""
+
+
+def test_cli_import_leaves_scipy_out():
+    result = _run_fresh(
+        "import sys, pdcbell.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_optimize_leaves_scipy_out():
+    result = _run_fresh(_RUN_MODULE, "optimize")
+    report = json.loads(result.stderr.strip().splitlines()[-1])
+    assert report == {"code": 0, "scipy": []}
+    assert json.loads(result.stdout)["settings_rad"] == list(OPTIMAL_SETTINGS.as_radians())
+
+
+def test_lhv_check_imports_scipy_on_demand(tmp_path, quantum_tables):
+    assert callable(vars(lhv)["linprog"])
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables_to_json_dict(quantum_tables)))
+    result = _run_fresh(_RUN_MODULE, "lhv-check", "--input", str(path))
+    report = json.loads(result.stderr.strip().splitlines()[-1])
+    assert report["code"] == 3
+    assert "scipy.optimize" in report["scipy"]
+    assert json.loads(result.stdout)["feasible"] is False

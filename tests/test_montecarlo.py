@@ -67,9 +67,9 @@ def test_config_pair_probability_warning():
 
 def test_config_errors_collected():
     report = validate_config(
-        make_config(pair_probability=1.5, detector_efficiency=0.0, cascade_fanout=1)
+        make_config(pair_probability=1.5, detector_efficiency=0.0, cascade_fanout=1, seed=-1)
     )
-    assert len(report.errors) == 3
+    assert len(report.errors) == 4
     with pytest.raises(InvalidConfigError):
         run_experiment(make_config(pair_probability=-0.1))
 
