@@ -11,6 +11,8 @@ the whole scheme work without an event-ready source.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .bell import (
     CHSH_SIGNS,
     ChshResult,
@@ -57,19 +59,15 @@ from .montecarlo import (
     CascadeProbabilities,
     EstimateReport,
     EventLog,
-    EventRecord,
     RunConfig,
     cascade_misclassification,
-    estimate_chsh,
     estimate_correlators,
     run_experiment,
     sample_cascade,
     validate_config,
 )
 from .optics import (
-    BeamsplitterSpec,
     PairAmplitude,
-    WaveplateSpec,
     apply_beamsplitter,
     apply_waveplate,
     attach_vacuum,
@@ -77,4 +75,9 @@ from .optics import (
     source_state,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules bound by the imports above are reached as attributes, not exported.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -286,6 +286,12 @@ def _golden_section_max(g: Callable[[float], float], lo: float, hi: float, tol: 
     return x, g(x)
 
 
+#: The coarse search grid has this many angles per analyzer, pi/GRID_POINTS apart.
+GRID_POINTS = 72
+
+#: Angular resolution of the golden-section refinement, in radians.
+REFINE_TOL = 1e-6
+
 #: Analyzer angles k*pi/5 at which the correlator is sampled to fit C.
 _SAMPLE_ANGLES = np.arange(5) * (math.pi / 5)
 
@@ -340,24 +346,21 @@ def _best_grid_indices(e_grid: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def optimize_angles(
-    state: StateVector,
-    assignment: ValueAssignment = DEFAULT_ASSIGNMENT,
-    grid_points: int = 72,
-    refine_tol: float = 1e-6,
+    state: StateVector, assignment: ValueAssignment = DEFAULT_ASSIGNMENT
 ) -> tuple[ChshSettings, float]:
     """Settings maximizing the CHSH value for ``state``.
 
-    Coarse stage: all angle combinations on a pi/grid_points grid, from the
+    Coarse stage: all angle combinations on a pi/GRID_POINTS grid, from the
     correlator grid B C B^T of the harmonic form.  Among grid points whose
     value lies within 1e-12 of the maximum, the lexicographically smallest
     (xi, xi', eta, eta') index tuple wins.  Fine stage: coordinate ascent
     with golden-section line search on the same polynomial down to
-    refine_tol angular resolution, accepting a step only when it gains more
+    REFINE_TOL angular resolution, accepting a step only when it gains more
     than 1e-12.  The returned value comes from the joint-distribution
     tables at the final settings.
     """
-    step = math.pi / grid_points
-    grid = np.arange(grid_points) * step
+    step = math.pi / GRID_POINTS
+    grid = np.arange(GRID_POINTS) * step
     coeffs = _correlator_coefficients(state, assignment)
     basis = _harmonics(grid)
     angles = [grid[k] for k in _best_grid_indices(basis @ coeffs @ basis.T)]
@@ -375,7 +378,7 @@ def optimize_angles(
                 trial[k] = t
                 return chsh_poly(trial)
 
-            x, v = _golden_section_max(g, angles[k] - step, angles[k] + step, refine_tol)
+            x, v = _golden_section_max(g, angles[k] - step, angles[k] + step, REFINE_TOL)
             if v > best + _VALUE_TOL:
                 best = v
                 angles[k] = x

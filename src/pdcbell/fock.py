@@ -138,18 +138,18 @@ class StateVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
-    def normalize(self, prune_tol: float = PRUNE_TOL) -> "StateVector":
+    def normalize(self) -> "StateVector":
         n = self.norm()
         if n == 0.0:
             raise InputError("cannot normalize the zero vector")
         return StateVector(
-            {occ: amp / n for occ, amp in self._terms.items() if abs(amp) / n > prune_tol},
+            {occ: amp / n for occ, amp in self._terms.items() if abs(amp) / n > PRUNE_TOL},
             self._spatial,
         )
 
-    def prune(self, tol: float = PRUNE_TOL) -> "StateVector":
+    def prune(self) -> "StateVector":
         return StateVector(
-            {occ: amp for occ, amp in self._terms.items() if abs(amp) > tol}, self._spatial
+            {occ: amp for occ, amp in self._terms.items() if abs(amp) > PRUNE_TOL}, self._spatial
         )
 
     def scale(self, factor: complex) -> "StateVector":

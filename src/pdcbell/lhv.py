@@ -19,6 +19,7 @@ the LP solve is single threaded.  All inputs and outputs are immutable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -253,24 +254,18 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
         return Feasible(LhvModel(weights), error)
 
     dual = np.asarray(result.eqlin.marginals[:n_cells], dtype=float)
-    for candidate in (dual, -dual):
-        coefficients = candidate.reshape(4, N_OUTCOMES, N_OUTCOMES)
-        bound = local_bound_by_enumeration(coefficients)
-        value = contract_tables(coefficients, tables)
-        if value - bound > 0.0:
-            scale = np.abs(coefficients).max()
-            if scale == 0.0:
-                continue
-            # Max-abs scaling to 1 also lands CHSH-shaped functionals on
-            # their conventional local bound of 2.
-            coefficients = coefficients / scale
-            certificate = BellCertificate(
-                coefficients,
-                local_bound=local_bound_by_enumeration(coefficients),
-                quantum_value=contract_tables(coefficients, tables),
-            )
-            if certificate.gap > 0.0:
-                return Infeasible(certificate)
+    scale = np.abs(dual).max()
+    # Max-abs scaling to 1 also lands CHSH-shaped functionals on their
+    # conventional local bound of 2; an all-zero dual separates nothing.
+    for candidate in (dual, -dual) if scale > 0.0 else ():
+        coefficients = (candidate / scale).reshape(4, N_OUTCOMES, N_OUTCOMES)
+        certificate = BellCertificate(
+            coefficients,
+            local_bound=local_bound_by_enumeration(coefficients),
+            quantum_value=contract_tables(coefficients, tables),
+        )
+        if certificate.gap > 0.0:
+            return Infeasible(certificate)
     raise CertificateExtractionError(
         "LP reported mismatch but no verifiable separating functional was found"
     )
@@ -296,10 +291,6 @@ class CertificateReport:
     recomputed_local_bound: float
     quantum_value: float
     gap: float
-
-    @property
-    def separating(self) -> bool:
-        return self.gap > 0.0
 
 
 def verify_certificate(
@@ -348,9 +339,12 @@ def tables_from_json_dict(data: Mapping) -> list[JointDistribution]:
         raise InputError("'tables' must be an array of exactly 4 tables")
     tables = [JointDistribution.from_json_dict(t) for t in raw]
     if "settings_rad" in data:
-        declared = [float(a) for a in data["settings_rad"]]
-        if len(declared) != 4:
-            raise InputError("'settings_rad' must list 4 angles")
+        try:
+            declared = [float(a) for a in data["settings_rad"]]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed 'settings_rad': {exc}") from exc
+        if len(declared) != 4 or not all(math.isfinite(a) for a in declared):
+            raise InputError("'settings_rad' must list 4 finite angles")
         settings = ChshSettings.from_radians(*declared)
         for table, (xi, eta) in zip(tables, settings.setting_pairs()):
             if abs(table.xi.angle - xi.angle) > 1e-9 or abs(table.eta.angle - eta.angle) > 1e-9:

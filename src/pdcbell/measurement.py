@@ -152,7 +152,7 @@ class JointDistribution:
             xi = PolarizerAngle(float(data["xi_rad"]))
             eta = PolarizerAngle(float(data["eta_rad"]))
             probs = np.array([float(p) for p in data["probs"]], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed joint-distribution JSON: {exc}") from exc
         if probs.size != 36:
             raise InputError(f"probs must have 36 entries, got {probs.size}")

@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .bell import CHSH_SIGNS, ChshSettings
+from .bell import CHSH_SIGNS, DEFAULT_ASSIGNMENT, ChshSettings
 from .errors import EmptySettingPairError, InputError, InvalidConfigError
-from .measurement import joint_distribution, outcome_occupation
+from .measurement import OutcomeClass, joint_distribution, outcome_occupation
 from .optics import build_experiment_state
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -41,8 +41,14 @@ PAIR_PROBABILITY_WARN = 0.1
 
 _N_SETTING_PAIRS = 4
 
-# classify detected (n_plus, n_minus) -> outcome code, indexed [n_plus][n_minus]
-_CLASSIFY = np.array([[3, 1, 6], [2, 4, 0], [5, 0, 0]], dtype=np.int8)
+# (D+ count, D- count) of each outcome code, row code - 1, and its inverse
+# indexed [n_plus][n_minus]; both come from the measurement module's table.
+_OCCUPATION = np.array([outcome_occupation(code) for code in OutcomeClass], dtype=np.int64)
+_CLASSIFY = np.zeros((3, 3), dtype=np.int8)
+_CLASSIFY[tuple(_OCCUPATION.T)] = list(OutcomeClass)
+
+# The closed set of run-config JSON keys; "L" may be absent or null.
+_CONFIG_KEYS = ("T", "tau", "p_pair", "settings_rad", "seed", "L", "detector_efficiency")
 
 _CSV_HEADER = b"bin,setting1,setting2,outcome1,outcome2"
 # Rows rendered per write and bytes read per block by the CSV event-log I/O.
@@ -66,7 +72,6 @@ class RunConfig:
     seed: int
     station_separation: float | None = None
     detector_efficiency: float = 1.0
-    cascade_fanout: int | None = None
 
     @property
     def n_bins(self) -> int:
@@ -83,25 +88,33 @@ class RunConfig:
         }
         if self.station_separation is not None:
             data["L"] = self.station_separation
-        if self.cascade_fanout is not None:
-            data["cascade_n"] = self.cascade_fanout
         return data
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RunConfig":
+        """Parse the run-config JSON object; only the keys of ``to_json_dict``.
+
+        Unknown keys and a seed that is not an integer (``1.5``, ``true``,
+        ``"7"``) raise InvalidConfigError rather than being ignored or cast.
+        """
+        if not isinstance(data, Mapping):
+            raise InvalidConfigError(f"run config must be a JSON object, got {type(data).__name__}")
+        unknown = sorted(str(key) for key in data if key not in _CONFIG_KEYS)
+        if unknown:
+            raise InvalidConfigError(f"unknown run config key(s): {', '.join(unknown)}")
         try:
+            seed = data["seed"]
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise InvalidConfigError(f"seed must be an integer, got {seed!r}")
             settings = ChshSettings.from_radians(*[float(a) for a in data["settings_rad"]])
             return cls(
                 total_time=float(data["T"]),
                 bin_width=float(data["tau"]),
                 pair_probability=float(data["p_pair"]),
                 settings=settings,
-                seed=int(data["seed"]),
+                seed=seed,
                 station_separation=(None if data.get("L") is None else float(data["L"])),
                 detector_efficiency=float(data.get("detector_efficiency", 1.0)),
-                cascade_fanout=(
-                    None if data.get("cascade_n") is None else int(data["cascade_n"])
-                ),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError(f"malformed run config: {exc}") from exc
@@ -162,18 +175,7 @@ def validate_config(config: RunConfig) -> ConfigReport:
         errors.append(f"detector_efficiency = {config.detector_efficiency} outside (0, 1]")
     if config.seed < 0:
         errors.append(f"seed = {config.seed} must be non-negative")
-    if config.cascade_fanout is not None and config.cascade_fanout < 2:
-        errors.append(f"cascade_n = {config.cascade_fanout} must be at least 2")
     return ConfigReport(tuple(errors), tuple(warns))
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One time bin: 1-based bin index, setting index pair, outcome code pair."""
-
-    bin: int
-    setting_choice: tuple[int, int]
-    outcome: tuple[int, int]
 
 
 class EventLog:
@@ -220,14 +222,6 @@ class EventLog:
         return all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__
         )
-
-    def records(self) -> Iterator[EventRecord]:
-        for n in range(len(self)):
-            yield EventRecord(
-                bin=n + 1,
-                setting_choice=(int(self.setting1[n]), int(self.setting2[n])),
-                outcome=(int(self.outcome1[n]), int(self.outcome2[n])),
-            )
 
     def to_csv(self, path) -> None:
         """Write the log as CSV: the header, then one CRLF-terminated row per bin.
@@ -377,9 +371,8 @@ def _thin_station(outcomes: np.ndarray, u_a: np.ndarray, u_b: np.ndarray, eff: f
     Slot A covers the first photon in port order (D+ before D-), slot B the
     second; unused slots still consume their stream positions.
     """
-    occ = np.array([outcome_occupation(code) for code in range(1, 7)], dtype=np.int64)
-    n_plus = occ[outcomes - 1, 0]
-    n_minus = occ[outcomes - 1, 1]
+    n_plus = _OCCUPATION[outcomes - 1, 0]
+    n_minus = _OCCUPATION[outcomes - 1, 1]
     total = n_plus + n_minus
 
     hit_a = u_a < eff
@@ -440,7 +433,7 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
         missing = [k for k in range(4) if pair_bins[k] == 0]
         raise EmptySettingPairError(f"no events for setting pair(s) {missing}")
 
-    sign = np.outer([-1.0, 1, 1, 1, 1, 1], [-1.0, 1, 1, 1, 1, 1])
+    sign = DEFAULT_ASSIGNMENT.sign_table()
     correlators = []
     stderrs = []
     for k in range(4):
@@ -460,13 +453,6 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
         chsh=chsh,
         chsh_stderr=chsh_stderr,
     )
-
-
-def estimate_chsh(report: EstimateReport) -> tuple[float, float]:
-    """CHSH combination of the estimated correlators with propagated error."""
-    value = float(sum(s * e for s, e in zip(CHSH_SIGNS, report.correlators)))
-    stderr = math.sqrt(sum(se * se for se in report.correlator_stderrs))
-    return value, stderr
 
 
 # -- cascade photon-number detector ------------------------------------------
@@ -489,18 +475,6 @@ class CascadeProbabilities:
     one_detector_fires: float
     no_detector_fires: float
     single_photon_fires: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fanout": self.fanout,
-            "efficiency": self.efficiency,
-            "same_arm": self.same_arm,
-            "distinct_arms": self.distinct_arms,
-            "two_detectors_fire": self.two_detectors_fire,
-            "one_detector_fires": self.one_detector_fires,
-            "no_detector_fires": self.no_detector_fires,
-            "single_photon_fires": self.single_photon_fires,
-        }
 
 
 def _check_cascade_args(n: int, efficiency: float) -> None:

@@ -38,29 +38,9 @@ from .fock import (
     vacuum,
 )
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class BeamsplitterSpec:
-    """Symmetric 50-50 beamsplitter amplitudes, polarization independent."""
-
-    transmission: complex = _INV_SQRT2
-    reflection: complex = 1j * _INV_SQRT2
-
-    def __post_init__(self) -> None:
-        t, r = self.transmission, self.reflection
-        if abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) > ALGEBRA_TOL:
-            raise InputError("beamsplitter amplitudes must satisfy |t|^2 + |r|^2 = 1")
-        if abs(t * r.conjugate() + r * t.conjugate()) > ALGEBRA_TOL:
-            raise InputError("beamsplitter amplitudes must satisfy t r* + r t* = 0")
-
-
-@dataclass(frozen=True)
-class WaveplateSpec:
-    """Polarization rotator; the experiment uses the 90 degree setting."""
-
-    angle: float = math.pi / 2
+#: Symmetric 50-50 beamsplitter amplitudes, polarization independent.
+_TRANSMISSION = 1.0 / math.sqrt(2.0)
+_REFLECTION = 1j * _TRANSMISSION
 
 
 @dataclass(frozen=True)
@@ -87,16 +67,16 @@ def source_state() -> StateVector:
     return basis_state((1, 0, 1, 0), ARM_LABELS)
 
 
-def apply_waveplate(state: StateVector, arm: str, wp: WaveplateSpec = WaveplateSpec()) -> StateVector:
-    """Rotate the polarization frame of one arm by the waveplate angle."""
+def apply_waveplate(state: StateVector, arm: str, angle: float) -> StateVector:
+    """Rotate the polarization of one arm by ``angle`` radians (the experiment uses pi/2)."""
     if arm not in state.spatial:
         raise WrongFrameError(f"unknown arm {arm!r}; state labels are {state.spatial}")
-    c, s = math.cos(wp.angle), math.sin(wp.angle)
+    c, s = math.cos(angle), math.sin(angle)
     u = ((c, -s), (s, c))
     return apply_mode_unitary(state, (ModeId(arm, 0), ModeId(arm, 1)), u)
 
 
-def apply_beamsplitter(state: StateVector, bs: BeamsplitterSpec = BeamsplitterSpec()) -> StateVector:
+def apply_beamsplitter(state: StateVector) -> StateVector:
     """Mix the two arms on the beamsplitter and relabel outputs to stations.
 
     Arm a goes to station 1 with the reflection amplitude and to station 2
@@ -106,8 +86,7 @@ def apply_beamsplitter(state: StateVector, bs: BeamsplitterSpec = BeamsplitterSp
         raise WrongFrameError(
             f"beamsplitter expects arm labels {ARM_LABELS}, state has {state.spatial}"
         )
-    t, r = bs.transmission, bs.reflection
-    u = ((r, t), (t, r))
+    u = ((_REFLECTION, _TRANSMISSION), (_TRANSMISSION, _REFLECTION))
     out = state
     for pol in (0, 1):
         out = apply_mode_unitary(out, (ModeId("a", pol), ModeId("b", pol)), u)
@@ -122,7 +101,7 @@ def build_experiment_state() -> StateVector:
     plus the two both-photons-one-side terms.
     """
     state = source_state()
-    state = apply_waveplate(state, "a", WaveplateSpec(math.pi / 2))
+    state = apply_waveplate(state, "a", math.pi / 2)
     return apply_beamsplitter(state)
 
 

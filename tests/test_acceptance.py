@@ -38,7 +38,6 @@ from pdcbell.measurement import (
 from pdcbell.montecarlo import (
     RunConfig,
     cascade_misclassification,
-    estimate_chsh,
     estimate_correlators,
     run_experiment,
     sample_cascade,
@@ -131,7 +130,7 @@ def test_criterion_4_vacuum_dilution_run():
     log = run_experiment(config)
     reportdata = estimate_correlators(log)
     elapsed = time.time() - start
-    value, stderr = estimate_chsh(reportdata)
+    value, stderr = reportdata.chsh, reportdata.chsh_stderr
 
     vacuum_sigma = math.sqrt(p_pair * (1 - p_pair) / config.n_bins)
     vacuum_ok = abs(reportdata.vacuum_fraction() - (1 - p_pair)) <= 3 * vacuum_sigma

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,14 @@ def test_lhv_check_nan_cell_exits_2(tmp_path, capsys, quantum_tables):
     assert "NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings", ["abc", None, [0.0, 0.1, 0.2, math.inf], [10**400] * 4])
+def test_lhv_check_malformed_settings_exits_2(tmp_path, capsys, quantum_tables, settings):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(dict(tables_to_json_dict(quantum_tables), settings_rad=settings)))
+    assert run_cli("lhv-check", "--input", str(path)) == 2
+    assert "settings_rad" in capsys.readouterr().err
+
+
 def _write_config(path, **overrides):
     payload = {
         "T": 1e-5,
@@ -213,6 +222,33 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     _write_config(config)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"), "--seed", "-1") == 2
     assert "seed = -1 must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7"])
+def test_simulate_non_integer_seed_exits_2(tmp_path, capsys, seed):
+    config = tmp_path / "run.json"
+    _write_config(config, seed=seed)
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
+    assert f"seed must be an integer, got {seed!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [{"cascade_n": 64}, {"p_pari": 0.01}, {"cascade_n": 4, "p_pari": 0.1}])
+def test_simulate_unknown_config_key_exits_2(tmp_path, capsys, extra):
+    config = tmp_path / "run.json"
+    _write_config(config, **extra)
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert "unknown run config key" in err
+    assert all(key in err for key in extra)
+
+
+def test_package_exports_no_modules_or_removed_names():
+    removed = {"BeamsplitterSpec", "WaveplateSpec", "EventRecord", "estimate_chsh"}
+    for name in pdcbell.__all__:
+        assert not isinstance(getattr(pdcbell, name), types.ModuleType), name
+    assert not removed & set(pdcbell.__all__)
+    assert "lhv_feasible" in pdcbell.__all__ and "RunConfig" in pdcbell.__all__
 
 
 def test_analyze_vacuum_log(tmp_path, capsys):

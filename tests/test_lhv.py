@@ -96,7 +96,7 @@ def test_quantum_tables_infeasible(quantum_tables):
     assert certificate.gap >= (SQRT2 - 1) / 4
     assert np.abs(certificate.coefficients).max() == pytest.approx(1.0, abs=1e-9)
     report = verify_certificate(certificate, quantum_tables)
-    assert report.separating
+    assert report.gap > 0
     assert report.gap == pytest.approx(certificate.gap, abs=1e-9)
 
 

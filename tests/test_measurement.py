@@ -223,3 +223,5 @@ def test_table_json_validation():
     bad = [1.0 / 18] * 36
     with pytest.raises(InputError):
         JointDistribution.from_json_dict({"xi_rad": 0.0, "eta_rad": 0.0, "probs": bad})
+    with pytest.raises(InputError):
+        JointDistribution.from_json_dict({"xi_rad": 10**400, "eta_rad": 0.0, "probs": [1.0 / 36] * 36})

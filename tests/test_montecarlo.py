@@ -11,10 +11,8 @@ from pdcbell.errors import EmptySettingPairError, InputError, InvalidConfigError
 from pdcbell.measurement import LEGAL_MASK, PolarizerAngle, joint_distribution, outcome_occupation
 from pdcbell.montecarlo import (
     EventLog,
-    EventRecord,
     RunConfig,
     cascade_misclassification,
-    estimate_chsh,
     estimate_correlators,
     run_experiment,
     sample_cascade,
@@ -67,9 +65,9 @@ def test_config_pair_probability_warning():
 
 def test_config_errors_collected():
     report = validate_config(
-        make_config(pair_probability=1.5, detector_efficiency=0.0, cascade_fanout=1, seed=-1)
+        make_config(pair_probability=1.5, detector_efficiency=0.0, seed=-1)
     )
-    assert len(report.errors) == 4
+    assert len(report.errors) == 3
     with pytest.raises(InvalidConfigError):
         run_experiment(make_config(pair_probability=-0.1))
 
@@ -87,9 +85,10 @@ def test_config_rejects_non_finite_values(field, value):
 
 
 def test_config_json_round_trip():
-    config = make_config(station_separation=30.0, detector_efficiency=0.8, cascade_fanout=4)
+    config = make_config(station_separation=30.0, detector_efficiency=0.8)
     back = RunConfig.from_json_dict(config.to_json_dict())
     assert back == config
+    assert RunConfig.from_json_dict(make_config().to_json_dict()) == make_config()
     with pytest.raises(InvalidConfigError):
         RunConfig.from_json_dict({"T": 1.0})
 
@@ -134,22 +133,9 @@ def test_setting_choices_uniform():
 def test_outcomes_respect_block_structure():
     with pytest.warns(UserWarning):
         log = run_experiment(make_config(pair_probability=0.2, total_time=1e-4))
-    for record in list(log.records())[:2000]:
-        i, j = record.outcome
-        assert LEGAL_MASK[i - 1, j - 1]
     observed = np.zeros((6, 6), dtype=bool)
     observed[log.outcome1 - 1, log.outcome2 - 1] = True
     assert not observed[~LEGAL_MASK].any()
-
-
-def test_records_iteration():
-    log = run_experiment(make_config(total_time=1e-6))
-    records = list(log.records())
-    assert len(records) == 100
-    assert records[0].bin == 1 and records[-1].bin == 100
-    assert records[0] == EventRecord(
-        1, (int(log.setting1[0]), int(log.setting2[0])), (int(log.outcome1[0]), int(log.outcome2[0]))
-    )
 
 
 def test_vacuum_fraction_tracks_pair_probability():
@@ -223,7 +209,7 @@ def test_all_vacuum_estimates():
     report = estimate_correlators(run_experiment(make_config(pair_probability=0.0)))
     assert report.correlators == (1.0, 1.0, 1.0, 1.0)
     assert report.correlator_stderrs == (0.0, 0.0, 0.0, 0.0)
-    value, stderr = estimate_chsh(report)
+    value, stderr = report.chsh, report.chsh_stderr
     assert value == 2.0 and stderr == 0.0
     assert report.n_vacuum == report.n_bins
 
@@ -254,7 +240,7 @@ def test_estimator_consistency_many_seeds():
 def test_chsh_estimate_matches_dilution_law():
     config = make_config(pair_probability=0.01, total_time=4e-3, seed=777)
     report = estimate_correlators(run_experiment(config))
-    value, stderr = estimate_chsh(report)
+    value, stderr = report.chsh, report.chsh_stderr
     expected = 2 + 0.01 * (SQRT2 - 1)
     assert abs(value - expected) <= 5 * stderr
 
@@ -264,7 +250,7 @@ def test_chsh_estimate_undiluted():
     with pytest.warns(UserWarning):
         config = make_config(pair_probability=1.0, settings=settings, total_time=4e-4)
         report = estimate_correlators(run_experiment(config))
-    value, stderr = estimate_chsh(report)
+    value, stderr = report.chsh, report.chsh_stderr
     assert abs(value - (1 + SQRT2)) <= 5 * stderr
 
 
