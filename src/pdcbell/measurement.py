@@ -32,12 +32,18 @@ CLAMP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class PolarizerAngle:
-    """Analyzer axis angle in radians, reduced mod pi (an axis is a line)."""
+    """Analyzer axis angle in radians, reduced mod pi (an axis is a line).
+
+    NaN and infinite angles raise InputError.
+    """
 
     angle: float
 
     def __post_init__(self) -> None:
-        reduced = math.fmod(float(self.angle), math.pi)
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise InputError(f"analyzer angle {angle} is not finite")
+        reduced = math.fmod(angle, math.pi)
         if reduced < 0.0:
             reduced += math.pi
         object.__setattr__(self, "angle", reduced)

@@ -15,9 +15,12 @@ consumes four further slots (station 1 photon slots A and B, then station
 2), whether or not photons are present.  A reference sequence for the
 generator ships with the test suite.
 
-Bins could be simulated in parallel by assigning each bin its slice of the
-stream; this implementation draws the whole stream in one vectorized pass,
-which is equivalent and single threaded.
+The stream is drawn in sequential blocks of ``_CHUNK`` bins; consecutive
+draws from one generator continue the same stream, so a blocked run is
+bit-identical to a single whole-stream draw while holding only one block of
+uniforms besides the 4-byte-per-bin event log.  Bins could be simulated in
+parallel by assigning each bin its slice of the stream; this implementation
+is single threaded.
 """
 
 from __future__ import annotations
@@ -39,7 +42,14 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 #: Above this per-bin pair probability the one-pair-per-bin assumption is shaky.
 PAIR_PROBABILITY_WARN = 0.1
 
+#: Longest accepted run in bins: its in-memory event log takes 4 GB.
+MAX_BINS = 10**9
+
 _N_SETTING_PAIRS = 4
+
+#: Bins drawn per block of the random stream (one block of uniforms is
+#: ``_CHUNK * width * 8`` bytes).
+_CHUNK = 1 << 16
 
 # (D+ count, D- count) of each outcome code, row code - 1, and its inverse
 # indexed [n_plus][n_minus]; both come from the measurement module's table.
@@ -133,7 +143,9 @@ class ConfigReport:
 def validate_config(config: RunConfig) -> ConfigReport:
     """Check every RunConfig invariant; p_pair above 0.1 warns, not errors.
 
-    Non-finite values are reported alone, before any arithmetic on them.
+    Non-finite values are reported alone, before any arithmetic on them.  The
+    bin count T/tau must be a finite integer between 1 and ``MAX_BINS``, so
+    no run is sized from an unchecked count.
     """
     errors = [
         f"{name} = {value} is not finite"
@@ -155,7 +167,11 @@ def validate_config(config: RunConfig) -> ConfigReport:
         )
     else:
         ratio = config.total_time / config.bin_width
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
+        if not math.isfinite(ratio):
+            errors.append(f"T/tau = {ratio} is not finite")
+        elif ratio > MAX_BINS + 0.5:
+            errors.append(f"T/tau = {ratio:.6g} bins exceeds the limit of {MAX_BINS}")
+        elif abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
             errors.append(f"T/tau = {ratio} is not a positive integer bin count")
     if not 0.0 <= config.pair_probability <= 1.0:
         errors.append(f"p_pair = {config.pair_probability} outside [0, 1]")
@@ -319,7 +335,12 @@ def _parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
 
 
 def run_experiment(config: RunConfig) -> EventLog:
-    """Simulate one counting run; bit-identical for identical configs and seeds."""
+    """Simulate one counting run; bit-identical for identical configs and seeds.
+
+    Vacuum bins keep the preset outcome (3, 3); outcome sampling and loss
+    thinning run on the emitted bins only (thinning maps a vacuum station to 3
+    anyway).
+    """
     report = validate_config(config)
     if not report.ok:
         raise InvalidConfigError("; ".join(report.errors))
@@ -338,31 +359,35 @@ def run_experiment(config: RunConfig) -> EventLog:
     ideal = config.detector_efficiency >= 1.0
     width = 3 if ideal else 7
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    u = rng.random((n, width))
+    # rows: setting1, setting2, outcome1, outcome2
+    events = np.empty((4, n), dtype=np.int8)
+    events[2:] = 3
+    block = np.empty((min(_CHUNK, n), width))  # reused: no fresh pages per block
+    for start in range(0, n, _CHUNK):
+        u = block[: min(_CHUNK, n - start)]
+        rng.random(out=u)
+        stop = start + len(u)
+        pair_index = (u[:, 0] * _N_SETTING_PAIRS).astype(np.int8)  # exact scaling: below 4
+        events[0, start:stop] = pair_index >> 1
+        events[1, start:stop] = pair_index & 1
 
-    pair_index = np.minimum((u[:, 0] * _N_SETTING_PAIRS).astype(np.int64), _N_SETTING_PAIRS - 1)
-    emitted = u[:, 1] < config.pair_probability
+        emitted = np.flatnonzero(u[:, 1] < config.pair_probability)
+        pairs = pair_index[emitted]
+        cells = np.empty(emitted.size, dtype=np.int64)
+        for k in range(_N_SETTING_PAIRS):
+            mask = pairs == k
+            cells[mask] = np.searchsorted(cumulative[k], u[emitted[mask], 2], side="right")
+        cells = np.minimum(cells, 35)
+        outcome1 = (cells // 6 + 1).astype(np.int8)
+        outcome2 = (cells % 6 + 1).astype(np.int8)
+        if not ideal:
+            eff = config.detector_efficiency
+            outcome1 = _thin_station(outcome1, u[emitted, 3], u[emitted, 4], eff)
+            outcome2 = _thin_station(outcome2, u[emitted, 5], u[emitted, 6], eff)
+        events[2, start + emitted] = outcome1
+        events[3, start + emitted] = outcome2
 
-    cells = np.zeros(n, dtype=np.int64)
-    for k in range(_N_SETTING_PAIRS):
-        mask = emitted & (pair_index == k)
-        if mask.any():
-            cells[mask] = np.minimum(
-                np.searchsorted(cumulative[k], u[mask, 2], side="right"), 35
-            )
-    outcome1 = np.where(emitted, cells // 6 + 1, 3).astype(np.int8)
-    outcome2 = np.where(emitted, cells % 6 + 1, 3).astype(np.int8)
-
-    if not ideal:
-        outcome1 = _thin_station(outcome1, u[:, 3], u[:, 4], config.detector_efficiency)
-        outcome2 = _thin_station(outcome2, u[:, 5], u[:, 6], config.detector_efficiency)
-
-    return EventLog(
-        (pair_index // 2).astype(np.int8),
-        (pair_index % 2).astype(np.int8),
-        outcome1,
-        outcome2,
-    )
+    return EventLog(*events)
 
 
 def _thin_station(outcomes: np.ndarray, u_a: np.ndarray, u_b: np.ndarray, eff: float) -> np.ndarray:
@@ -425,8 +450,9 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
     """Empirical correlators with plug-in standard errors from an event log."""
     if len(log) == 0:
         raise EmptySettingPairError("event log is empty")
-    pair_index = log.setting1.astype(np.int64) * 2 + log.setting2
-    flat = pair_index * 36 + (log.outcome1.astype(np.int64) - 1) * 6 + (log.outcome2 - 1)
+    # cell 36 * pair + 6 * (o1 - 1) + (o2 - 1) in uint8: at most 150 before the - 7
+    s1, s2, o1, o2 = (getattr(log, name).view(np.uint8) for name in EventLog.__slots__)
+    flat = 72 * s1 + 36 * s2 + 6 * o1 + o2 - 7
     counts = np.bincount(flat, minlength=144).reshape(4, 6, 6)
     pair_bins = counts.sum(axis=(1, 2))
     if (pair_bins == 0).any():

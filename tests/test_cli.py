@@ -162,6 +162,17 @@ def test_lhv_check_nan_cell_exits_2(tmp_path, capsys, quantum_tables):
     assert "NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["xi_rad", "eta_rad"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_lhv_check_non_finite_table_angle_exits_2(tmp_path, capsys, quantum_tables, field, value):
+    data = tables_to_json_dict(quantum_tables)
+    data["tables"][0][field] = value
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("lhv-check", "--input", str(path)) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("settings", ["abc", None, [0.0, 0.1, 0.2, math.inf], [10**400] * 4])
 def test_lhv_check_malformed_settings_exits_2(tmp_path, capsys, quantum_tables, settings):
     path = tmp_path / "tables.json"
@@ -212,6 +223,22 @@ def test_simulate_non_finite_config_exits_2(tmp_path, capsys, overrides):
     _write_config(config, **overrides)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
     assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"T": 1e300, "tau": 1e-300}, "T/tau = inf is not finite"),
+        ({"T": 1e12}, "exceeds the limit"),
+        ({"T": 10.00000001}, "exceeds the limit"),  # MAX_BINS + 1 bins of 10 ns
+    ],
+)
+def test_simulate_bin_count_over_limit_exits_2(tmp_path, capsys, overrides, message):
+    config = tmp_path / "run.json"
+    _write_config(config, **overrides)
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_negative_seed_exits_2(tmp_path, capsys):

@@ -7,20 +7,23 @@ code or an escaping exception is a bug.
 
 Examples are derandomized so the suite stays deterministic, and run lengths
 are bounded: T stays within 1e-4 s and tau at or above 1e-8 s whenever both
-are numbers, so no fuzzed run exceeds 10^4 bins.  A valid config may ask for
-any run length; the fuzz must not allocate a long one.
+are numbers, so no fuzzed run exceeds 10^4 bins.  The one exception sets T
+to a value of ``HUGE_T``, whose ratio to any fuzzed tau (at most 1 s) is
+infinite or above ``montecarlo.MAX_BINS``; such a config must exit 2 before
+anything is allocated.  No fuzzed run lies between the two.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcbell import cli
+from pdcbell import cli, montecarlo
 from pdcbell.bell import OPTIMAL_SETTINGS
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables, tables_to_json_dict
 from pdcbell.measurement import joint_distribution
@@ -102,6 +105,20 @@ def test_simulate_fuzzed_config(tmp_path_factory, document):
     config.write_text(json.dumps(document))
     if _run(["simulate", "--config", str(config), "--out", str(work / "log.csv")]) == 0:
         assert (work / "log.csv").read_bytes().startswith(b"bin,setting1")
+
+
+#: Run lengths over the bin cap for every fuzzed tau (tau <= 1 s).
+HUGE_T = (montecarlo.MAX_BINS * 10.0, 1e300, sys.float_info.max)
+
+
+@FUZZ
+@given(config=run_configs(), total_time=st.sampled_from(HUGE_T), bin_width=CONFIG_VALUES["tau"])
+def test_simulate_huge_run_exits_2(tmp_path_factory, config, total_time, bin_width):
+    work = tmp_path_factory.mktemp("huge")
+    path = work / "run.json"
+    path.write_text(json.dumps(dict(config, T=total_time, tau=bin_width)))
+    assert _run(["simulate", "--config", str(path), "--out", str(work / "log.csv")]) == 2
+    assert not (work / "log.csv").exists()
 
 
 def _base_tables():

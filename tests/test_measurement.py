@@ -28,6 +28,12 @@ def test_polarizer_angle_reduced_mod_pi():
     assert PolarizerAngle.from_degrees(225.0).angle == pytest.approx(math.pi / 4, abs=1e-12)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_polarizer_angle_rejects_non_finite(angle):
+    with pytest.raises(InputError, match="is not finite"):
+        PolarizerAngle(angle)
+
+
 def test_classify_occupation_taxonomy():
     assert classify_occupation(0, 1) == OutcomeClass.SINGLE_PERP == 1
     assert classify_occupation(1, 0) == OutcomeClass.SINGLE_PARA == 2

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +55,29 @@ def test_config_bin_count_arithmetic():
     assert config.n_bins == 10**8
     ragged = make_config(total_time=1.05e-8, bin_width=1e-8)
     assert not validate_config(ragged).ok
+
+
+@pytest.mark.parametrize(
+    "total_time, bin_width, message",
+    [
+        (1e300, 1e-300, "T/tau = inf is not finite"),
+        (1e-5, 5e-324, "T/tau = inf is not finite"),
+        (1e12, 1e-8, "exceeds the limit"),
+        ((montecarlo.MAX_BINS + 1) * 1e-8, 1e-8, "exceeds the limit"),
+    ],
+)
+def test_config_bin_count_bounded(total_time, bin_width, message):
+    report = validate_config(make_config(total_time=total_time, bin_width=bin_width))
+    assert not report.ok
+    assert any(message in error for error in report.errors)
+
+
+def test_config_bin_count_cap_is_inclusive(monkeypatch):
+    assert validate_config(make_config(total_time=montecarlo.MAX_BINS * 1e-8)).ok
+    monkeypatch.setattr(montecarlo, "MAX_BINS", 1000)
+    assert len(run_experiment(make_config(total_time=1e-5))) == 1000
+    with pytest.raises(InvalidConfigError, match="exceeds the limit of 1000"):
+        run_experiment(make_config(total_time=1.001e-5))
 
 
 def test_config_pair_probability_warning():
@@ -461,6 +486,116 @@ def test_stream_layout_settings_then_emission_then_outcome():
     assert np.array_equal(log.setting2, (pair_index % 2).astype(np.int8))
     emitted = u[:, 1] < 0.3
     assert np.array_equal((log.outcome1 != 3) | (log.outcome2 != 3), emitted)
+
+
+# -- chunked stream -----------------------------------------------------------
+
+
+def reference_run_experiment(config: RunConfig) -> EventLog:
+    """Whole-stream run: one (n, width) draw, every bin sampled and thinned.
+
+    The oracle for the block-wise ``run_experiment``; same stream layout.
+    """
+    state = build_experiment_state()
+    cumulative = np.stack(
+        [
+            np.cumsum(joint_distribution(state, xi, eta).probs.reshape(-1))
+            for xi, eta in config.settings.setting_pairs()
+        ]
+    )
+    n = config.n_bins
+    ideal = config.detector_efficiency >= 1.0
+    u = np.random.Generator(np.random.PCG64(config.seed)).random((n, 3 if ideal else 7))
+    pair_index = np.minimum((u[:, 0] * 4).astype(np.int64), 3)
+    emitted = u[:, 1] < config.pair_probability
+    cells = np.zeros(n, dtype=np.int64)
+    for k in range(4):
+        mask = emitted & (pair_index == k)
+        if mask.any():
+            cells[mask] = np.minimum(np.searchsorted(cumulative[k], u[mask, 2], side="right"), 35)
+    outcome1 = np.where(emitted, cells // 6 + 1, 3).astype(np.int8)
+    outcome2 = np.where(emitted, cells % 6 + 1, 3).astype(np.int8)
+    if not ideal:
+        outcome1 = montecarlo._thin_station(outcome1, u[:, 3], u[:, 4], config.detector_efficiency)
+        outcome2 = montecarlo._thin_station(outcome2, u[:, 5], u[:, 6], config.detector_efficiency)
+    return EventLog(pair_index // 2, pair_index % 2, outcome1, outcome2)
+
+
+#: The small README run at p_pair 0.1 with detector efficiency 0.8; SHA-256 of
+#: its CSV log, frozen from the whole-stream run_experiment before blocks.
+SMALL_LOSSY_CONFIG = dict(SMALL_README_CONFIG, p_pair=0.1, detector_efficiency=0.8)
+SMALL_LOSSY_LOG_SHA256 = "87b79917bf181bb8a20896b868181663e75121deb269983609a46702a40cefea"
+
+CHUNK_RUN_BINS = 3000
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.8], ids=["ideal", "lossy"])
+@pytest.mark.parametrize(
+    "chunk", [1, 7, 4096, CHUNK_RUN_BINS, CHUNK_RUN_BINS + 1], ids=["1", "7", "4096", "n", "n+1"]
+)
+def test_chunked_run_matches_whole_stream(monkeypatch, efficiency, chunk):
+    config = make_config(
+        total_time=CHUNK_RUN_BINS * 1e-8, pair_probability=0.1, detector_efficiency=efficiency
+    )
+    reference = reference_run_experiment(config)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    assert run_experiment(config) == reference
+
+
+@pytest.mark.parametrize("p_pair", [0.0, 1.0], ids=["vacuum-only", "pair-every-bin"])
+@pytest.mark.parametrize("efficiency", [1.0, 0.6], ids=["ideal", "lossy"])
+def test_chunked_run_extreme_pair_probabilities(monkeypatch, p_pair, efficiency):
+    config = make_config(total_time=1e-5, pair_probability=p_pair, detector_efficiency=efficiency)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p_pair = 1 is above the warning level
+        log = run_experiment(config)
+    assert log == reference_run_experiment(config)
+    vacuum = (log.outcome1 == 3) & (log.outcome2 == 3)
+    assert vacuum.all() if p_pair == 0.0 else not vacuum.all()
+
+
+def test_chunked_run_frozen_lossy_digest(tmp_path):
+    path = tmp_path / "events.csv"
+    run_experiment(RunConfig.from_json_dict(SMALL_LOSSY_CONFIG)).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_LOSSY_LOG_SHA256
+
+
+def test_run_memory_is_bounded():
+    n = 10**6
+    config = make_config(total_time=n * 1e-8, pair_probability=0.1, detector_efficiency=0.8)
+    run_experiment(make_config(total_time=1e-6))  # state build and lookups outside the trace
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 4 B/bin log plus at most one block of uniforms and its temporaries
+    assert peak < 4 * n + 16 * 2**20
+
+
+def reference_counts(log: EventLog) -> np.ndarray:
+    counts = np.zeros((4, 6, 6), dtype=np.int64)
+    np.add.at(
+        counts,
+        (2 * log.setting1 + log.setting2, log.outcome1 - 1, log.outcome2 - 1),
+        1,
+    )
+    return counts
+
+
+@pytest.mark.parametrize("n", [1000, 100_003])
+def test_estimate_counts_match_reference(n):
+    for log in (random_log(n, seed=n), run_experiment(make_config(total_time=n * 1e-8, seed=n))):
+        assert np.array_equal(estimate_correlators(log).counts, reference_counts(log))
+
+
+def test_estimate_counts_extreme_cells():
+    log = EventLog([0, 0, 1, 1], [0, 1, 0, 1], [1, 6, 1, 6], [1, 6, 6, 6])  # cells 0 ... 143
+    counts = estimate_correlators(log).counts
+    assert counts[0, 0, 0] == counts[3, 5, 5] == 1
+    assert np.array_equal(counts, reference_counts(log))
 
 
 # -- cascade detector ---------------------------------------------------------
