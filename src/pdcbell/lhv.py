@@ -3,17 +3,26 @@
 A local model assigns each hidden variable value a deterministic outcome
 per station per setting; the achievable correlation patterns form the
 convex hull of the 6^2 * 6^2 = 1296 deterministic strategies.  Membership
-of four observed tables in that polytope is a linear program.  When the
-tables lie outside, the LP dual supplies a separating Bell functional whose
-local bound we re-establish by brute-force maximization over all 1296
-strategies, so the infeasibility verdict never rests on solver internals.
+of four observed tables in that polytope is decided in two steps, and an
+infeasibility verdict never rests on solver internals: its certificate's
+local bound is always re-established by brute-force maximization over all
+1296 strategies.
 
-The LP itself is a phase-one problem: minimize the L1 mismatch between the
-weighted strategy mixture and the target tables.  Zero mismatch means an
-explicit model exists; positive mismatch means separation.
+First the facet step: the best of the eight CHSH relabelings (the minus
+sign on each setting pair, times an overall sign) is evaluated on them.  It
+settles the tables as infeasible when its gap exceeds the L1 distance of
+the tables from their clipped, renormalized version (the slack a validated
+but slightly unnormalized input carries) by more than the rounding
+allowance _FACET_GAP_TOL.  The optimal tables and their vacuum-diluted
+versions, whose gap is (sqrt 2 - 1) p_pair, are settled here down to
+p_pair of about 2.5e-12, where that gap meets the allowance.  Below this
+floor the LP decides, and its per-cell tolerance returns Feasible for them.
 
-Strategy enumeration and certificate checks are embarrassingly parallel;
-the LP solve is single threaded.  All inputs and outputs are immutable.
+Everything else goes to a phase-one linear program: minimize the L1
+mismatch between a weighted strategy mixture and the target tables.  Zero
+mismatch means an explicit model exists; positive mismatch means
+separation, and the LP dual supplies the separating Bell functional.  Only
+this step imports scipy.  All inputs and outputs are immutable.
 """
 
 from __future__ import annotations
@@ -55,6 +64,22 @@ RECONSTRUCTION_TOL = 1e-7
 
 #: Tolerance for the stored-vs-recomputed local bound comparison.
 BOUND_TOL = 1e-9
+
+#: Rounding allowance on a facet gap.  The CHSH value is a sum of 144
+#: products of +-1 with probabilities adding up to 4, so its rounding error
+#: stays below 1e-13.
+_FACET_GAP_TOL = 1e-12
+
+#: The eight CHSH relabelings, in the fixed order the facet step breaks ties
+#: by: the minus sign on each of the four setting pairs, CHSH_SIGNS first,
+#: then the same four with the overall sign flipped.
+_CHSH_PATTERNS = np.array(
+    [
+        [sign * (-1.0 if k == minus else 1.0) for k in range(4)]
+        for sign in (1.0, -1.0)
+        for minus in (3, 0, 1, 2)
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -197,17 +222,21 @@ def contract_tables(coefficients: np.ndarray, tables: Sequence[JointDistribution
     return float(np.sum(np.asarray(coefficients, dtype=float) * stacked))
 
 
-def chsh_certificate(
-    tables: Sequence[JointDistribution], assignment: ValueAssignment = DEFAULT_ASSIGNMENT
-) -> BellCertificate:
-    """The CHSH functional itself, packaged as a certificate against ``tables``."""
-    signs = assignment.sign_table()
-    coefficients = np.stack([s * signs for s in CHSH_SIGNS])
+def _certificate(coefficients: np.ndarray, tables: Sequence[JointDistribution]) -> BellCertificate:
+    """``coefficients`` against ``tables``, with the local bound by enumeration."""
     return BellCertificate(
         coefficients,
         local_bound=local_bound_by_enumeration(coefficients),
         quantum_value=contract_tables(coefficients, tables),
     )
+
+
+def chsh_certificate(
+    tables: Sequence[JointDistribution], assignment: ValueAssignment = DEFAULT_ASSIGNMENT
+) -> BellCertificate:
+    """The CHSH functional itself, packaged as a certificate against ``tables``."""
+    signs = assignment.sign_table()
+    return _certificate(np.stack([s * signs for s in CHSH_SIGNS]), tables)
 
 
 def _validate_tables(tables: Sequence[JointDistribution]) -> np.ndarray:
@@ -222,15 +251,49 @@ def _validate_tables(tables: Sequence[JointDistribution]) -> np.ndarray:
     return stacked
 
 
+def _facet_verdict(
+    stacked: np.ndarray, tables: Sequence[JointDistribution]
+) -> Infeasible | None:
+    """Infeasible when the best CHSH relabeling certifies it exactly, else None.
+
+    Every local table set lies at least ``gap`` from ``stacked`` in summed
+    L1 distance (the coefficients are +-1), so a gap above the slack of
+    the clipped, renormalized tables plus _FACET_GAP_TOL cannot come from a
+    local model that is off only by the normalization the validator admits.
+    """
+    signs = DEFAULT_ASSIGNMENT.sign_table()
+    correlators = (stacked * signs).sum(axis=(1, 2))
+    pattern = _CHSH_PATTERNS[int(np.argmax(_CHSH_PATTERNS @ correlators))]
+    certificate = _certificate(pattern[:, None, None] * signs, tables)
+    clipped = np.clip(stacked, 0.0, None)
+    normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
+    slack = float(np.abs(stacked - normalized).sum())
+    if certificate.gap > slack + _FACET_GAP_TOL:
+        return Infeasible(certificate)
+    return None
+
+
 def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     """Decide whether four tables admit any local-hidden-variable model.
 
+    The facet step runs first: when the best of the eight CHSH relabelings
+    exceeds its enumerated local bound (2) by more than the tables' L1
+    normalization slack plus _FACET_GAP_TOL, the verdict is Infeasible with
+    that CHSH certificate, and no LP is built.  Otherwise the LP decides:
+    for local tables, and for CHSH-violating tables too close to the facet,
+    such as the optimal tables diluted below p_pair 2.5e-12 (see the
+    module docstring).
+
     Feasible returns an explicit strategy mixture reproducing the tables to
-    RECONSTRUCTION_TOL per cell.  Infeasible returns a Bell functional with
-    a strictly positive, enumeration-verified gap, scaled to max-abs
-    coefficient 1 (or to local bound 2 when it coincides with CHSH).
+    RECONSTRUCTION_TOL per cell.  Infeasible from the LP returns a Bell
+    functional with a strictly positive, enumeration-verified gap, scaled
+    to max-abs coefficient 1.
     """
-    b_cells = _validate_tables(tables).reshape(-1)
+    stacked = _validate_tables(tables)
+    facet = _facet_verdict(stacked, tables)
+    if facet is not None:
+        return facet
+    b_cells = stacked.reshape(-1)
     a_cells = _constraint_matrix()
     n_cells = a_cells.shape[0]
 
@@ -258,12 +321,7 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     # Max-abs scaling to 1 also lands CHSH-shaped functionals on their
     # conventional local bound of 2; an all-zero dual separates nothing.
     for candidate in (dual, -dual) if scale > 0.0 else ():
-        coefficients = (candidate / scale).reshape(4, N_OUTCOMES, N_OUTCOMES)
-        certificate = BellCertificate(
-            coefficients,
-            local_bound=local_bound_by_enumeration(coefficients),
-            quantum_value=contract_tables(coefficients, tables),
-        )
+        certificate = _certificate((candidate / scale).reshape(4, N_OUTCOMES, N_OUTCOMES), tables)
         if certificate.gap > 0.0:
             return Infeasible(certificate)
     raise CertificateExtractionError(

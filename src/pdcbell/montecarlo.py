@@ -45,6 +45,12 @@ PAIR_PROBABILITY_WARN = 0.1
 #: Longest accepted run in bins: its in-memory event log takes 4 GB.
 MAX_BINS = 10**9
 
+#: Relative distance from an integer within which T/tau counts as that
+#: integer.  T and tau are decimals that doubles only approximate, so their
+#: quotient may miss the intended count by a few ulps, but no more:
+#: T/tau = 999999999.5 is not a bin count.
+_RATIO_ULPS = 8 * np.finfo(float).eps
+
 _N_SETTING_PAIRS = 4
 
 #: Bins drawn per block of the random stream (one block of uniforms is
@@ -171,7 +177,7 @@ def validate_config(config: RunConfig) -> ConfigReport:
             errors.append(f"T/tau = {ratio} is not finite")
         elif ratio > MAX_BINS + 0.5:
             errors.append(f"T/tau = {ratio:.6g} bins exceeds the limit of {MAX_BINS}")
-        elif abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
+        elif abs(ratio - round(ratio)) > _RATIO_ULPS * max(1.0, ratio) or round(ratio) < 1:
             errors.append(f"T/tau = {ratio} is not a positive integer bin count")
     if not 0.0 <= config.pair_probability <= 1.0:
         errors.append(f"p_pair = {config.pair_probability} outside [0, 1]")
@@ -450,10 +456,14 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
     """Empirical correlators with plug-in standard errors from an event log."""
     if len(log) == 0:
         raise EmptySettingPairError("event log is empty")
-    # cell 36 * pair + 6 * (o1 - 1) + (o2 - 1) in uint8: at most 150 before the - 7
-    s1, s2, o1, o2 = (getattr(log, name).view(np.uint8) for name in EventLog.__slots__)
-    flat = 72 * s1 + 36 * s2 + 6 * o1 + o2 - 7
-    counts = np.bincount(flat, minlength=144).reshape(4, 6, 6)
+    # cell 36 * pair + 6 * (o1 - 1) + (o2 - 1) in uint8: at most 150 before the
+    # - 7.  Counted per block, since bincount casts its input to an intp copy.
+    columns = [getattr(log, name).view(np.uint8) for name in EventLog.__slots__]
+    counts = np.zeros(144, dtype=np.int64)
+    for start in range(0, len(log), _CHUNK):
+        s1, s2, o1, o2 = (column[start : start + _CHUNK] for column in columns)
+        counts += np.bincount(72 * s1 + 36 * s2 + 6 * o1 + o2 - 7, minlength=144)
+    counts = counts.reshape(4, 6, 6)
     pair_bins = counts.sum(axis=(1, 2))
     if (pair_bins == 0).any():
         missing = [k for k in range(4) if pair_bins[k] == 0]

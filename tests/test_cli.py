@@ -231,6 +231,7 @@ def test_simulate_non_finite_config_exits_2(tmp_path, capsys, overrides):
         ({"T": 1e300, "tau": 1e-300}, "T/tau = inf is not finite"),
         ({"T": 1e12}, "exceeds the limit"),
         ({"T": 10.00000001}, "exceeds the limit"),  # MAX_BINS + 1 bins of 10 ns
+        ({"T": 9.999999995}, "is not a positive integer bin count"),  # half a bin short
     ],
 )
 def test_simulate_bin_count_over_limit_exits_2(tmp_path, capsys, overrides, message):
@@ -390,12 +391,28 @@ def test_optimize_leaves_scipy_out():
     assert json.loads(result.stdout)["settings_rad"] == list(OPTIMAL_SETTINGS.as_radians())
 
 
-def test_lhv_check_imports_scipy_on_demand(tmp_path, quantum_tables):
-    assert callable(vars(lhv)["linprog"])
+def test_lhv_check_nonlocal_tables_leave_scipy_out(tmp_path, quantum_tables):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(tables_to_json_dict(quantum_tables)))
     result = _run_fresh(_RUN_MODULE, "lhv-check", "--input", str(path))
     report = json.loads(result.stderr.strip().splitlines()[-1])
-    assert report["code"] == 3
+    assert report == {"code": 3, "scipy": []}
+    certificate = json.loads(result.stdout)["certificate"]
+    assert certificate["local_bound"] == 2.0
+    assert certificate["coefficients"] == [
+        float(c) for c in lhv.chsh_certificate(quantum_tables).coefficients.reshape(-1)
+    ]
+
+
+def test_lhv_check_local_tables_import_scipy_on_demand(tmp_path):
+    assert callable(vars(lhv)["linprog"])
+    rng = np.random.default_rng(61)
+    weights = rng.random(N_STRATEGIES)
+    tables = synthesize_tables(LhvModel(weights / weights.sum()), OPTIMAL_SETTINGS)
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables_to_json_dict(tables)))
+    result = _run_fresh(_RUN_MODULE, "lhv-check", "--input", str(path))
+    report = json.loads(result.stderr.strip().splitlines()[-1])
+    assert report["code"] == 0
     assert "scipy.optimize" in report["scipy"]
-    assert json.loads(result.stdout)["feasible"] is False
+    assert json.loads(result.stdout)["feasible"] is True

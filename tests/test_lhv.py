@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from pdcbell.bell import ChshSettings, OPTIMAL_SETTINGS
-from pdcbell.errors import BoundMismatchError, MalformedTablesError
+from pdcbell import lhv
+from pdcbell.bell import CHSH_SIGNS, DEFAULT_ASSIGNMENT, ChshSettings, OPTIMAL_SETTINGS
+from pdcbell.errors import BoundMismatchError, CertificateExtractionError, MalformedTablesError
 from pdcbell.lhv import (
     BellCertificate,
     Feasible,
@@ -22,6 +24,7 @@ from pdcbell.lhv import (
     verify_certificate,
 )
 from pdcbell.measurement import JointDistribution, PolarizerAngle, joint_distribution
+from pdcbell.optics import PairAmplitude, attach_vacuum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -216,3 +219,160 @@ def test_tables_json_round_trip(quantum_tables):
         assert np.allclose(original.probs, parsed.probs, atol=0)
     verdict = lhv_feasible(back)
     assert not verdict.feasible
+
+
+# -- facet step ----------------------------------------------------------------
+
+
+def reference_lhv_feasible(tables):
+    """LP-only decision: lhv_feasible as it was before the facet step.
+
+    The oracle for every verdict the LP still reaches (all Feasible ones).
+    """
+    b_cells = lhv._validate_tables(tables).reshape(-1)
+    a_cells = lhv._constraint_matrix()
+    n_cells = a_cells.shape[0]
+
+    a_eq = np.zeros((n_cells + 1, N_STRATEGIES + 2 * n_cells))
+    a_eq[:n_cells, :N_STRATEGIES] = a_cells
+    a_eq[:n_cells, N_STRATEGIES : N_STRATEGIES + n_cells] = np.eye(n_cells)
+    a_eq[:n_cells, N_STRATEGIES + n_cells :] = -np.eye(n_cells)
+    a_eq[n_cells, :N_STRATEGIES] = 1.0
+    b_eq = np.concatenate([b_cells, [1.0]])
+    cost = np.concatenate([np.zeros(N_STRATEGIES), np.ones(2 * n_cells)])
+
+    result = lhv.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert result.success, result.message
+
+    weights = np.clip(result.x[:N_STRATEGIES], 0.0, None)
+    weights /= weights.sum()
+    error = float(np.abs(a_cells @ weights - b_cells).max())
+    if error <= lhv.RECONSTRUCTION_TOL:
+        return Feasible(LhvModel(weights), error)
+
+    dual = np.asarray(result.eqlin.marginals[:n_cells], dtype=float)
+    scale = np.abs(dual).max()
+    for candidate in (dual, -dual) if scale > 0.0 else ():
+        coefficients = (candidate / scale).reshape(4, 6, 6)
+        certificate = BellCertificate(
+            coefficients,
+            local_bound=local_bound_by_enumeration(coefficients),
+            quantum_value=lhv.contract_tables(coefficients, tables),
+        )
+        if certificate.gap > 0.0:
+            return Infeasible(certificate)
+    raise CertificateExtractionError("no verifiable separating functional")
+
+
+def diluted_tables(psi, p_pair):
+    state = attach_vacuum(psi, PairAmplitude.from_pair_probability(p_pair))
+    return [joint_distribution(state, xi, eta) for xi, eta in OPTIMAL_SETTINGS.setting_pairs()]
+
+
+@pytest.mark.parametrize("p_pair", [10.0**-k for k in range(1, 9)])
+def test_dilution_sweep_infeasible_with_exact_gap(psi, p_pair):
+    tables = diluted_tables(psi, p_pair)
+    verdict = lhv_feasible(tables)
+    assert isinstance(verdict, Infeasible)
+    report = verify_certificate(verdict.certificate, tables)
+    assert report.recomputed_local_bound == 2.0
+    assert report.gap == pytest.approx((SQRT2 - 1) * p_pair, abs=1e-12)
+
+
+#: The 936 strategies on which the CHSH functional reaches its local bound 2.
+CHSH_SATURATING = np.flatnonzero(
+    lhv._strategy_values(np.stack([s * DEFAULT_ASSIGNMENT.sign_table() for s in CHSH_SIGNS])) == 2.0
+)
+
+
+def facet_saturating_tables(rng, support: int):
+    """A random mixture of CHSH-saturating strategies at random settings."""
+    weights = np.zeros(N_STRATEGIES)
+    weights[rng.choice(CHSH_SATURATING, support, replace=False)] = rng.dirichlet(np.ones(support))
+    settings = ChshSettings.from_radians(*rng.uniform(0.0, math.pi, 4))
+    return synthesize_tables(LhvModel(weights), settings)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("minus", range(4))
+def test_facet_step_finds_every_chsh_relabeling(sign, minus):
+    # A PR box on outcomes 1 (value -1) and 2 (value +1) with correlators
+    # equal to one relabeling's signs: that relabeling reads 4, every other
+    # one at most 2, so its certificate must come back with gap 2.
+    pattern = np.array([sign * (-1.0 if k == minus else 1.0) for k in range(4)])
+    tables = []
+    for (xi, eta), correlator in zip(OPTIMAL_SETTINGS.setting_pairs(), pattern):
+        probs = np.zeros((6, 6))
+        if correlator > 0:
+            probs[0, 0] = probs[1, 1] = 0.5
+        else:
+            probs[0, 1] = probs[1, 0] = 0.5
+        tables.append(JointDistribution(xi, eta, probs))
+    verdict = lhv_feasible(tables)
+    assert isinstance(verdict, Infeasible)
+    expected = pattern[:, None, None] * DEFAULT_ASSIGNMENT.sign_table()
+    assert np.array_equal(verdict.certificate.coefficients, expected)
+    assert (verdict.certificate.local_bound, verdict.certificate.gap) == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("support", [1, 2, 5, 20, 200])
+def test_facet_saturating_local_mixtures_feasible(support):
+    assert len(CHSH_SATURATING) == 936
+    rng = np.random.default_rng(70 + support)
+    for _ in range(4):
+        tables = facet_saturating_tables(rng, support)
+        assert chsh_certificate(tables).quantum_value == pytest.approx(2.0, abs=1e-12)
+        verdict = lhv_feasible(tables)
+        assert isinstance(verdict, Feasible)
+        assert verdict.reconstruction_error <= 1e-7
+        expected = verdict_to_json_dict(reference_lhv_feasible(tables))
+        assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(expected)
+
+
+def test_facet_rounding_noise_left_to_the_lp():
+    # Saturating mixtures whose CHSH value rounds above 2 by a few ulps
+    # more than their normalization slack: only the rounding allowance keeps
+    # the facet step from calling them nonlocal.
+    noisy = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        for support in (3, 7, 30):
+            tables = facet_saturating_tables(rng, support)
+            stacked = np.stack([t.probs for t in tables])
+            slack = np.abs(stacked - stacked / stacked.sum(axis=(1, 2), keepdims=True)).sum()
+            if chsh_certificate(tables).gap > slack:
+                noisy.append(tables)
+    assert len(noisy) >= 5
+    for tables in noisy:
+        assert isinstance(lhv_feasible(tables), Feasible)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 5e-8, 1e-7])
+def test_local_tables_with_off_sums_left_to_the_lp(delta):
+    # Each table scaled by 1 +- delta, the sign chosen to push the CHSH value
+    # above 2: the gap this opens never exceeds the normalization slack, so
+    # the LP decides, as it did before the facet step.  Up to 5e-8 it finds
+    # a model; at 1e-7 its per-cell tolerance rejects some of these tables.
+    rng = np.random.default_rng(71)
+    for _ in range(8):
+        tables = facet_saturating_tables(rng, 16)
+        terms = chsh_certificate(tables).coefficients * np.stack([t.probs for t in tables])
+        scales = 1.0 + delta * np.where(terms.sum(axis=(1, 2)) >= 0.0, 1.0, -1.0)
+        scaled = [JointDistribution(t.xi, t.eta, k * t.probs) for t, k in zip(tables, scales)]
+        assert chsh_certificate(scaled).gap > 1e-12
+        verdict = lhv_feasible(scaled)
+        assert delta > 5e-8 or isinstance(verdict, Feasible)
+        expected = verdict_to_json_dict(reference_lhv_feasible(scaled))
+        assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(expected)
+
+
+def test_feasible_verdict_json_matches_lp_only_oracle():
+    rng = np.random.default_rng(72)
+    for support in (1, 3, 8, 24, 64, 200, N_STRATEGIES):
+        weights = np.zeros(N_STRATEGIES)
+        weights[rng.choice(N_STRATEGIES, support, replace=False)] = rng.dirichlet(np.ones(support))
+        settings = ChshSettings.from_radians(*rng.uniform(0.0, math.pi, 4))
+        tables = synthesize_tables(LhvModel(weights), settings)
+        verdict = verdict_to_json_dict(lhv_feasible(tables))
+        assert verdict["feasible"] is True
+        assert json.dumps(verdict) == json.dumps(verdict_to_json_dict(reference_lhv_feasible(tables)))

@@ -72,6 +72,20 @@ def test_config_bin_count_bounded(total_time, bin_width, message):
     assert any(message in error for error in report.errors)
 
 
+@pytest.mark.parametrize(
+    "total_time, bins",
+    [(0.04, 4_000_000), (montecarlo.MAX_BINS * 1e-8, montecarlo.MAX_BINS), (9.999999995, None)],
+    ids=["readme", "cap", "half-bin-short"],
+)
+def test_config_bin_count_integral_to_a_few_ulps(total_time, bins):
+    config = make_config(total_time=total_time, bin_width=1e-8)
+    report = validate_config(config)
+    if bins is None:  # T/tau = 999 999 999.5
+        assert any("is not a positive integer bin count" in error for error in report.errors)
+    else:
+        assert report.ok and config.n_bins == bins
+
+
 def test_config_bin_count_cap_is_inclusive(monkeypatch):
     assert validate_config(make_config(total_time=montecarlo.MAX_BINS * 1e-8)).ok
     monkeypatch.setattr(montecarlo, "MAX_BINS", 1000)
@@ -573,6 +587,28 @@ def test_run_memory_is_bounded():
         tracemalloc.stop()
     # the 4 B/bin log plus at most one block of uniforms and its temporaries
     assert peak < 4 * n + 16 * 2**20
+
+
+def test_estimate_memory_is_bounded():
+    log = run_experiment(make_config(total_time=2e6 * 1e-8))
+    estimate_correlators(random_log(100))  # lookups outside the trace
+    tracemalloc.start()
+    try:
+        estimate_correlators(log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's cell index and its intp copy, whatever the log length
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1001], ids=["1", "7", "n+1"])
+def test_estimate_counts_blockwise_match_whole_array(monkeypatch, chunk):
+    log = random_log(1000, seed=chunk)
+    s1, s2, o1, o2 = (getattr(log, name).astype(np.int64) for name in EventLog.__slots__)
+    whole = np.bincount(72 * s1 + 36 * s2 + 6 * o1 + o2 - 7, minlength=144).reshape(4, 6, 6)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    assert np.array_equal(estimate_correlators(log).counts, whole)
 
 
 def reference_counts(log: EventLog) -> np.ndarray:
