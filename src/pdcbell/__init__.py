@@ -18,7 +18,6 @@ from .bell import (
     ChshResult,
     ChshSettings,
     OPTIMAL_SETTINGS,
-    ValueAssignment,
     chsh_decomposition,
     chsh_from_tables,
     chsh_operator_expectation,
@@ -30,10 +29,8 @@ from .errors import InputError, ModelError, PdcBellError
 from .fock import (
     ModeId,
     StateVector,
-    apply_creation,
     apply_mode_unitary,
     inner_product,
-    states_equal_up_to_phase,
 )
 from .lhv import (
     BellCertificate,

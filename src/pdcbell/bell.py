@@ -1,11 +1,13 @@
 """The modified CHSH functional over the six-outcome statistics.
 
-Every outcome gets a value of +1 except the single-perpendicular-photon
-outcome, which gets -1.  With that assignment the correlator of a setting
-pair is the usual expectation of the product, vacuum bins contribute +1,
-and the CHSH combination E(xi,eta) + E(xi,eta') + E(xi',eta) - E(xi',eta')
-is bounded by 2 for every local hidden variable model while the full
-experiment state reaches 1 + sqrt(2).
+The outcome values are fixed and the same at both stations: -1 for a single
+photon in the perpendicular port (outcome 1), +1 for every other outcome,
+the unfavorable two-photon outcomes and the empty bin included
+(OUTCOME_VALUES).  The correlator of a setting pair is the expectation of
+the value product (SIGN_TABLE), vacuum bins contribute +1, and the CHSH
+combination E(xi,eta) + E(xi,eta') + E(xi',eta) - E(xi',eta') is bounded
+by 2 for every local hidden variable model while the full experiment state
+reaches 1 + sqrt(2).
 
 Two independent computation paths are provided on purpose: from joint
 probability tables (chsh_from_tables) and from operator expectations taken
@@ -49,26 +51,12 @@ CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 #: than divided out.
 _EMPTY_BLOCK_TOL = 1e-12
 
+#: Value of outcome code k at either station, at index k - 1.
+OUTCOME_VALUES = (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
-@dataclass(frozen=True)
-class ValueAssignment:
-    """Outcome-to-value maps for the two stations, indexed by code - 1."""
-
-    a: tuple[float, ...] = (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    b: tuple[float, ...] = (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        for side in (self.a, self.b):
-            if len(side) != 6 or any(v not in (-1.0, 1.0) for v in side):
-                raise InputError("value assignment must map the 6 outcomes to +/-1")
-            if sum(1 for v in side if v == -1.0) != 1:
-                raise InputError("exactly one outcome per station must map to -1")
-
-    def sign_table(self) -> np.ndarray:
-        return np.outer(self.a, self.b)
-
-
-DEFAULT_ASSIGNMENT = ValueAssignment()
+#: Value product of the outcome pair (i, j) at [i - 1, j - 1]; read-only.
+SIGN_TABLE = np.outer(OUTCOME_VALUES, OUTCOME_VALUES)
+SIGN_TABLE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -130,9 +118,9 @@ class ChshResult:
         }
 
 
-def correlator(dist: JointDistribution, assignment: ValueAssignment = DEFAULT_ASSIGNMENT) -> float:
+def correlator(dist: JointDistribution) -> float:
     """Expectation of the value product over one joint distribution."""
-    return float(np.sum(assignment.sign_table() * dist.probs))
+    return float(np.sum(SIGN_TABLE * dist.probs))
 
 
 def _settings_from_tables(tables: Sequence[JointDistribution]) -> ChshSettings:
@@ -152,39 +140,28 @@ def _settings_from_tables(tables: Sequence[JointDistribution]) -> ChshSettings:
     return ChshSettings(t[0].xi, t[2].xi, t[0].eta, t[1].eta)
 
 
-def chsh_from_tables(
-    tables: Sequence[JointDistribution], assignment: ValueAssignment = DEFAULT_ASSIGNMENT
-) -> ChshResult:
+def chsh_from_tables(tables: Sequence[JointDistribution]) -> ChshResult:
     """CHSH value and block decomposition from four joint distributions."""
     settings = _settings_from_tables(tables)
-    signs = assignment.sign_table()
-    correlators = tuple(float(np.sum(signs * t.probs)) for t in tables)
+    weighted = [SIGN_TABLE * t.probs for t in tables]
+    correlators = tuple(float(np.sum(w)) for w in weighted)
     total = float(sum(s * e for s, e in zip(CHSH_SIGNS, correlators)))
 
     fav_mass = float(np.mean([t.probs[FAVORABLE_MASK].sum() for t in tables]))
-    fav_combo = sum(
-        s * float(np.sum((signs * t.probs)[FAVORABLE_MASK])) for s, t in zip(CHSH_SIGNS, tables)
-    )
-    rest_combo = sum(
-        s * float(np.sum((signs * t.probs)[~FAVORABLE_MASK])) for s, t in zip(CHSH_SIGNS, tables)
-    )
+    fav_combo = sum(s * float(np.sum(w[FAVORABLE_MASK])) for s, w in zip(CHSH_SIGNS, weighted))
+    rest_combo = sum(s * float(np.sum(w[~FAVORABLE_MASK])) for s, w in zip(CHSH_SIGNS, weighted))
     favorable_part = fav_combo / fav_mass if fav_mass > _EMPTY_BLOCK_TOL else 0.0
     unfavorable_part = rest_combo / (1.0 - fav_mass) if 1.0 - fav_mass > _EMPTY_BLOCK_TOL else 0.0
     return ChshResult(total, favorable_part, unfavorable_part, correlators, settings, fav_mass)
 
 
-def _value_sign(occ: tuple[int, int, int, int], assignment: ValueAssignment) -> float:
-    a = assignment.a[classify_occupation(occ[0], occ[1]) - 1]
-    b = assignment.b[classify_occupation(occ[2], occ[3]) - 1]
+def _value_sign(occ: tuple[int, int, int, int]) -> float:
+    a = OUTCOME_VALUES[classify_occupation(occ[0], occ[1]) - 1]
+    b = OUTCOME_VALUES[classify_occupation(occ[2], occ[3]) - 1]
     return a * b
 
 
-def pair_operator_expectation(
-    state: StateVector,
-    xi: PolarizerAngle,
-    eta: PolarizerAngle,
-    assignment: ValueAssignment = DEFAULT_ASSIGNMENT,
-) -> float:
+def pair_operator_expectation(state: StateVector, xi: PolarizerAngle, eta: PolarizerAngle) -> float:
     """<state| A(xi) B(eta) |state> evaluated directly in Fock space.
 
     A acts as -1 on the one-photon-perpendicular state of station 1 and as
@@ -195,7 +172,7 @@ def pair_operator_expectation(
     rotated = rotate_station_basis(state, state.spatial[0], xi)
     rotated = rotate_station_basis(rotated, state.spatial[1], eta)
     flipped = StateVector(
-        {occ: amp * _value_sign(occ, assignment) for occ, amp in rotated.terms.items()},
+        {occ: amp * _value_sign(occ) for occ, amp in rotated.terms.items()},
         rotated.spatial,
     )
     value = inner_product(rotated, flipped)
@@ -204,23 +181,13 @@ def pair_operator_expectation(
     return value.real
 
 
-def chsh_operator_expectation(
-    state: StateVector,
-    settings: ChshSettings,
-    assignment: ValueAssignment = DEFAULT_ASSIGNMENT,
-) -> float:
+def chsh_operator_expectation(state: StateVector, settings: ChshSettings) -> float:
     """CHSH combination of the four operator expectations (the Fock-space path)."""
-    values = [
-        pair_operator_expectation(state, x, e, assignment) for x, e in settings.setting_pairs()
-    ]
+    values = [pair_operator_expectation(state, x, e) for x, e in settings.setting_pairs()]
     return float(sum(s * v for s, v in zip(CHSH_SIGNS, values)))
 
 
-def chsh_decomposition(
-    state: StateVector,
-    settings: ChshSettings,
-    assignment: ValueAssignment = DEFAULT_ASSIGNMENT,
-) -> ChshResult:
+def chsh_decomposition(state: StateVector, settings: ChshSettings) -> ChshResult:
     """Split the CHSH expectation into favorable and unfavorable subspace parts.
 
     The two normalized projections never mix under the analyzers, so the
@@ -231,18 +198,16 @@ def chsh_decomposition(
     w_fav = favorable.norm_squared()
     w_unfav = unfavorable.norm_squared()
     favorable_part = (
-        chsh_operator_expectation(favorable.normalize(), settings, assignment)
+        chsh_operator_expectation(favorable.normalize(), settings)
         if w_fav > _EMPTY_BLOCK_TOL
         else 0.0
     )
     unfavorable_part = (
-        chsh_operator_expectation(unfavorable.normalize(), settings, assignment)
+        chsh_operator_expectation(unfavorable.normalize(), settings)
         if w_unfav > _EMPTY_BLOCK_TOL
         else 0.0
     )
-    correlators = tuple(
-        pair_operator_expectation(state, x, e, assignment) for x, e in settings.setting_pairs()
-    )
+    correlators = tuple(pair_operator_expectation(state, x, e) for x, e in settings.setting_pairs())
     total = float(sum(s * v for s, v in zip(CHSH_SIGNS, correlators)))
     return ChshResult(total, favorable_part, unfavorable_part, correlators, settings, w_fav)
 
@@ -258,14 +223,12 @@ def diluted_chsh(p_vacuum: float, undiluted: float) -> float:
     return 2.0 * p_vacuum + (1.0 - p_vacuum) * undiluted
 
 
-def _chsh_value(
-    state: StateVector, angles: Sequence[float], assignment: ValueAssignment
-) -> float:
+def _chsh_value(state: StateVector, angles: Sequence[float]) -> float:
     tables = [
         joint_distribution(state, x, e)
         for x, e in ChshSettings.from_radians(*angles).setting_pairs()
     ]
-    return chsh_from_tables(tables, assignment).total
+    return chsh_from_tables(tables).total
 
 
 def _golden_section_max(g: Callable[[float], float], lo: float, hi: float, tol: float):
@@ -309,7 +272,7 @@ def _harmonics(angles) -> np.ndarray:
     )
 
 
-def _correlator_coefficients(state: StateVector, assignment: ValueAssignment) -> np.ndarray:
+def _correlator_coefficients(state: StateVector) -> np.ndarray:
     """The 5x5 matrix C with E(xi, eta) = b(xi)^T C b(eta) for ``state``.
 
     E is sampled in Fock space on the 5x5 grid of _SAMPLE_ANGLES, where the
@@ -320,9 +283,7 @@ def _correlator_coefficients(state: StateVector, assignment: ValueAssignment) ->
         rot1 = rotate_station_basis(state, state.spatial[0], PolarizerAngle(x))
         for j, e in enumerate(_SAMPLE_ANGLES):
             rot = rotate_station_basis(rot1, state.spatial[1], PolarizerAngle(e))
-            samples[i, j] = sum(
-                _value_sign(occ, assignment) * abs(amp) ** 2 for occ, amp in rot.terms.items()
-            )
+            samples[i, j] = sum(_value_sign(occ) * abs(amp) ** 2 for occ, amp in rot.terms.items())
     basis_inv = np.linalg.inv(_harmonics(_SAMPLE_ANGLES))
     return basis_inv @ samples @ basis_inv.T
 
@@ -345,9 +306,7 @@ def _best_grid_indices(e_grid: np.ndarray) -> tuple[int, int, int, int]:
     return int(i_xi), int(i_xip), int(i_eta), int(i_etap)
 
 
-def optimize_angles(
-    state: StateVector, assignment: ValueAssignment = DEFAULT_ASSIGNMENT
-) -> tuple[ChshSettings, float]:
+def optimize_angles(state: StateVector) -> tuple[ChshSettings, float]:
     """Settings maximizing the CHSH value for ``state``.
 
     Coarse stage: all angle combinations on a pi/GRID_POINTS grid, from the
@@ -361,7 +320,7 @@ def optimize_angles(
     """
     step = math.pi / GRID_POINTS
     grid = np.arange(GRID_POINTS) * step
-    coeffs = _correlator_coefficients(state, assignment)
+    coeffs = _correlator_coefficients(state)
     basis = _harmonics(grid)
     angles = [grid[k] for k in _best_grid_indices(basis @ coeffs @ basis.T)]
 
@@ -386,4 +345,4 @@ def optimize_angles(
             break
 
     settings = ChshSettings.from_radians(*angles)
-    return settings, _chsh_value(state, angles, assignment)
+    return settings, _chsh_value(state, angles)

@@ -58,7 +58,8 @@ def parse_angle(text: str) -> float:
 
 
 def parse_settings(text: str) -> ChshSettings:
-    parts = [p for p in text.split(",") if p.strip()]
+    """Four comma-separated angles; an empty field is an error, not skipped."""
+    parts = text.split(",")
     if len(parts) != 4:
         raise InputError(f"--settings needs 4 comma-separated angles, got {len(parts)}")
     return ChshSettings.from_radians(*(parse_angle(p) for p in parts))
@@ -78,8 +79,11 @@ def _emit(payload: dict, out: Path | None) -> None:
     text = json.dumps(payload, indent=2)
     if out is None:
         print(text)
-    else:
+        return
+    try:
         out.write_text(text + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:

@@ -21,7 +21,6 @@ everything in this module is safe to share across threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -183,22 +182,6 @@ class StateVector:
     def __hash__(self) -> int:
         return hash((self._spatial, frozenset(self._terms.items())))
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict[str, list[float]]:
-        """JSON form: occupation-string keys to [re, im] pairs (see README grammar)."""
-        return {occupation_key(occ): [amp.real, amp.imag] for occ, amp in self.sorted_terms()}
-
-    @classmethod
-    def from_json_dict(
-        cls, data: Mapping[str, Iterable[float]], spatial: tuple[str, str] = STATION_LABELS
-    ) -> "StateVector":
-        terms = {}
-        for key, pair in data.items():
-            re, im = pair
-            terms[parse_occupation_key(key)] = complex(re, im)
-        return cls(terms, spatial)
-
 
 def vacuum(spatial: tuple[str, str] = ARM_LABELS) -> StateVector:
     return StateVector({(0, 0, 0, 0): 1.0}, spatial)
@@ -213,26 +196,6 @@ def _check_labels(s1: StateVector, s2: StateVector) -> None:
         raise ModeLabelMismatchError(
             f"states use different spatial labels: {s1.spatial} vs {s2.spatial}"
         )
-
-
-def apply_creation(state: StateVector, mode: ModeId) -> StateVector:
-    """Apply the creation operator of ``mode``.
-
-    Each |..n..> term becomes sqrt(n+1) |..n+1..>; the output is intentionally
-    not normalized.  Raises OccupancyOverflowError if any term would exceed
-    the photon cap.
-    """
-    idx = mode_index(state.spatial, mode)
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.terms.items():
-        n = occ[idx]
-        if n + 1 > MAX_PHOTONS or sum(occ) + 1 > MAX_PHOTONS:
-            raise OccupancyOverflowError(
-                f"creation on mode {mode} overflows the {MAX_PHOTONS}-photon cap at {occ}"
-            )
-        new_occ = occ[:idx] + (n + 1,) + occ[idx + 1 :]
-        out[new_occ] = out.get(new_occ, 0j) + amp * math.sqrt(n + 1)
-    return StateVector(out, state.spatial)
 
 
 def _check_unitary(u) -> tuple[tuple[complex, ...], ...]:
@@ -299,28 +262,6 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
     return total
 
 
-def states_equal_up_to_phase(
-    s1: StateVector, s2: StateVector, tol: float = PHYSICS_TOL
-) -> tuple[bool, float]:
-    """Whether s2 == e^{i phi} s1 for a single phase phi; returns (equal, phi)."""
-    _check_labels(s1, s2)
-    if not s1.terms and not s2.terms:
-        return True, 0.0
-    if not s1.terms or not s2.terms:
-        return False, 0.0
-    ref_occ = max(s1.terms, key=lambda occ: abs(s1.terms[occ]))
-    ref2 = s2.terms.get(ref_occ, 0j)
-    if abs(ref2) <= tol:
-        return False, 0.0
-    phase = ref2 / s1.terms[ref_occ]
-    phase /= abs(phase)
-    keys = set(s1.terms) | set(s2.terms)
-    for occ in keys:
-        if abs(s1.terms.get(occ, 0j) * phase - s2.terms.get(occ, 0j)) > tol:
-            return False, cmath.phase(phase)
-    return True, cmath.phase(phase)
-
-
 # -- occupation-string keys --------------------------------------------------
 #
 # Grammar (documented in README): each spatial region serializes to the
@@ -335,23 +276,3 @@ def occupation_key(occupation: Occupation) -> str:
         tokens = [f"{n}{_POL_LETTERS[p]}" for p, n in enumerate(side) if n > 0]
         parts.append("".join(tokens) if tokens else "0")
     return "|".join(parts)
-
-
-def parse_occupation_key(key: str) -> Occupation:
-    parts = key.split("|")
-    if len(parts) != 2:
-        raise InputError(f"occupation key must have two '|'-separated regions: {key!r}")
-    occ = [0, 0, 0, 0]
-    for side, text in enumerate(parts):
-        if text == "0":
-            continue
-        if len(text) % 2 != 0 or not text:
-            raise InputError(f"malformed occupation key region {text!r}")
-        for k in range(0, len(text), 2):
-            count, letter = text[k], text[k + 1]
-            if letter not in _POL_LETTERS or not count.isdigit():
-                raise InputError(f"malformed occupation token {text[k:k+2]!r} in {key!r}")
-            occ[2 * side + _POL_LETTERS.index(letter)] += int(count)
-    if max(occ) > MAX_PHOTONS or sum(occ) > MAX_PHOTONS:
-        raise InputError(f"occupation key {key!r} exceeds the {MAX_PHOTONS}-photon cap")
-    return tuple(occ)

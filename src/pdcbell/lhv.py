@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bell import CHSH_SIGNS, ChshSettings, DEFAULT_ASSIGNMENT, ValueAssignment
+from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
 from .errors import (
     BoundMismatchError,
     CertificateExtractionError,
@@ -107,22 +107,23 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
 
 
 @lru_cache(maxsize=1)
-def _strategy_outcomes() -> tuple[np.ndarray, np.ndarray]:
-    """(s1 outcomes, s2 outcomes) as (1296, 2) int arrays in canonical order."""
-    codes = np.array(list(itertools.product(range(1, N_OUTCOMES + 1), repeat=4)), dtype=np.int64)
-    return codes[:, :2], codes[:, 2:]
+def _strategy_cells() -> np.ndarray:
+    """The cell each strategy hits, per setting pair: a read-only (4, 1296) array.
+
+    Entry [pair, k] is the flat cell index 36 pair + 6 (i - 1) + (j - 1) of
+    strategy k's outcome pair (i, j), strategies in canonical order.
+    """
+    s1, s2 = np.split(np.indices((N_OUTCOMES,) * 4).reshape(4, -1), 2)
+    cells = np.stack([36 * pair + N_OUTCOMES * s1[pair // 2] + s2[pair % 2] for pair in range(4)])
+    cells.flags.writeable = False
+    return cells
 
 
 @lru_cache(maxsize=1)
 def _constraint_matrix() -> np.ndarray:
     """(144, 1296) matrix: cell (pair, i, j) indicator per strategy."""
-    s1, s2 = _strategy_outcomes()
     rows = np.zeros((4 * N_OUTCOMES * N_OUTCOMES, N_STRATEGIES))
-    for pair in range(4):
-        i = s1[:, pair // 2] - 1
-        j = s2[:, pair % 2] - 1
-        cell = pair * 36 + i * N_OUTCOMES + j
-        rows[cell, np.arange(N_STRATEGIES)] = 1.0
+    rows[_strategy_cells(), np.arange(N_STRATEGIES)] = 1.0
     return rows
 
 
@@ -204,11 +205,7 @@ class Infeasible:
 
 def _strategy_values(coefficients: np.ndarray) -> np.ndarray:
     """Functional value of every deterministic strategy, vectorized."""
-    s1, s2 = _strategy_outcomes()
-    values = np.zeros(N_STRATEGIES)
-    for pair in range(4):
-        values += coefficients[pair, s1[:, pair // 2] - 1, s2[:, pair % 2] - 1]
-    return values
+    return coefficients.reshape(-1)[_strategy_cells()].sum(axis=0)
 
 
 def local_bound_by_enumeration(coefficients: np.ndarray) -> float:
@@ -231,12 +228,9 @@ def _certificate(coefficients: np.ndarray, tables: Sequence[JointDistribution]) 
     )
 
 
-def chsh_certificate(
-    tables: Sequence[JointDistribution], assignment: ValueAssignment = DEFAULT_ASSIGNMENT
-) -> BellCertificate:
+def chsh_certificate(tables: Sequence[JointDistribution]) -> BellCertificate:
     """The CHSH functional itself, packaged as a certificate against ``tables``."""
-    signs = assignment.sign_table()
-    return _certificate(np.stack([s * signs for s in CHSH_SIGNS]), tables)
+    return _certificate(np.stack([s * SIGN_TABLE for s in CHSH_SIGNS]), tables)
 
 
 def _validate_tables(tables: Sequence[JointDistribution]) -> np.ndarray:
@@ -261,10 +255,9 @@ def _facet_verdict(
     the clipped, renormalized tables plus _FACET_GAP_TOL cannot come from a
     local model that is off only by the normalization the validator admits.
     """
-    signs = DEFAULT_ASSIGNMENT.sign_table()
-    correlators = (stacked * signs).sum(axis=(1, 2))
+    correlators = (stacked * SIGN_TABLE).sum(axis=(1, 2))
     pattern = _CHSH_PATTERNS[int(np.argmax(_CHSH_PATTERNS @ correlators))]
-    certificate = _certificate(pattern[:, None, None] * signs, tables)
+    certificate = _certificate(pattern[:, None, None] * SIGN_TABLE, tables)
     clipped = np.clip(stacked, 0.0, None)
     normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
     slack = float(np.abs(stacked - normalized).sum())
@@ -331,15 +324,10 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
 
 def synthesize_tables(model: LhvModel, settings: ChshSettings) -> list[JointDistribution]:
     """The four joint tables a strategy mixture produces."""
-    s1, s2 = _strategy_outcomes()
-    pairs = settings.setting_pairs()
-    tables = []
-    for pair in range(4):
-        probs = np.zeros((N_OUTCOMES, N_OUTCOMES))
-        np.add.at(probs, (s1[:, pair // 2] - 1, s2[:, pair % 2] - 1), model.weights)
-        xi, eta = pairs[pair]
-        tables.append(JointDistribution(xi, eta, probs))
-    return tables
+    cells = _strategy_cells().reshape(-1)
+    probs = np.bincount(cells, weights=np.tile(model.weights, 4), minlength=4 * N_OUTCOMES**2)
+    tables = probs.reshape(4, N_OUTCOMES, N_OUTCOMES)
+    return [JointDistribution(xi, eta, t) for (xi, eta), t in zip(settings.setting_pairs(), tables)]
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .bell import CHSH_SIGNS, DEFAULT_ASSIGNMENT, ChshSettings
+from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
 from .errors import EmptySettingPairError, InputError, InvalidConfigError
-from .measurement import OutcomeClass, joint_distribution, outcome_occupation
+from .measurement import OutcomeClass, classify_occupation, joint_distribution, outcome_occupation
 from .optics import build_experiment_state
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -57,11 +57,26 @@ _N_SETTING_PAIRS = 4
 #: ``_CHUNK * width * 8`` bytes).
 _CHUNK = 1 << 16
 
-# (D+ count, D- count) of each outcome code, row code - 1, and its inverse
-# indexed [n_plus][n_minus]; both come from the measurement module's table.
-_OCCUPATION = np.array([outcome_occupation(code) for code in OutcomeClass], dtype=np.int64)
-_CLASSIFY = np.zeros((3, 3), dtype=np.int8)
-_CLASSIFY[tuple(_OCCUPATION.T)] = list(OutcomeClass)
+
+def _loss_table() -> np.ndarray:
+    """Detected outcome at [code - 1, hit_a, hit_b] for a station's true outcome.
+
+    Slot A covers the first photon in port order (D+ before D-), slot B the
+    second; a photon whose slot misses goes undetected.
+    """
+    table = np.empty((len(OutcomeClass), 2, 2), dtype=np.int8)
+    for code in OutcomeClass:
+        n_plus, n_minus = outcome_occupation(code)
+        ports = [0] * n_plus + [1] * n_minus
+        for hits in np.ndindex(2, 2):
+            detected = [0, 0]
+            for port, hit in zip(ports, hits):
+                detected[port] += hit
+            table[(code - 1, *hits)] = classify_occupation(*detected)
+    return table
+
+
+_LOSS_TABLE = _loss_table()
 
 # The closed set of run-config JSON keys; "L" may be absent or null.
 _CONFIG_KEYS = ("T", "tau", "p_pair", "settings_rad", "seed", "L", "detector_efficiency")
@@ -253,7 +268,11 @@ class EventLog:
         """
         n = len(self)
         columns = (self.setting1, self.setting2, self.outcome1, self.outcome2)
-        with open(path, "wb") as handle:
+        try:
+            handle = open(path, "wb")
+        except OSError as exc:
+            raise InputError(f"cannot write event log {path}: {exc}") from exc
+        with handle:
             handle.write(_CSV_HEADER + b"\r\n")
             for digits in range(1, len(str(n)) + 1):
                 stop = min(10**digits, n + 1)
@@ -397,27 +416,14 @@ def run_experiment(config: RunConfig) -> EventLog:
 
 
 def _thin_station(outcomes: np.ndarray, u_a: np.ndarray, u_b: np.ndarray, eff: float) -> np.ndarray:
-    """Demote outcome codes when photons go undetected.
+    """Demote outcome codes when photons go undetected (see ``_loss_table``).
 
-    Slot A covers the first photon in port order (D+ before D-), slot B the
-    second; unused slots still consume their stream positions.
+    Unused slots still consume their stream positions.
     """
-    n_plus = _OCCUPATION[outcomes - 1, 0]
-    n_minus = _OCCUPATION[outcomes - 1, 1]
-    total = n_plus + n_minus
-
-    hit_a = u_a < eff
-    hit_b = u_b < eff
-    first_is_plus = n_plus >= 1
-    second_is_plus = n_plus == 2
-
-    detected_plus = (hit_a & (total >= 1) & first_is_plus).astype(np.int64) + (
-        hit_b & (total == 2) & second_is_plus
-    ).astype(np.int64)
-    detected_minus = (hit_a & (total >= 1) & ~first_is_plus).astype(np.int64) + (
-        hit_b & (total == 2) & ~second_is_plus
-    ).astype(np.int64)
-    return _CLASSIFY[detected_plus, detected_minus]
+    # 0/1 integer indices: a boolean index array would act as a mask
+    hit_a = (u_a < eff).view(np.int8)
+    hit_b = (u_b < eff).view(np.int8)
+    return _LOSS_TABLE[outcomes - 1, hit_a, hit_b]
 
 
 @dataclass(frozen=True)
@@ -469,11 +475,10 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
         missing = [k for k in range(4) if pair_bins[k] == 0]
         raise EmptySettingPairError(f"no events for setting pair(s) {missing}")
 
-    sign = DEFAULT_ASSIGNMENT.sign_table()
     correlators = []
     stderrs = []
     for k in range(4):
-        mean = float(np.sum(sign * counts[k]) / pair_bins[k])
+        mean = float(np.sum(SIGN_TABLE * counts[k]) / pair_bins[k])
         variance = max(1.0 - mean * mean, 0.0)
         correlators.append(mean)
         stderrs.append(math.sqrt(variance / pair_bins[k]))

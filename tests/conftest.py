@@ -1,10 +1,12 @@
+import cmath
 import itertools
 
 import numpy as np
 import pytest
 
 from pdcbell.bell import OPTIMAL_SETTINGS
-from pdcbell.fock import STATION_LABELS, StateVector
+from pdcbell.errors import ModeLabelMismatchError
+from pdcbell.fock import PHYSICS_TOL, STATION_LABELS, StateVector
 from pdcbell.measurement import joint_distribution
 from pdcbell.optics import build_experiment_state
 
@@ -27,6 +29,29 @@ def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def states_equal_up_to_phase(
+    s1: StateVector, s2: StateVector, tol: float = PHYSICS_TOL
+) -> tuple[bool, float]:
+    """Whether s2 == e^{i phi} s1 for a single phase phi; returns (equal, phi)."""
+    if s1.spatial != s2.spatial:
+        raise ModeLabelMismatchError(f"spatial labels differ: {s1.spatial} vs {s2.spatial}")
+    if not s1.terms and not s2.terms:
+        return True, 0.0
+    if not s1.terms or not s2.terms:
+        return False, 0.0
+    ref_occ = max(s1.terms, key=lambda occ: abs(s1.terms[occ]))
+    ref2 = s2.terms.get(ref_occ, 0j)
+    if abs(ref2) <= tol:
+        return False, 0.0
+    phase = ref2 / s1.terms[ref_occ]
+    phase /= abs(phase)
+    keys = set(s1.terms) | set(s2.terms)
+    for occ in keys:
+        if abs(s1.terms.get(occ, 0j) * phase - s2.terms.get(occ, 0j)) > tol:
+            return False, cmath.phase(phase)
+    return True, cmath.phase(phase)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_station_state
+from conftest import random_station_state, states_equal_up_to_phase
 from pdcbell.bell import (
     ChshSettings,
     OPTIMAL_SETTINGS,
@@ -18,7 +18,7 @@ from pdcbell.bell import (
     chsh_operator_expectation,
     optimize_angles,
 )
-from pdcbell.fock import STATION_LABELS, StateVector, states_equal_up_to_phase
+from pdcbell.fock import STATION_LABELS, StateVector
 from pdcbell.lhv import (
     Feasible,
     Infeasible,

@@ -6,9 +6,9 @@ import pytest
 from conftest import random_station_state
 from pdcbell.bell import (
     ChshSettings,
-    DEFAULT_ASSIGNMENT,
     OPTIMAL_SETTINGS,
-    ValueAssignment,
+    OUTCOME_VALUES,
+    SIGN_TABLE,
     chsh_decomposition,
     chsh_from_tables,
     chsh_operator_expectation,
@@ -22,7 +22,12 @@ from pdcbell.bell import (
 from pdcbell.errors import InconsistentSettingsError, InputError
 from pdcbell.fock import STATION_LABELS, vacuum
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables
-from pdcbell.measurement import PolarizerAngle, joint_distribution, rotate_station_basis
+from pdcbell.measurement import (
+    OutcomeClass,
+    PolarizerAngle,
+    joint_distribution,
+    rotate_station_basis,
+)
 from pdcbell.optics import PairAmplitude, attach_vacuum, build_experiment_state, split_by_locality
 
 SQRT2 = math.sqrt(2.0)
@@ -32,11 +37,14 @@ def tables_at(state, settings):
     return [joint_distribution(state, xi, eta) for xi, eta in settings.setting_pairs()]
 
 
-def test_value_assignment_validation():
-    with pytest.raises(InputError):
-        ValueAssignment(a=(1.0,) * 6)
-    with pytest.raises(InputError):
-        ValueAssignment(a=(-1.0, -1.0, 1.0, 1.0, 1.0, 1.0))
+def test_sign_table_is_read_only():
+    # -1 for a single perpendicular photon, +1 for every other outcome
+    assert OUTCOME_VALUES[OutcomeClass.SINGLE_PERP - 1] == -1.0
+    assert sorted(OUTCOME_VALUES) == [-1.0] + [1.0] * 5
+    assert np.array_equal(SIGN_TABLE, np.outer(OUTCOME_VALUES, OUTCOME_VALUES))
+    with pytest.raises(ValueError):
+        SIGN_TABLE[0, 0] = 1.0
+    assert SIGN_TABLE[0, 0] == 1.0 and SIGN_TABLE[0, 1] == -1.0
 
 
 def test_correlator_vacuum_table():
@@ -103,17 +111,6 @@ def test_operator_and_table_paths_agree():
         settings = ChshSettings.from_radians(*(rng.random(4) * math.pi))
         by_tables = chsh_from_tables(tables_at(state, settings)).total
         by_operators = chsh_operator_expectation(state, settings)
-        assert by_operators == pytest.approx(by_tables, abs=1e-12)
-
-
-def test_paths_agree_for_non_default_assignment(psi):
-    # -1 placed on the single-parallel outcome instead of the usual one
-    odd = ValueAssignment(a=(1.0, -1.0, 1.0, 1.0, 1.0, 1.0), b=(1.0, -1.0, 1.0, 1.0, 1.0, 1.0))
-    rng = np.random.default_rng(37)
-    for _ in range(20):
-        settings = ChshSettings.from_radians(*(rng.random(4) * math.pi))
-        by_tables = chsh_from_tables(tables_at(psi, settings), odd).total
-        by_operators = chsh_operator_expectation(psi, settings, odd)
         assert by_operators == pytest.approx(by_tables, abs=1e-12)
 
 
@@ -210,7 +207,7 @@ def test_chsh_serialization(psi):
     assert data["total"] == pytest.approx(1 + SQRT2, abs=1e-12)
 
 
-def fock_correlator_grid(state, assignment=DEFAULT_ASSIGNMENT, grid_points=72):
+def fock_correlator_grid(state, grid_points=72):
     """E(xi, eta) on the pi/grid_points grid, one Fock-space rotation per point."""
     grid = np.arange(grid_points) * (math.pi / grid_points)
     e_grid = np.empty((grid_points, grid_points))
@@ -220,7 +217,7 @@ def fock_correlator_grid(state, assignment=DEFAULT_ASSIGNMENT, grid_points=72):
             rot = rotate_station_basis(rot1, state.spatial[1], PolarizerAngle(e))
             value = 0.0
             for occ, amp in rot.terms.items():
-                value += _value_sign(occ, assignment) * abs(amp) ** 2
+                value += _value_sign(occ) * abs(amp) ** 2
             e_grid[i, j] = value
     return e_grid
 
@@ -229,25 +226,23 @@ def _oracle_cases():
     psi = build_experiment_state()
     favorable, unfavorable = split_by_locality(psi)
     rng = np.random.default_rng(38)
-    odd = ValueAssignment(a=(1.0, 1.0, 1.0, -1.0, 1.0, 1.0), b=(1.0, 1.0, 1.0, 1.0, 1.0, -1.0))
     cases = [
-        ("psi", psi, DEFAULT_ASSIGNMENT),
-        ("psi-p0.01", attach_vacuum(psi, PairAmplitude.from_pair_probability(0.01)), DEFAULT_ASSIGNMENT),
-        ("singlet", favorable.normalize(), DEFAULT_ASSIGNMENT),
-        ("unfavorable", unfavorable.normalize(), DEFAULT_ASSIGNMENT),
-        ("vacuum", vacuum(STATION_LABELS), DEFAULT_ASSIGNMENT),
+        ("psi", psi),
+        ("psi-p0.01", attach_vacuum(psi, PairAmplitude.from_pair_probability(0.01))),
+        ("singlet", favorable.normalize()),
+        ("unfavorable", unfavorable.normalize()),
+        ("vacuum", vacuum(STATION_LABELS)),
     ]
-    cases += [(f"random-{k}", random_station_state(rng), DEFAULT_ASSIGNMENT) for k in range(3)]
-    cases.append(("random-odd-assignment", random_station_state(rng), odd))
-    return [pytest.param(state, assignment, id=name) for name, state, assignment in cases]
+    cases += [(f"random-{k}", random_station_state(rng)) for k in range(3)]
+    return [pytest.param(state, id=name) for name, state in cases]
 
 
-@pytest.mark.parametrize("state, assignment", _oracle_cases())
-def test_harmonic_grid_matches_fock_grid(state, assignment):
+@pytest.mark.parametrize("state", _oracle_cases())
+def test_harmonic_grid_matches_fock_grid(state):
     grid = np.arange(72) * (math.pi / 72)
     basis = _harmonics(grid)
-    closed_form = basis @ _correlator_coefficients(state, assignment) @ basis.T
-    assert np.abs(closed_form - fock_correlator_grid(state, assignment)).max() <= 1e-13
+    closed_form = basis @ _correlator_coefficients(state) @ basis.T
+    assert np.abs(closed_form - fock_correlator_grid(state)).max() <= 1e-13
 
 
 def test_optimize_angles_experiment_state(psi):

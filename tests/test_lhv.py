@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdcbell import lhv
-from pdcbell.bell import CHSH_SIGNS, DEFAULT_ASSIGNMENT, ChshSettings, OPTIMAL_SETTINGS
+from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE, ChshSettings
 from pdcbell.errors import BoundMismatchError, CertificateExtractionError, MalformedTablesError
 from pdcbell.lhv import (
     BellCertificate,
@@ -50,6 +50,23 @@ def test_strategy_point_mass_tables():
         assert set(np.unique(table)) == {0.0, 1.0}
     assert strategy.table(0)[strategy.s1[0] - 1, strategy.s2[0] - 1] == 1.0
     assert strategy.table(3)[strategy.s1[1] - 1, strategy.s2[1] - 1] == 1.0
+
+
+def test_strategy_cells_follow_enumeration_order():
+    # the LP columns, the strategy values and synthesized tables all use the
+    # canonical strategy order of enumerate_strategies
+    a_cells = lhv._constraint_matrix()
+    coefficients = np.random.default_rng(52).normal(size=(4, 6, 6))
+    values = lhv._strategy_values(coefficients)
+    for k, strategy in enumerate(enumerate_strategies()):
+        point = np.stack([strategy.table(pair) for pair in range(4)])
+        assert np.array_equal(a_cells[:, k], point.reshape(-1))
+        assert values[k] == pytest.approx(float(np.sum(coefficients * point)), abs=1e-12)
+    weights = np.zeros(N_STRATEGIES)
+    weights[173] = 1.0
+    tables = synthesize_tables(LhvModel(weights), OPTIMAL_SETTINGS)
+    for pair, table in enumerate(tables):
+        assert np.array_equal(table.probs, enumerate_strategies()[173].table(pair))
 
 
 def test_synthesize_uniform_weights_counting_oracle():
@@ -281,7 +298,7 @@ def test_dilution_sweep_infeasible_with_exact_gap(psi, p_pair):
 
 #: The 936 strategies on which the CHSH functional reaches its local bound 2.
 CHSH_SATURATING = np.flatnonzero(
-    lhv._strategy_values(np.stack([s * DEFAULT_ASSIGNMENT.sign_table() for s in CHSH_SIGNS])) == 2.0
+    lhv._strategy_values(np.stack([s * SIGN_TABLE for s in CHSH_SIGNS])) == 2.0
 )
 
 
@@ -310,7 +327,7 @@ def test_facet_step_finds_every_chsh_relabeling(sign, minus):
         tables.append(JointDistribution(xi, eta, probs))
     verdict = lhv_feasible(tables)
     assert isinstance(verdict, Infeasible)
-    expected = pattern[:, None, None] * DEFAULT_ASSIGNMENT.sign_table()
+    expected = pattern[:, None, None] * SIGN_TABLE
     assert np.array_equal(verdict.certificate.coefficients, expected)
     assert (verdict.certificate.local_bound, verdict.certificate.gap) == (2.0, 2.0)
 

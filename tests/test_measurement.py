@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_station_state
+from conftest import random_station_state, states_equal_up_to_phase
 from pdcbell.errors import InputError, OutOfModelError, UnknownModeError
-from pdcbell.fock import STATION_LABELS, basis_state, states_equal_up_to_phase, vacuum
+from pdcbell.fock import STATION_LABELS, basis_state, vacuum
 from pdcbell.measurement import (
     FAVORABLE_MASK,
     LEGAL_MASK,

@@ -10,7 +10,13 @@ import pytest
 from pdcbell import montecarlo
 from pdcbell.bell import ChshSettings, OPTIMAL_SETTINGS
 from pdcbell.errors import EmptySettingPairError, InputError, InvalidConfigError
-from pdcbell.measurement import LEGAL_MASK, PolarizerAngle, joint_distribution, outcome_occupation
+from pdcbell.measurement import (
+    LEGAL_MASK,
+    PolarizerAngle,
+    classify_occupation,
+    joint_distribution,
+    outcome_occupation,
+)
 from pdcbell.montecarlo import (
     EventLog,
     RunConfig,
@@ -203,8 +209,6 @@ def _thinned_table(probs: np.ndarray, eff: float) -> np.ndarray:
                     * eff**keep_minus
                     * (1 - eff) ** (n_minus - keep_minus)
                 )
-                from pdcbell.measurement import classify_occupation
-
                 out_code = classify_occupation(keep_plus, keep_minus)
                 out[out_code] = out.get(out_code, 0.0) + weight
         return out
@@ -239,6 +243,20 @@ def test_detector_inefficiency_demotes_outcomes():
     expected = _thinned_table(ideal, eff)
     empirical = report.counts.sum(axis=0) / report.n_bins
     assert np.allclose(empirical, expected, atol=0.01)
+
+
+@pytest.mark.parametrize("code", range(1, 7))
+def test_thin_station_drops_each_missed_photon(code):
+    # slot A is the first photon in port order (D+ before D-), slot B the second
+    n_plus, n_minus = outcome_occupation(code)
+    ports = "+" * n_plus + "-" * n_minus
+    for hit_a in (False, True):
+        for hit_b in (False, True):
+            kept = [port for port, hit in zip(ports, (hit_a, hit_b)) if hit]
+            expected = classify_occupation(kept.count("+"), kept.count("-"))
+            u_a, u_b = np.array([0.1 if hit_a else 0.9]), np.array([0.1 if hit_b else 0.9])
+            thinned = montecarlo._thin_station(np.array([code], dtype=np.int8), u_a, u_b, 0.5)
+            assert thinned.dtype == np.int8 and thinned.tolist() == [expected]
 
 
 # -- estimation ---------------------------------------------------------------

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import states_equal_up_to_phase
 from pdcbell.errors import InputError, WrongFrameError
-from pdcbell.fock import (
-    STATION_LABELS,
-    StateVector,
-    basis_state,
-    inner_product,
-    states_equal_up_to_phase,
-    vacuum,
-)
+from pdcbell.fock import STATION_LABELS, StateVector, basis_state, inner_product, vacuum
 from pdcbell.measurement import PolarizerAngle, joint_distribution
 from pdcbell.optics import (
     PairAmplitude,
