@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .bell import ChshSettings, chsh_decomposition, optimize_angles
-from .errors import InputError, PdcBellError
+from .errors import InputError, InvalidConfigError, PdcBellError
 from .fock import StateVector, occupation_key
 from .lhv import lhv_feasible, tables_from_json_dict, verdict_to_json_dict
 from .measurement import PolarizerAngle, joint_distribution
@@ -31,6 +31,7 @@ from .montecarlo import (
     RunConfig,
     estimate_correlators,
     run_experiment,
+    validate_config,
 )
 from .optics import PairAmplitude, attach_vacuum, build_experiment_state, split_by_locality
 
@@ -145,21 +146,28 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Validate the config, then check that ``--out`` opens, then run and write."""
     config = RunConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    log = run_experiment(config)
+    report = validate_config(config)
+    if not report.ok:
+        raise InvalidConfigError("; ".join(report.errors))
     out = _resolve_out(args.out)
-    log.to_csv(out)
+    try:
+        open(out, "ab").close()  # creates a missing file, truncates nothing
+    except OSError as exc:
+        raise InputError(f"cannot write event log {out}: {exc}") from exc
+    run_experiment(config).to_csv(out)
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    log = EventLog.from_csv(args.input)
-    report = estimate_correlators(log)
+    settings = None if args.settings is None else parse_settings(args.settings)
+    report = estimate_correlators(EventLog.from_csv(args.input))
     payload = report.to_json_dict()
-    if args.settings is not None:
-        payload["settings_rad"] = list(parse_settings(args.settings).as_radians())
+    if settings is not None:
+        payload["settings_rad"] = list(settings.as_radians())
     _emit(payload, _resolve_out(args.out))
     return EXIT_OK
 

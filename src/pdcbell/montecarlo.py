@@ -21,10 +21,18 @@ bit-identical to a single whole-stream draw while holding only one block of
 uniforms besides the 4-byte-per-bin event log.  Bins could be simulated in
 parallel by assigning each bin its slice of the stream; this implementation
 is single threaded.
+
+Event logs are CSV.  One renderer, ``_render_rows``, owns the bytes of a
+row: ``EventLog.to_csv`` writes what it renders, and ``EventLog.from_csv``
+takes a block as it is only when the renderer reproduces it from the
+block's own fields.  A block with any non-canonical line goes through the
+general checker ``_parse_rows``, so the accepted grammar and every error
+message are the checker's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -90,6 +98,9 @@ _MAX_LINE = 64
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 # Value range of each single-digit field after the bin: setting1, setting2, outcome1, outcome2.
 _FIELD_RANGES = ((0, 1), (0, 1), (1, 6), (1, 6))
+# Low bin digits a row template covers: rows in one aligned span of
+# 10**_SPAN_DIGITS bins differ only there and in their tail.
+_SPAN_DIGITS = 5
 
 
 @dataclass(frozen=True)
@@ -263,29 +274,21 @@ class EventLog:
     def to_csv(self, path) -> None:
         """Write the log as CSV: the header, then one CRLF-terminated row per bin.
 
-        Rows are rendered as bytes in blocks of at most ``_WRITE_BLOCK`` bins,
-        so memory stays bounded whatever the log's length.
+        Rows are rendered by ``_render_rows`` in blocks of at most
+        ``_WRITE_BLOCK`` bins, so memory stays bounded whatever the log's length.
         """
         n = len(self)
-        columns = (self.setting1, self.setting2, self.outcome1, self.outcome2)
+        columns = [getattr(self, name).view(np.uint8) for name in self.__slots__]
         try:
             handle = open(path, "wb")
         except OSError as exc:
             raise InputError(f"cannot write event log {path}: {exc}") from exc
+        scratch = np.empty(min(n, _WRITE_BLOCK) * (len(str(n)) + 10), dtype=np.uint8)
         with handle:
             handle.write(_CSV_HEADER + b"\r\n")
-            for digits in range(1, len(str(n)) + 1):
-                stop = min(10**digits, n + 1)
-                for first in range(10 ** (digits - 1), stop, _WRITE_BLOCK):
-                    bins = np.arange(first, min(first + _WRITE_BLOCK, stop))
-                    rows = np.empty((bins.size, digits + 10), dtype=np.uint8)
-                    for k in range(digits):
-                        rows[:, digits - 1 - k] = ord("0") + bins // 10**k % 10
-                    rows[:, digits : digits + 8 : 2] = ord(",")
-                    for j, column in enumerate(columns):
-                        rows[:, digits + 1 + 2 * j] = ord("0") + column[first - 1 : bins[-1]]
-                    rows[:, -2:] = (ord("\r"), ord("\n"))
-                    handle.write(rows)
+            for start in range(0, n, _WRITE_BLOCK):
+                codes = _cell_code(*(column[start : start + _WRITE_BLOCK] for column in columns))
+                handle.write(_render_rows(scratch, start + 1, codes))
 
     @classmethod
     def from_csv(cls, path) -> "EventLog":
@@ -296,6 +299,9 @@ class EventLog:
         1-based number, single-digit settings 0/1 and outcomes 1-6, lines
         ending in CRLF or LF, the last one optionally unterminated.  The file
         is read in blocks of ``_READ_BLOCK`` bytes cut after the last newline.
+        A block that ``_render_rows`` renders back to the same bytes is taken
+        as it is; any other goes to ``_parse_rows``, which decides the rest
+        of the grammar and words every error.
         """
         try:
             handle = open(path, "rb")
@@ -305,13 +311,14 @@ class EventLog:
             header = handle.readline(len(_CSV_HEADER) + 2)
             if header.removesuffix(b"\n").removesuffix(b"\r") != _CSV_HEADER:
                 raise InputError(f"event log {path} line 1: unexpected header {header!r}")
+            scratch = np.empty(_MAX_LINE + 1 + _READ_BLOCK, dtype=np.uint8)
             blocks = [np.empty((4, 0), dtype=np.int8)]
             rows = 0
             carry = b""
             while chunk := handle.read(_READ_BLOCK):
                 buf = carry + chunk
                 cut = buf.rfind(b"\n") + 1
-                blocks.append(_parse_rows(buf[:cut], rows, path))
+                blocks.append(_read_rows(buf[:cut], rows, path, scratch))
                 rows += blocks[-1].shape[1]
                 carry = buf[cut:]
                 if len(carry) > _MAX_LINE:
@@ -319,8 +326,106 @@ class EventLog:
                         f"event log {path} line {rows + 2}: row longer than {_MAX_LINE} bytes"
                     )
             if carry:
-                blocks.append(_parse_rows(carry + b"\n", rows, path))
+                blocks.append(_read_rows(carry + b"\n", rows, path, scratch))
         return cls(*np.concatenate(blocks, axis=1))
+
+
+def _cell_code(s1, s2, o1, o2):
+    """Flat (pair, o1, o2) cell index 36 * (2 * s1 + s2) + 6 * (o1 - 1) + o2 - 1.
+
+    Kept in the inputs' dtype: uint8 fields of a valid row reach at most 150
+    before the - 7, so nothing wraps.
+    """
+    return 72 * s1 + 36 * s2 + 6 * o1 + o2 - 7
+
+
+@functools.lru_cache(maxsize=1)
+def _tail_table() -> np.ndarray:
+    """The row tail ``,s1,s2,o1,o2`` of each cell code, as 8 little-endian bytes."""
+    fields = np.indices((2, 2, 6, 6), dtype=np.uint8).reshape(4, -1)
+    fields[2:] += 1
+    tails = np.empty((fields.shape[1], 8), dtype=np.uint8)
+    tails[:, 0::2] = ord(",")
+    tails[:, 1::2] = fields.T + ord("0")
+    table = np.empty(len(tails), dtype="<u8")
+    table[_cell_code(*fields)] = tails.view("<u8").ravel()
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=len(_POW10))
+def _row_template(width: int) -> np.ndarray:
+    """Rows of ``width``-digit bins over one span: the low digits 0...0 to 9...9, CRLF.
+
+    A span is ``10**_SPAN_DIGITS`` bins (all of them for a narrower width).
+    The high digits and the tail are left zero for ``_render_rows`` to fill.
+    """
+    low = min(width, _SPAN_DIGITS)
+    rows = np.zeros((10**low, width + 10), dtype=np.uint8)
+    rows[:, width - low : width] = np.indices((10,) * low, dtype=np.uint8).reshape(low, -1).T
+    rows[:, width - low : width] += ord("0")
+    rows[:, -2:] = (ord("\r"), ord("\n"))
+    rows.flags.writeable = False
+    return rows
+
+
+def _render_rows(out: np.ndarray, first: int, codes: np.ndarray) -> np.ndarray:
+    """Render the canonical CSV rows of bins ``first``, ``first + 1``, ... into ``out``.
+
+    The only code that knows the row bytes ``<bin>,<s1>,<s2>,<o1>,<o2>\\r\\n``.
+    ``codes`` holds each row's ``_cell_code``; ``out`` is a uint8 scratch
+    buffer long enough for the rows.  Each run of rows in one span copies
+    the span's template, sets its constant high digits and stores each
+    row's tail as one 8-byte word.  Returns the rendered prefix of ``out``.
+    """
+    # clip: a code decoded from non-canonical bytes may exceed the table
+    tails = _tail_table().take(codes, mode="clip")
+    pos = done = 0
+    bin_ = first
+    while done < len(codes):
+        template = _row_template(len(str(bin_)))
+        span, size = template.shape
+        width = size - 10
+        low = bin_ % span
+        run = min(len(codes) - done, span - low)
+        rows = out[pos : pos + run * size].reshape(run, size)
+        rows[...] = template[low : low + run]
+        if width > _SPAN_DIGITS:
+            rows[:, : width - _SPAN_DIGITS] = np.frombuffer(str(bin_ // span).encode(), np.uint8)
+        tail = np.ndarray((run,), dtype="<u8", buffer=out, offset=pos + width, strides=(size,))
+        tail[...] = tails[done : done + run]
+        pos += run * size
+        done += run
+        bin_ += run
+    return out[:pos]
+
+
+def _read_rows(buf: bytes, first_row: int, path, scratch: np.ndarray) -> np.ndarray:
+    """``_parse_rows``, taking ``buf`` as it is when it renders back to itself.
+
+    The row count of canonical CRLF rows follows from the length of ``buf``,
+    width by width; their tails give the cell codes, and ``_render_rows``
+    must reproduce ``buf`` byte for byte from them.
+    """
+    tails = [np.empty(0, dtype="<u8")]
+    pos, bin_ = 0, first_row + 1
+    while pos < len(buf):
+        width = len(str(bin_))
+        size = width + 10
+        run = min((len(buf) - pos) // size, 10**width - bin_)
+        if run == 0:
+            return _parse_rows(buf, first_row, path)
+        tails.append(
+            np.ndarray((run,), dtype="<u8", buffer=buf, offset=pos + width, strides=(size,))
+        )
+        pos += run * size
+        bin_ += run
+    # a non-canonical tail decodes to a wrong code, which the comparison catches
+    tail_bytes = np.concatenate(tails).view(np.uint8).reshape(-1, 8)
+    fields = np.subtract(tail_bytes[:, 1::2].T, np.uint8(ord("0")), order="C")
+    if _render_rows(scratch, first_row + 1, _cell_code(*fields)).tobytes() != buf:
+        return _parse_rows(buf, first_row, path)
+    return fields.view(np.int8)
 
 
 def _parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
@@ -462,13 +567,12 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
     """Empirical correlators with plug-in standard errors from an event log."""
     if len(log) == 0:
         raise EmptySettingPairError("event log is empty")
-    # cell 36 * pair + 6 * (o1 - 1) + (o2 - 1) in uint8: at most 150 before the
-    # - 7.  Counted per block, since bincount casts its input to an intp copy.
+    # Counted per block, since bincount casts its uint8 input to an intp copy.
     columns = [getattr(log, name).view(np.uint8) for name in EventLog.__slots__]
     counts = np.zeros(144, dtype=np.int64)
     for start in range(0, len(log), _CHUNK):
         s1, s2, o1, o2 = (column[start : start + _CHUNK] for column in columns)
-        counts += np.bincount(72 * s1 + 36 * s2 + 6 * o1 + o2 - 7, minlength=144)
+        counts += np.bincount(_cell_code(s1, s2, o1, o2), minlength=144)
     counts = counts.reshape(4, 6, 6)
     pair_bins = counts.sum(axis=(1, 2))
     if (pair_bins == 0).any():

@@ -278,6 +278,7 @@ def test_simulate_invalid_config_exits_2(tmp_path):
     config = tmp_path / "run.json"
     _write_config(config, tau=1e-8, L=1.0)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("overrides", [{"T": math.nan}, {"tau": math.inf}, {"L": math.nan}])
@@ -377,6 +378,16 @@ def test_analyze_missing_file_exits_2(tmp_path, capsys):
     assert run_cli("analyze", "--input", str(events)) == 2
 
 
+def test_analyze_bad_settings_exit_2_before_reading_the_log(tmp_path, capsys, monkeypatch):
+    def read_log(path):
+        raise AssertionError("analyze read the log before checking --settings")
+
+    monkeypatch.setattr(cli.EventLog, "from_csv", read_log)
+    events = tmp_path / "events.csv"
+    assert run_cli("analyze", "--input", str(events), "--settings", "1,2,3,4") == 2
+    assert "needs an explicit 'deg' or 'rad' suffix" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ["2,0,0,300,3", "2,0,0,3,3,3", "2,2,0,3,3", ""])
 def test_analyze_malformed_log_exits_2(tmp_path, capsys, row):
     events = tmp_path / "events.csv"
@@ -415,11 +426,16 @@ def test_out_dir_environment_variable(tmp_path, monkeypatch, capsys):
     [("optimize",), ("table", "--xi", "0deg", "--eta", "0deg"), ("simulate",)],
     ids=["optimize", "table", "simulate"],
 )
-def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv, target):
     if argv == ("simulate",):
         config = tmp_path / "run.json"
         _write_config(config)
         argv = ("simulate", "--config", str(config))
+
+        def run_experiment(config):
+            raise AssertionError("simulate ran before checking --out")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
     out = tmp_path / target
     assert run_cli(*argv, "--out", str(out)) == 2
     what = "event log " if argv[0] == "simulate" else ""
@@ -470,6 +486,15 @@ def test_cli_import_leaves_scipy_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_csv_tables():
+    result = _run_fresh(
+        "import pdcbell.cli; from pdcbell import montecarlo as m; "
+        "print(m._row_template.cache_info().currsize, m._tail_table.cache_info().currsize)"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0"]
 
 
 def test_optimize_leaves_scipy_out():

@@ -375,6 +375,112 @@ def reference_from_csv(path) -> EventLog:
     return EventLog(*columns)
 
 
+def reference_digit_to_csv(log: EventLog, path) -> None:
+    """Digit-by-digit vectorised writer, a second byte oracle for EventLog.to_csv.
+
+    Each bin digit is its own ``bins // 10**k % 10`` pass, in blocks of rows of
+    one width.
+    """
+    n = len(log)
+    columns = (log.setting1, log.setting2, log.outcome1, log.outcome2)
+    with open(path, "wb") as handle:
+        handle.write(b"bin,setting1,setting2,outcome1,outcome2\r\n")
+        for digits in range(1, len(str(n)) + 1):
+            stop = min(10**digits, n + 1)
+            for first in range(10 ** (digits - 1), stop, 1 << 16):
+                bins = np.arange(first, min(first + (1 << 16), stop))
+                rows = np.empty((bins.size, digits + 10), dtype=np.uint8)
+                for k in range(digits):
+                    rows[:, digits - 1 - k] = ord("0") + bins // 10**k % 10
+                rows[:, digits : digits + 8 : 2] = ord(",")
+                for j, column in enumerate(columns):
+                    rows[:, digits + 1 + 2 * j] = ord("0") + column[first - 1 : bins[-1]]
+                rows[:, -2:] = (ord("\r"), ord("\n"))
+                handle.write(rows)
+
+
+_REFERENCE_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_REFERENCE_MAX_LINE = 64
+
+
+def reference_parse_csv(path) -> EventLog:
+    """The general block reader alone, with no canonical fast path.
+
+    The oracle for EventLog.from_csv on every input, valid or not: it must
+    return the same log or raise InputError with the same message.  Reads
+    blocks of ``montecarlo._READ_BLOCK`` bytes.
+    """
+    header_text = b"bin,setting1,setting2,outcome1,outcome2"
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot read event log {path}: {exc}") from exc
+    with handle:
+        header = handle.readline(len(header_text) + 2)
+        if header.removesuffix(b"\n").removesuffix(b"\r") != header_text:
+            raise InputError(f"event log {path} line 1: unexpected header {header!r}")
+        blocks = [np.empty((4, 0), dtype=np.int8)]
+        rows = 0
+        carry = b""
+        while chunk := handle.read(montecarlo._READ_BLOCK):
+            buf = carry + chunk
+            cut = buf.rfind(b"\n") + 1
+            blocks.append(reference_parse_rows(buf[:cut], rows, path))
+            rows += blocks[-1].shape[1]
+            carry = buf[cut:]
+            if len(carry) > _REFERENCE_MAX_LINE:
+                raise InputError(
+                    f"event log {path} line {rows + 2}: row longer than {_REFERENCE_MAX_LINE} bytes"
+                )
+        if carry:
+            blocks.append(reference_parse_rows(carry + b"\n", rows, path))
+    return EventLog(*np.concatenate(blocks, axis=1))
+
+
+def reference_parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
+    """Check newline-terminated rows digit by digit; return their (4, n) int8 columns."""
+    data = bytes(8) + buf
+    a = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray((a.size - 7,), dtype="<u8", buffer=data, strides=(1,))
+    ends = np.flatnonzero(a == ord("\n"))
+    starts = np.concatenate(([8], ends[:-1] + 1))
+    stops = ends - (a[ends - 1] == ord("\r"))
+    bins = first_row + 1 + np.arange(ends.size)
+    width = np.searchsorted(_REFERENCE_POW10, bins, side="right")
+    ok = stops - starts == width + 8
+    tail = words[stops - 8].view(np.uint8).reshape(-1, 8)
+    fields = tail[:, 1::2].T - np.uint8(ord("0"))
+    for j, (low, high) in enumerate(((0, 1), (0, 1), (1, 6), (1, 6))):
+        ok &= (tail[:, 2 * j] == ord(",")) & (fields[j] - np.uint8(low) <= high - low)
+    value = np.zeros_like(bins)
+    for k in range(int(width.max(initial=0))):
+        byte = a[np.maximum(stops - 9 - k, 0)]
+        digit = np.where(k < width, byte - np.uint8(ord("0")), 0)
+        ok &= digit <= 9
+        value += digit.astype(np.int64) * 10**k
+    ok &= value == bins
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        line = data[starts[bad] : ends[bad] + 1]
+        raise InputError(
+            f"event log {path} line {first_row + bad + 2}: "
+            f"malformed row {line[:_REFERENCE_MAX_LINE]!r}"
+        )
+    return fields.astype(np.int8)
+
+
+def read_outcome(reader, path):
+    """The log ``reader`` returns for ``path``, or the message of its InputError."""
+    try:
+        return reader(path)
+    except InputError as exc:
+        return str(exc)
+
+
+def assert_reads_like_reference(path) -> None:
+    assert read_outcome(EventLog.from_csv, path) == read_outcome(reference_parse_csv, path)
+
+
 def random_log(n: int, seed: int = 0) -> EventLog:
     rng = np.random.default_rng(seed)
     return EventLog(
@@ -390,13 +496,15 @@ def test_event_log_csv_matches_reference(tmp_path, n):
     reference_to_csv(log, reference)
     data = path.read_bytes()
     assert data == reference.read_bytes()
+    reference_digit_to_csv(log, reference)
+    assert data == reference.read_bytes()
     if n > montecarlo._WRITE_BLOCK:
         assert len(data) > montecarlo._READ_BLOCK  # the reader crosses a block boundary
     assert EventLog.from_csv(path) == reference_from_csv(path) == log
     lf = data.replace(b"\r\n", b"\n")
-    for variant in (lf, lf[:-1], data[:-2]):
+    for variant in (lf, lf[:-1], data[:-2], data[:-1]):
         path.write_bytes(variant)
-        assert EventLog.from_csv(path) == log
+        assert EventLog.from_csv(path) == reference_parse_csv(path) == log
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
@@ -407,10 +515,15 @@ def test_event_log_csv_small_blocks(tmp_path, monkeypatch, block):
     monkeypatch.setattr(montecarlo, "_READ_BLOCK", block)
     log.to_csv(path)
     reference_to_csv(log, reference)
-    assert path.read_bytes() == reference.read_bytes()
+    data = path.read_bytes()
+    assert data == reference.read_bytes()
     assert EventLog.from_csv(path) == log
-    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
-    assert EventLog.from_csv(path) == log
+    lines = data.split(b"\r\n")
+    terminators = np.random.default_rng(block).choice([b"\r\n", b"\n"], len(lines) - 1)
+    mixed = b"".join(line + end for line, end in zip(lines, terminators))
+    for variant in (data.replace(b"\r\n", b"\n"), mixed):
+        path.write_bytes(variant)
+        assert EventLog.from_csv(path) == reference_parse_csv(path) == log
 
 
 def test_event_log_csv_frozen_digest(tmp_path):
@@ -457,6 +570,82 @@ def test_event_log_csv_rejects_malformed_row(tmp_path, row):
     write_log_with_row(path, row)
     with pytest.raises(InputError, match="line 3: malformed row"):
         EventLog.from_csv(path)
+    assert_reads_like_reference(path)
+
+
+def canonical_offset(rows: int) -> int:
+    """Byte offset of the end of data row ``rows`` in a canonical CRLF log."""
+    header = len(b"bin,setting1,setting2,outcome1,outcome2\r\n")
+    return header + sum(
+        (min(rows, 10**d - 1) - 10 ** (d - 1) + 1) * (d + 10) for d in range(1, len(str(rows)) + 1)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_event_log_csv_mixed_terminators(tmp_path, monkeypatch, seed):
+    """Per-line random CRLF/LF mixes, with read blocks cut anywhere in a line."""
+    rng = np.random.default_rng(seed)
+    log = random_log(3000, seed=seed)
+    path = tmp_path / "events.csv"
+    log.to_csv(path)
+    lines = path.read_bytes().split(b"\r\n")
+    lf_share = (0.5, 0.01, 0.001)[seed % 3]  # most blocks canonical, or few
+    ends = np.where(rng.random(len(lines) - 1) < lf_share, b"\n", b"\r\n")
+    path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+    monkeypatch.setattr(montecarlo, "_READ_BLOCK", int(rng.integers(100, 5000)))
+    assert EventLog.from_csv(path) == reference_parse_csv(path) == log
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [9, 99_999, 199_999, 999_999, 1_099_999],
+    ids=["width-2", "width-6", "span-6", "width-7", "span-7"],
+)
+def test_event_log_csv_block_across_width_or_span(tmp_path, monkeypatch, boundary):
+    """A canonical block that crosses a digit-width or template-span change."""
+    log = random_log(boundary + 3, seed=boundary)
+    path, reference = tmp_path / "events.csv", tmp_path / "reference.csv"
+    log.to_csv(path)
+    reference_digit_to_csv(log, reference)
+    assert path.read_bytes() == reference.read_bytes()
+
+    def general_reader_called(*args):
+        raise AssertionError("a canonical block left the fast path")
+
+    monkeypatch.setattr(montecarlo, "_parse_rows", general_reader_called)
+    assert EventLog.from_csv(path) == log
+    # the first block stops 5 bytes short of the boundary row's end, so the
+    # next one starts with that row and runs into the new width or span
+    monkeypatch.setattr(montecarlo, "_READ_BLOCK", canonical_offset(boundary) - 5)
+    assert EventLog.from_csv(path) == log
+
+
+CORRUPTION_ROWS = 250_001
+
+
+@pytest.fixture(scope="module")
+def corruption_log(tmp_path_factory):
+    log = random_log(CORRUPTION_ROWS, seed=5)
+    path = tmp_path_factory.mktemp("corrupt") / "events.csv"
+    log.to_csv(path)
+    return log, path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_event_log_csv_single_byte_corruption(tmp_path, corruption_log, seed):
+    """Each corrupted log reads like the general reader: same log or same message."""
+    log, data = corruption_log
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "events.csv"
+    for _ in range(4):
+        at = int(rng.integers(len(data)))
+        byte = bytes([rng.choice(list(b"0123456789,\r\n x") + [int(rng.integers(256))])])
+        for variant in (data[:at] + byte + data[at + 1 :], data[:at] + data[at + 1 :]):
+            path.write_bytes(variant)
+            outcome = read_outcome(EventLog.from_csv, path)
+            assert outcome == read_outcome(reference_parse_csv, path)
+            if variant == data:
+                assert outcome == log
 
 
 def test_event_log_csv_rejects_non_digit_bin(tmp_path):
