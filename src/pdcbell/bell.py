@@ -74,6 +74,28 @@ class ChshSettings:
             PolarizerAngle(xi), PolarizerAngle(xi_prime), PolarizerAngle(eta), PolarizerAngle(eta_prime)
         )
 
+    @classmethod
+    def from_tables(cls, tables: Sequence[JointDistribution]) -> "ChshSettings":
+        """The angles of four tables in ``setting_pairs`` order.
+
+        Raises InconsistentSettingsError unless there are exactly four tables
+        sharing the (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern.
+        """
+        if len(tables) != 4:
+            raise InconsistentSettingsError(f"need exactly 4 tables, got {len(tables)}")
+        t = tables
+        checks = (
+            abs(t[0].xi.angle - t[1].xi.angle),
+            abs(t[2].xi.angle - t[3].xi.angle),
+            abs(t[0].eta.angle - t[2].eta.angle),
+            abs(t[1].eta.angle - t[3].eta.angle),
+        )
+        if max(checks) > 1e-12:
+            raise InconsistentSettingsError(
+                "tables do not share the (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern"
+            )
+        return cls(t[0].xi, t[2].xi, t[0].eta, t[1].eta)
+
     def setting_pairs(self) -> tuple[tuple[PolarizerAngle, PolarizerAngle], ...]:
         """The four (station-1, station-2) angle pairs in CHSH order."""
         return (
@@ -123,26 +145,9 @@ def correlator(dist: JointDistribution) -> float:
     return float(np.sum(SIGN_TABLE * dist.probs))
 
 
-def _settings_from_tables(tables: Sequence[JointDistribution]) -> ChshSettings:
-    if len(tables) != 4:
-        raise InconsistentSettingsError(f"need exactly 4 tables, got {len(tables)}")
-    t = tables
-    checks = (
-        abs(t[0].xi.angle - t[1].xi.angle),
-        abs(t[2].xi.angle - t[3].xi.angle),
-        abs(t[0].eta.angle - t[2].eta.angle),
-        abs(t[1].eta.angle - t[3].eta.angle),
-    )
-    if max(checks) > 1e-12:
-        raise InconsistentSettingsError(
-            "tables do not share the (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern"
-        )
-    return ChshSettings(t[0].xi, t[2].xi, t[0].eta, t[1].eta)
-
-
 def chsh_from_tables(tables: Sequence[JointDistribution]) -> ChshResult:
     """CHSH value and block decomposition from four joint distributions."""
-    settings = _settings_from_tables(tables)
+    settings = ChshSettings.from_tables(tables)
     weighted = [SIGN_TABLE * t.probs for t in tables]
     correlators = tuple(float(np.sum(w)) for w in weighted)
     total = float(sum(s * e for s, e in zip(CHSH_SIGNS, correlators)))

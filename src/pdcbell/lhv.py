@@ -399,8 +399,8 @@ def tables_from_json_dict(data: Mapping) -> list[JointDistribution]:
 
 
 def tables_to_json_dict(tables: Sequence[JointDistribution]) -> dict:
-    settings = ChshSettings(tables[0].xi, tables[2].xi, tables[0].eta, tables[1].eta)
+    """The ``tables_from_json_dict`` format; tables off the CHSH pattern raise."""
     return {
-        "settings_rad": list(settings.as_radians()),
+        "settings_rad": list(ChshSettings.from_tables(tables).as_radians()),
         "tables": [t.to_json_dict() for t in tables],
     }

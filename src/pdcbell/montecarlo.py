@@ -18,9 +18,8 @@ generator ships with the test suite.
 The stream is drawn in sequential blocks of ``_CHUNK`` bins; consecutive
 draws from one generator continue the same stream, so a blocked run is
 bit-identical to a single whole-stream draw while holding only one block of
-uniforms besides the 4-byte-per-bin event log.  Bins could be simulated in
-parallel by assigning each bin its slice of the stream; this implementation
-is single threaded.
+uniforms besides the event log.  The log keeps one byte per bin: the bin's
+``_cell_code``, its (setting pair, outcome i, outcome j) cell out of 144.
 
 Event logs are CSV.  One renderer, ``_render_rows``, owns the bytes of a
 row: ``EventLog.to_csv`` writes what it renders, and ``EventLog.from_csv``
@@ -50,7 +49,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 #: Above this per-bin pair probability the one-pair-per-bin assumption is shaky.
 PAIR_PROBABILITY_WARN = 0.1
 
-#: Longest accepted run in bins: its in-memory event log takes 4 GB.
+#: Longest accepted run in bins: its in-memory event log takes 1 GB.
 MAX_BINS = 10**9
 
 #: Relative distance from an integer within which T/tau counts as that
@@ -60,6 +59,9 @@ MAX_BINS = 10**9
 _RATIO_ULPS = 8 * np.finfo(float).eps
 
 _N_SETTING_PAIRS = 4
+_N_CELLS = 36 * _N_SETTING_PAIRS
+#: Cell 6 * (o1 - 1) + o2 - 1 of the vacuum outcome (3, 3) within a setting pair.
+_VACUUM_CELL = 14
 
 #: Bins drawn per block of the random stream (one block of uniforms is
 #: ``_CHUNK * width * 8`` bytes).
@@ -67,12 +69,12 @@ _CHUNK = 1 << 16
 
 
 def _loss_table() -> np.ndarray:
-    """Detected outcome at [code - 1, hit_a, hit_b] for a station's true outcome.
+    """Detected cell at [cell, hit1a, hit1b, hit2a, hit2b] for a cell 6 * (o1 - 1) + o2 - 1.
 
-    Slot A covers the first photon in port order (D+ before D-), slot B the
-    second; a photon whose slot misses goes undetected.
+    At each station slot A covers the first photon in port order (D+ before
+    D-), slot B the second; a photon whose slot misses goes undetected.
     """
-    table = np.empty((len(OutcomeClass), 2, 2), dtype=np.int8)
+    station = np.empty((len(OutcomeClass), 2, 2), dtype=np.uint8)
     for code in OutcomeClass:
         n_plus, n_minus = outcome_occupation(code)
         ports = [0] * n_plus + [1] * n_minus
@@ -80,8 +82,9 @@ def _loss_table() -> np.ndarray:
             detected = [0, 0]
             for port, hit in zip(ports, hits):
                 detected[port] += hit
-            table[(code - 1, *hits)] = classify_occupation(*detected)
-    return table
+            station[(code - 1, *hits)] = classify_occupation(*detected) - 1
+    cells = 6 * station[:, None, :, :, None, None] + station[None, :, None, None, :, :]
+    return cells.reshape(36, 2, 2, 2, 2)
 
 
 _LOSS_TABLE = _loss_table()
@@ -227,49 +230,45 @@ def validate_config(config: RunConfig) -> ConfigReport:
 
 
 class EventLog:
-    """Column-wise event storage; one entry per time bin."""
+    """One uint8 cell code per time bin, in bin order (see ``_cell_code``).
 
-    __slots__ = ("setting1", "setting2", "outcome1", "outcome2")
+    The columns ``setting1``, ``setting2``, ``outcome1`` and ``outcome2`` are
+    decoded from the codes on access, as read-only int8 arrays.
+    """
 
-    def __init__(self, setting1, setting2, outcome1, outcome2) -> None:
-        arrays = []
-        for name, col in (
-            ("setting1", setting1),
-            ("setting2", setting2),
-            ("outcome1", outcome1),
-            ("outcome2", outcome2),
-        ):
-            arr = np.asarray(col, dtype=np.int8)
-            if arr.ndim != 1:
-                raise InputError(f"{name} must be one dimensional")
-            arrays.append(arr)
-        if len({a.size for a in arrays}) != 1:
-            raise InputError("event log columns must have equal length")
-        if arrays[0].size and (
-            arrays[0].min() < 0
-            or arrays[0].max() > 1
-            or arrays[1].min() < 0
-            or arrays[1].max() > 1
-        ):
-            raise InputError("setting indices must be 0 or 1")
-        if arrays[2].size and (
-            min(arrays[2].min(), arrays[3].min()) < 1
-            or max(arrays[2].max(), arrays[3].max()) > 6
-        ):
-            raise InputError("outcome codes must lie in 1..6")
-        for arr in arrays:
-            arr.flags.writeable = False
-        self.setting1, self.setting2, self.outcome1, self.outcome2 = arrays
+    __slots__ = ("codes",)
+
+    def __init__(self, codes) -> None:
+        """Hold ``codes``, a one-dimensional integer array of values 0..143.
+
+        A uint8 array is held as a read-only view, not copied.  Floats,
+        booleans, NaN, other shapes and out-of-range codes raise InputError.
+        """
+        try:
+            arr = np.asarray(codes)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"event log codes must be an integer array: {exc}") from exc
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise InputError(
+                f"event log codes must be a 1-D integer array, not {arr.ndim}-D {arr.dtype}"
+            )
+        if arr.size and (arr.min() < 0 or arr.max() >= _N_CELLS):
+            raise InputError(f"event log codes must lie in 0..{_N_CELLS - 1}")
+        self.codes = arr.astype(np.uint8, copy=False).view()
+        self.codes.flags.writeable = False
+
+    setting1 = property(lambda self: _column(self.codes // 72))
+    setting2 = property(lambda self: _column(self.codes // 36 & 1))
+    outcome1 = property(lambda self: _column(self.codes % 36 // 6 + 1))
+    outcome2 = property(lambda self: _column(self.codes % 6 + 1))
 
     def __len__(self) -> int:
-        return int(self.setting1.size)
+        return int(self.codes.size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__
-        )
+        return np.array_equal(self.codes, other.codes)
 
     def to_csv(self, path) -> None:
         """Write the log as CSV: the header, then one CRLF-terminated row per bin.
@@ -278,7 +277,6 @@ class EventLog:
         ``_WRITE_BLOCK`` bins, so memory stays bounded whatever the log's length.
         """
         n = len(self)
-        columns = [getattr(self, name).view(np.uint8) for name in self.__slots__]
         try:
             handle = open(path, "wb")
         except OSError as exc:
@@ -287,7 +285,7 @@ class EventLog:
         with handle:
             handle.write(_CSV_HEADER + b"\r\n")
             for start in range(0, n, _WRITE_BLOCK):
-                codes = _cell_code(*(column[start : start + _WRITE_BLOCK] for column in columns))
+                codes = self.codes[start : start + _WRITE_BLOCK]
                 handle.write(_render_rows(scratch, start + 1, codes))
 
     @classmethod
@@ -312,14 +310,14 @@ class EventLog:
             if header.removesuffix(b"\n").removesuffix(b"\r") != _CSV_HEADER:
                 raise InputError(f"event log {path} line 1: unexpected header {header!r}")
             scratch = np.empty(_MAX_LINE + 1 + _READ_BLOCK, dtype=np.uint8)
-            blocks = [np.empty((4, 0), dtype=np.int8)]
+            blocks = [np.empty(0, dtype=np.uint8)]
             rows = 0
             carry = b""
             while chunk := handle.read(_READ_BLOCK):
                 buf = carry + chunk
                 cut = buf.rfind(b"\n") + 1
                 blocks.append(_read_rows(buf[:cut], rows, path, scratch))
-                rows += blocks[-1].shape[1]
+                rows += len(blocks[-1])
                 carry = buf[cut:]
                 if len(carry) > _MAX_LINE:
                     raise InputError(
@@ -327,7 +325,14 @@ class EventLog:
                     )
             if carry:
                 blocks.append(_read_rows(carry + b"\n", rows, path, scratch))
-        return cls(*np.concatenate(blocks, axis=1))
+        return cls(np.concatenate(blocks))
+
+
+def _column(values: np.ndarray) -> np.ndarray:
+    """A column decoded from the uint8 codes, as a read-only int8 array."""
+    column = values.view(np.int8)
+    column.flags.writeable = False
+    return column
 
 
 def _cell_code(s1, s2, o1, o2):
@@ -422,14 +427,14 @@ def _read_rows(buf: bytes, first_row: int, path, scratch: np.ndarray) -> np.ndar
         bin_ += run
     # a non-canonical tail decodes to a wrong code, which the comparison catches
     tail_bytes = np.concatenate(tails).view(np.uint8).reshape(-1, 8)
-    fields = np.subtract(tail_bytes[:, 1::2].T, np.uint8(ord("0")), order="C")
-    if _render_rows(scratch, first_row + 1, _cell_code(*fields)).tobytes() != buf:
+    codes = _cell_code(*(tail_bytes[:, 1::2].T - np.uint8(ord("0"))))
+    if _render_rows(scratch, first_row + 1, codes).tobytes() != buf:
         return _parse_rows(buf, first_row, path)
-    return fields.view(np.int8)
+    return codes
 
 
 def _parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
-    """Check newline-terminated CSV rows and return their (4, n) int8 columns.
+    """Check newline-terminated CSV rows and return their uint8 cell codes.
 
     ``first_row`` counts the rows before ``buf``; the error names the first
     bad line by its number in the file (the header is line 1).
@@ -461,13 +466,13 @@ def _parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
         raise InputError(
             f"event log {path} line {first_row + bad + 2}: malformed row {line[:_MAX_LINE]!r}"
         )
-    return fields.astype(np.int8)
+    return _cell_code(*fields)
 
 
 def run_experiment(config: RunConfig) -> EventLog:
     """Simulate one counting run; bit-identical for identical configs and seeds.
 
-    Vacuum bins keep the preset outcome (3, 3); outcome sampling and loss
+    Vacuum bins get the cell of outcome (3, 3); outcome sampling and loss
     thinning run on the emitted bins only (thinning maps a vacuum station to 3
     anyway).
     """
@@ -489,46 +494,28 @@ def run_experiment(config: RunConfig) -> EventLog:
     ideal = config.detector_efficiency >= 1.0
     width = 3 if ideal else 7
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    # rows: setting1, setting2, outcome1, outcome2
-    events = np.empty((4, n), dtype=np.int8)
-    events[2:] = 3
+    codes = np.empty(n, dtype=np.uint8)
     block = np.empty((min(_CHUNK, n), width))  # reused: no fresh pages per block
     for start in range(0, n, _CHUNK):
         u = block[: min(_CHUNK, n - start)]
         rng.random(out=u)
-        stop = start + len(u)
-        pair_index = (u[:, 0] * _N_SETTING_PAIRS).astype(np.int8)  # exact scaling: below 4
-        events[0, start:stop] = pair_index >> 1
-        events[1, start:stop] = pair_index & 1
+        pair_index = (u[:, 0] * _N_SETTING_PAIRS).astype(np.uint8)  # exact scaling: below 4
+        codes[start : start + len(u)] = 36 * pair_index + _VACUUM_CELL
 
         emitted = np.flatnonzero(u[:, 1] < config.pair_probability)
         pairs = pair_index[emitted]
-        cells = np.empty(emitted.size, dtype=np.int64)
+        cells = np.empty(emitted.size, dtype=np.uint8)
         for k in range(_N_SETTING_PAIRS):
             mask = pairs == k
             cells[mask] = np.searchsorted(cumulative[k], u[emitted[mask], 2], side="right")
         cells = np.minimum(cells, 35)
-        outcome1 = (cells // 6 + 1).astype(np.int8)
-        outcome2 = (cells % 6 + 1).astype(np.int8)
         if not ideal:
-            eff = config.detector_efficiency
-            outcome1 = _thin_station(outcome1, u[emitted, 3], u[emitted, 4], eff)
-            outcome2 = _thin_station(outcome2, u[emitted, 5], u[emitted, 6], eff)
-        events[2, start + emitted] = outcome1
-        events[3, start + emitted] = outcome2
+            # 0/1 integer indices: a boolean index array would act as a mask
+            hits = (u[emitted, 3:] < config.detector_efficiency).view(np.int8)
+            cells = _LOSS_TABLE[(cells, *hits.T)]
+        codes[start + emitted] = 36 * pairs + cells
 
-    return EventLog(*events)
-
-
-def _thin_station(outcomes: np.ndarray, u_a: np.ndarray, u_b: np.ndarray, eff: float) -> np.ndarray:
-    """Demote outcome codes when photons go undetected (see ``_loss_table``).
-
-    Unused slots still consume their stream positions.
-    """
-    # 0/1 integer indices: a boolean index array would act as a mask
-    hit_a = (u_a < eff).view(np.int8)
-    hit_b = (u_b < eff).view(np.int8)
-    return _LOSS_TABLE[outcomes - 1, hit_a, hit_b]
+    return EventLog(codes)
 
 
 @dataclass(frozen=True)
@@ -568,11 +555,9 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
     if len(log) == 0:
         raise EmptySettingPairError("event log is empty")
     # Counted per block, since bincount casts its uint8 input to an intp copy.
-    columns = [getattr(log, name).view(np.uint8) for name in EventLog.__slots__]
-    counts = np.zeros(144, dtype=np.int64)
+    counts = np.zeros(_N_CELLS, dtype=np.int64)
     for start in range(0, len(log), _CHUNK):
-        s1, s2, o1, o2 = (column[start : start + _CHUNK] for column in columns)
-        counts += np.bincount(_cell_code(s1, s2, o1, o2), minlength=144)
+        counts += np.bincount(log.codes[start : start + _CHUNK], minlength=_N_CELLS)
     counts = counts.reshape(4, 6, 6)
     pair_bins = counts.sum(axis=(1, 2))
     if (pair_bins == 0).any():

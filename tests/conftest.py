@@ -8,12 +8,19 @@ from pdcbell.bell import OPTIMAL_SETTINGS
 from pdcbell.errors import ModeLabelMismatchError
 from pdcbell.fock import PHYSICS_TOL, STATION_LABELS, StateVector
 from pdcbell.measurement import joint_distribution
+from pdcbell.montecarlo import EventLog
 from pdcbell.optics import build_experiment_state
 
 #: Every occupation allowed under the two-photon cap (15 of them).
 ALLOWED_OCCUPATIONS = [
     occ for occ in itertools.product(range(3), repeat=4) if sum(occ) <= 2 and max(occ) <= 2
 ]
+
+
+def event_log(setting1, setting2, outcome1, outcome2) -> EventLog:
+    """An EventLog from its four columns: cell 36 * (2 s1 + s2) + 6 (o1 - 1) + o2 - 1 per bin."""
+    s1, s2, o1, o2 = np.stack([setting1, setting2, outcome1, outcome2]).astype(np.int64)
+    return EventLog(36 * (2 * s1 + s2) + 6 * (o1 - 1) + o2 - 1)
 
 
 def random_station_state(rng: np.random.Generator) -> StateVector:

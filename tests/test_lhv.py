@@ -6,7 +6,12 @@ import pytest
 
 from pdcbell import lhv
 from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE, ChshSettings
-from pdcbell.errors import BoundMismatchError, CertificateExtractionError, MalformedTablesError
+from pdcbell.errors import (
+    BoundMismatchError,
+    CertificateExtractionError,
+    InconsistentSettingsError,
+    MalformedTablesError,
+)
 from pdcbell.lhv import (
     BellCertificate,
     Feasible,
@@ -236,6 +241,15 @@ def test_tables_json_round_trip(quantum_tables):
         assert np.allclose(original.probs, parsed.probs, atol=0)
     verdict = lhv_feasible(back)
     assert not verdict.feasible
+
+
+def test_tables_json_writer_rejects_off_pattern_tables(quantum_tables):
+    """The writer raises rather than write settings its own reader rejects."""
+    swapped = [quantum_tables[0], quantum_tables[2], quantum_tables[1], quantum_tables[3]]
+    with pytest.raises(InconsistentSettingsError, match="pattern"):
+        tables_to_json_dict(swapped)
+    with pytest.raises(InconsistentSettingsError, match="exactly 4"):
+        tables_to_json_dict(quantum_tables[:3])
 
 
 # -- facet step ----------------------------------------------------------------

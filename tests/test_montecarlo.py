@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import event_log
 
 from pdcbell import montecarlo
 from pdcbell.bell import ChshSettings, OPTIMAL_SETTINGS
@@ -245,18 +246,23 @@ def test_detector_inefficiency_demotes_outcomes():
     assert np.allclose(empirical, expected, atol=0.01)
 
 
-@pytest.mark.parametrize("code", range(1, 7))
-def test_thin_station_drops_each_missed_photon(code):
+def station_detects(code, hit_a, hit_b):
     # slot A is the first photon in port order (D+ before D-), slot B the second
     n_plus, n_minus = outcome_occupation(code)
     ports = "+" * n_plus + "-" * n_minus
-    for hit_a in (False, True):
-        for hit_b in (False, True):
-            kept = [port for port, hit in zip(ports, (hit_a, hit_b)) if hit]
-            expected = classify_occupation(kept.count("+"), kept.count("-"))
-            u_a, u_b = np.array([0.1 if hit_a else 0.9]), np.array([0.1 if hit_b else 0.9])
-            thinned = montecarlo._thin_station(np.array([code], dtype=np.int8), u_a, u_b, 0.5)
-            assert thinned.dtype == np.int8 and thinned.tolist() == [expected]
+    kept = [port for port, hit in zip(ports, (hit_a, hit_b)) if hit]
+    return classify_occupation(kept.count("+"), kept.count("-"))
+
+
+@pytest.mark.parametrize("code", range(1, 7))
+def test_thin_station_drops_each_missed_photon(code):
+    """The cell loss table thins station 1 at outcome ``code`` and station 2 at each outcome."""
+    table = montecarlo._LOSS_TABLE
+    assert table.dtype == np.uint8
+    for other in range(1, 7):
+        for hits in np.ndindex(2, 2, 2, 2):
+            o1, o2 = station_detects(code, *hits[:2]), station_detects(other, *hits[2:])
+            assert table[(6 * (code - 1) + other - 1, *hits)] == 6 * (o1 - 1) + o2 - 1
 
 
 # -- estimation ---------------------------------------------------------------
@@ -312,11 +318,11 @@ def test_chsh_estimate_undiluted():
 
 
 def test_empty_setting_pair_rejected():
-    log = EventLog([0, 0], [0, 1], [3, 3], [3, 3])
+    log = event_log([0, 0], [0, 1], [3, 3], [3, 3])
     with pytest.raises(EmptySettingPairError):
         estimate_correlators(log)
     with pytest.raises(EmptySettingPairError):
-        estimate_correlators(EventLog([], [], [], []))
+        estimate_correlators(event_log([], [], [], []))
 
 
 def test_report_json_counts_shape():
@@ -372,7 +378,7 @@ def reference_from_csv(path) -> EventLog:
         for row in reader:
             for col, value in zip(columns, row[1:5]):
                 col.append(int(value))
-    return EventLog(*columns)
+    return event_log(*columns)
 
 
 def reference_digit_to_csv(log: EventLog, path) -> None:
@@ -434,7 +440,7 @@ def reference_parse_csv(path) -> EventLog:
                 )
         if carry:
             blocks.append(reference_parse_rows(carry + b"\n", rows, path))
-    return EventLog(*np.concatenate(blocks, axis=1))
+    return event_log(*np.concatenate(blocks, axis=1))
 
 
 def reference_parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
@@ -483,7 +489,7 @@ def assert_reads_like_reference(path) -> None:
 
 def random_log(n: int, seed: int = 0) -> EventLog:
     rng = np.random.default_rng(seed)
-    return EventLog(
+    return event_log(
         rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(1, 7, n), rng.integers(1, 7, n)
     )
 
@@ -672,11 +678,53 @@ def test_event_log_csv_rejects_bad_header(tmp_path):
 
 def test_event_log_validation():
     with pytest.raises(InputError):
-        EventLog([0], [0], [0], [3])  # outcome 0 out of range
+        event_log([0], [0], [0], [3])  # outcome 0 out of range: code -4
     with pytest.raises(InputError):
-        EventLog([2], [0], [3], [3])  # setting 2 out of range
+        event_log([2], [0], [3], [3])  # setting 2 out of range: code 158
     with pytest.raises(InputError):
-        EventLog([0, 1], [0], [3, 3], [3, 3])  # ragged columns
+        EventLog([[14, 14], [14]])  # ragged codes
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [
+        [0.7],
+        np.array([3.0]),
+        [True],
+        np.array([False, True]),
+        [math.nan],
+        [-1],
+        [144],
+        np.array([0, 255], dtype=np.uint8),
+        [[14]],
+        np.zeros((2, 2), dtype=np.uint8),
+        14,
+        "14",
+    ],
+    ids=[
+        "float", "integral-float", "bool", "bool-array", "nan", "negative", "144", "uint8-255",
+        "2-D", "2-D-uint8", "scalar", "string",
+    ],
+)
+def test_event_log_rejects_non_codes(codes):
+    with pytest.raises(InputError):
+        EventLog(codes)
+
+
+def test_event_log_decodes_every_code():
+    codes = np.arange(144, dtype=np.uint8)
+    log = EventLog(codes)
+    assert np.shares_memory(log.codes, codes) and codes.flags.writeable
+    assert not log.codes.flags.writeable
+    s1, s2, o1, o2 = np.indices((2, 2, 6, 6)).reshape(4, -1)
+    for column, expected in zip(
+        (log.setting1, log.setting2, log.outcome1, log.outcome2), (s1, s2, o1 + 1, o2 + 1)
+    ):
+        assert column.dtype == np.int8 and not column.flags.writeable
+        assert np.array_equal(column, expected)
+    assert event_log(log.setting1, log.setting2, log.outcome1, log.outcome2) == log
+    for dtype in (np.int16, np.int64, np.uint16, np.uint64):
+        assert EventLog(codes.astype(dtype)) == log
 
 
 # -- generator contract -------------------------------------------------------
@@ -737,9 +785,13 @@ def reference_run_experiment(config: RunConfig) -> EventLog:
     outcome1 = np.where(emitted, cells // 6 + 1, 3).astype(np.int8)
     outcome2 = np.where(emitted, cells % 6 + 1, 3).astype(np.int8)
     if not ideal:
-        outcome1 = montecarlo._thin_station(outcome1, u[:, 3], u[:, 4], config.detector_efficiency)
-        outcome2 = montecarlo._thin_station(outcome2, u[:, 5], u[:, 6], config.detector_efficiency)
-    return EventLog(pair_index // 2, pair_index % 2, outcome1, outcome2)
+        station = np.zeros((6, 2, 2), dtype=np.int64)
+        for code, a, b in np.ndindex(6, 2, 2):
+            station[code, a, b] = station_detects(code + 1, a, b)
+        hits = (u[:, 3:] < config.detector_efficiency).astype(np.int64)
+        outcome1 = station[outcome1 - 1, hits[:, 0], hits[:, 1]]
+        outcome2 = station[outcome2 - 1, hits[:, 2], hits[:, 3]]
+    return event_log(pair_index // 2, pair_index % 2, outcome1, outcome2)
 
 
 #: The small README run at p_pair 0.1 with detector efficiency 0.8; SHA-256 of
@@ -783,7 +835,7 @@ def test_chunked_run_frozen_lossy_digest(tmp_path):
 
 
 def test_run_memory_is_bounded():
-    n = 10**6
+    n = 4 * 10**6
     config = make_config(total_time=n * 1e-8, pair_probability=0.1, detector_efficiency=0.8)
     run_experiment(make_config(total_time=1e-6))  # state build and lookups outside the trace
     tracemalloc.start()
@@ -792,8 +844,23 @@ def test_run_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 4 B/bin log plus at most one block of uniforms and its temporaries
-    assert peak < 4 * n + 16 * 2**20
+    # the 1 B/bin log plus at most one block of uniforms and its temporaries
+    assert peak < n + 8 * 2**20
+
+
+def test_csv_read_memory_is_bounded(tmp_path):
+    n = 10**6
+    path = tmp_path / "events.csv"
+    run_experiment(make_config(total_time=n * 1e-8)).to_csv(path)
+    EventLog.from_csv(path)  # lookups and templates outside the trace
+    tracemalloc.start()
+    try:
+        EventLog.from_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the blocks' codes and their concatenation, plus one read block and its temporaries
+    assert peak < 2 * n + 4 * 2**20
 
 
 def test_estimate_memory_is_bounded():
@@ -812,7 +879,8 @@ def test_estimate_memory_is_bounded():
 @pytest.mark.parametrize("chunk", [1, 7, 1001], ids=["1", "7", "n+1"])
 def test_estimate_counts_blockwise_match_whole_array(monkeypatch, chunk):
     log = random_log(1000, seed=chunk)
-    s1, s2, o1, o2 = (getattr(log, name).astype(np.int64) for name in EventLog.__slots__)
+    columns = (log.setting1, log.setting2, log.outcome1, log.outcome2)
+    s1, s2, o1, o2 = (column.astype(np.int64) for column in columns)
     whole = np.bincount(72 * s1 + 36 * s2 + 6 * o1 + o2 - 7, minlength=144).reshape(4, 6, 6)
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     assert np.array_equal(estimate_correlators(log).counts, whole)
@@ -835,7 +903,7 @@ def test_estimate_counts_match_reference(n):
 
 
 def test_estimate_counts_extreme_cells():
-    log = EventLog([0, 0, 1, 1], [0, 1, 0, 1], [1, 6, 1, 6], [1, 6, 6, 6])  # cells 0 ... 143
+    log = event_log([0, 0, 1, 1], [0, 1, 0, 1], [1, 6, 1, 6], [1, 6, 6, 6])  # cells 0 ... 143
     counts = estimate_correlators(log).counts
     assert counts[0, 0, 0] == counts[3, 5, 5] == 1
     assert np.array_equal(counts, reference_counts(log))
