@@ -66,14 +66,28 @@ def parse_settings(text: str) -> ChshSettings:
     return ChshSettings.from_radians(*(parse_angle(p) for p in parts))
 
 
-def _resolve_out(path: str | None) -> Path | None:
+def _checked_out(path: str | None, what: str = "") -> Path | None:
+    """The resolved ``--out`` path, once it has opened for writing.
+
+    Every command calls this after parsing its inputs and before its
+    library call, so an unwritable path exits 2 before any work is done.
+    The probe truncates nothing, and removes the file it had to create, so
+    a command that fails later leaves no empty output behind.
+    """
     if path is None:
         return None
-    p = Path(path)
+    out = Path(path)
     base = os.environ.get(OUT_DIR_ENV)
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    return p
+    if base and not out.is_absolute():
+        out = Path(base) / out
+    existed = os.path.lexists(out)
+    try:
+        open(out, "ab").close()
+    except OSError as exc:
+        raise InputError(f"cannot write {what}{out}: {exc}") from exc
+    if not existed:
+        out.unlink()
+    return out
 
 
 def _emit(payload: dict, out: Path | None) -> None:
@@ -116,32 +130,36 @@ def cmd_state(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    xi, eta = PolarizerAngle(parse_angle(args.xi)), PolarizerAngle(parse_angle(args.eta))
     state = _prepared_state(args.p_pair)
-    dist = joint_distribution(
-        state, PolarizerAngle(parse_angle(args.xi)), PolarizerAngle(parse_angle(args.eta))
-    )
-    _emit(dist.to_json_dict(), _resolve_out(args.out))
+    out = _checked_out(args.out)
+    dist = joint_distribution(state, xi, eta)
+    _emit(dist.to_json_dict(), out)
     return EXIT_OK
 
 
 def cmd_chsh(args: argparse.Namespace) -> int:
+    settings = parse_settings(args.settings)
     state = _prepared_state(args.p_pair)
-    result = chsh_decomposition(state, parse_settings(args.settings))
-    _emit(result.to_json_dict(), _resolve_out(args.out))
+    out = _checked_out(args.out)
+    result = chsh_decomposition(state, settings)
+    _emit(result.to_json_dict(), out)
     return EXIT_OK
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     state = _prepared_state(args.p_pair)
+    out = _checked_out(args.out)
     settings, value = optimize_angles(state)
-    _emit({"settings_rad": list(settings.as_radians()), "value": value}, _resolve_out(args.out))
+    _emit({"settings_rad": list(settings.as_radians()), "value": value}, out)
     return EXIT_OK
 
 
 def cmd_lhv_check(args: argparse.Namespace) -> int:
     tables = tables_from_json_dict(_load_json(args.input))
+    out = _checked_out(args.out)
     verdict = lhv_feasible(tables)
-    _emit(verdict_to_json_dict(verdict), _resolve_out(args.out))
+    _emit(verdict_to_json_dict(verdict), out)
     return EXIT_OK if verdict.feasible else EXIT_INFEASIBLE
 
 
@@ -153,22 +171,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = validate_config(config)
     if not report.ok:
         raise InvalidConfigError("; ".join(report.errors))
-    out = _resolve_out(args.out)
-    try:
-        open(out, "ab").close()  # creates a missing file, truncates nothing
-    except OSError as exc:
-        raise InputError(f"cannot write event log {out}: {exc}") from exc
+    out = _checked_out(args.out, "event log ")
     run_experiment(config).to_csv(out)
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     settings = None if args.settings is None else parse_settings(args.settings)
+    out = _checked_out(args.out)
     report = estimate_correlators(EventLog.from_csv(args.input))
     payload = report.to_json_dict()
     if settings is not None:
         payload["settings_rad"] = list(settings.as_radians())
-    _emit(payload, _resolve_out(args.out))
+    _emit(payload, out)
     return EXIT_OK
 
 

@@ -21,8 +21,10 @@ floor the LP decides, and its per-cell tolerance returns Feasible for them.
 Everything else goes to a phase-one linear program: minimize the L1
 mismatch between a weighted strategy mixture and the target tables.  Zero
 mismatch means an explicit model exists; positive mismatch means
-separation, and the LP dual supplies the separating Bell functional.  Only
-this step imports scipy.  All inputs and outputs are immutable.
+separation, and the LP dual supplies the separating Bell functional.  Its
+constraint matrix is built once, as a sparse CSC matrix, and every solve
+reuses it.  Only this step imports scipy.  All inputs and outputs are
+immutable.
 """
 
 from __future__ import annotations
@@ -125,6 +127,23 @@ def _constraint_matrix() -> np.ndarray:
     rows = np.zeros((4 * N_OUTCOMES * N_OUTCOMES, N_STRATEGIES))
     rows[_strategy_cells(), np.arange(N_STRATEGIES)] = 1.0
     return rows
+
+
+@lru_cache(maxsize=1)
+def _phase_one_matrix():
+    """The phase-one LP's equality matrix, built once as a read-only CSC.
+
+    Blocks [cells | +I | -I ; 1...1 | 0 | 0] over the variables [weights
+    (1296), slack+ (144), slack- (144)].  Only the LP path imports scipy.
+    """
+    from scipy.sparse import csc_array
+
+    eye = np.eye(4 * N_OUTCOMES**2)
+    sums = np.concatenate([np.ones(N_STRATEGIES), np.zeros(2 * len(eye))])
+    matrix = csc_array(np.block([[_constraint_matrix(), eye, -eye], [sums]]))
+    for part in (matrix.data, matrix.indices, matrix.indptr):
+        part.flags.writeable = False
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -289,17 +308,10 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     b_cells = stacked.reshape(-1)
     a_cells = _constraint_matrix()
     n_cells = a_cells.shape[0]
-
-    # Variables: [weights (1296), slack+ (144), slack- (144)].
-    a_eq = np.zeros((n_cells + 1, N_STRATEGIES + 2 * n_cells))
-    a_eq[:n_cells, :N_STRATEGIES] = a_cells
-    a_eq[:n_cells, N_STRATEGIES : N_STRATEGIES + n_cells] = np.eye(n_cells)
-    a_eq[:n_cells, N_STRATEGIES + n_cells :] = -np.eye(n_cells)
-    a_eq[n_cells, :N_STRATEGIES] = 1.0
     b_eq = np.concatenate([b_cells, [1.0]])
     cost = np.concatenate([np.zeros(N_STRATEGIES), np.ones(2 * n_cells)])
 
-    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    result = linprog(cost, A_eq=_phase_one_matrix(), b_eq=b_eq, bounds=(0, None), method="highs")
     if not result.success:  # pragma: no cover - phase-one LP is always feasible
         raise CertificateExtractionError(f"LP solver failed: {result.message}")
 

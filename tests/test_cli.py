@@ -397,6 +397,15 @@ def test_analyze_malformed_log_exits_2(tmp_path, capsys, row):
     assert "line 3: malformed row" in capsys.readouterr().err
 
 
+def test_failed_command_leaves_no_out_file(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text("bin,setting1,setting2,outcome1,outcome2\n1,0,0,9,3\n")
+    out = tmp_path / "report.json"
+    assert run_cli("analyze", "--input", str(events), "--out", str(out)) == 2
+    assert "line 2: malformed row" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_then_analyze_resolves_violation(tmp_path, capsys):
     config = tmp_path / "run.json"
     _write_config(config, T=4e-3, p_pair=0.01, seed=20240817)
@@ -420,25 +429,33 @@ def test_out_dir_environment_variable(tmp_path, monkeypatch, capsys):
     assert target.exists()
 
 
+#: Per command: its arguments besides --out, and the library call that must
+#: not run while --out cannot be written.
+_WORK_AFTER_OUT = {
+    "optimize": ((), "optimize_angles"),
+    "table": (("--xi", "0deg", "--eta", "0deg"), "joint_distribution"),
+    "chsh": (("--settings", OPTIMAL_FLAG), "chsh_decomposition"),
+    "lhv-check": (("--input", "tables.json"), "lhv_feasible"),
+    "simulate": (("--config", "run.json"), "run_experiment"),
+    "analyze": (("--input", "events.csv"), "EventLog.from_csv"),
+}
+
+
 @pytest.mark.parametrize("target", ["missing/out", "."], ids=["missing-dir", "is-dir"])
-@pytest.mark.parametrize(
-    "argv",
-    [("optimize",), ("table", "--xi", "0deg", "--eta", "0deg"), ("simulate",)],
-    ids=["optimize", "table", "simulate"],
-)
-def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv, target):
-    if argv == ("simulate",):
-        config = tmp_path / "run.json"
-        _write_config(config)
-        argv = ("simulate", "--config", str(config))
+@pytest.mark.parametrize("command", list(_WORK_AFTER_OUT))
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, quantum_tables, command, target):
+    args, work = _WORK_AFTER_OUT[command]
 
-        def run_experiment(config):
-            raise AssertionError("simulate ran before checking --out")
+    def no_work(*_args, **_kwargs):
+        raise AssertionError(f"{command} called {work} before checking --out")
 
-        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    monkeypatch.setattr(f"pdcbell.cli.{work}", no_work)
+    (tmp_path / "tables.json").write_text(json.dumps(tables_to_json_dict(quantum_tables)))
+    _write_config(tmp_path / "run.json")
+    args = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in args]
     out = tmp_path / target
-    assert run_cli(*argv, "--out", str(out)) == 2
-    what = "event log " if argv[0] == "simulate" else ""
+    assert run_cli(command, *args, "--out", str(out)) == 2
+    what = "event log " if command == "simulate" else ""
     assert f"cannot write {what}{out}" in capsys.readouterr().err
 
 

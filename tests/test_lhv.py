@@ -255,20 +255,28 @@ def test_tables_json_writer_rejects_off_pattern_tables(quantum_tables):
 # -- facet step ----------------------------------------------------------------
 
 
+def reference_a_eq():
+    """The phase-one equality matrix, dense, built block by block."""
+    n_cells = lhv._constraint_matrix().shape[0]
+    a_eq = np.zeros((n_cells + 1, N_STRATEGIES + 2 * n_cells))
+    a_eq[:n_cells, :N_STRATEGIES] = lhv._constraint_matrix()
+    a_eq[:n_cells, N_STRATEGIES : N_STRATEGIES + n_cells] = np.eye(n_cells)
+    a_eq[:n_cells, N_STRATEGIES + n_cells :] = -np.eye(n_cells)
+    a_eq[n_cells, :N_STRATEGIES] = 1.0
+    return a_eq
+
+
 def reference_lhv_feasible(tables):
     """LP-only decision: lhv_feasible as it was before the facet step.
 
     The oracle for every verdict the LP still reaches (all Feasible ones).
+    It hands linprog a dense matrix built afresh on every call.
     """
     b_cells = lhv._validate_tables(tables).reshape(-1)
     a_cells = lhv._constraint_matrix()
     n_cells = a_cells.shape[0]
 
-    a_eq = np.zeros((n_cells + 1, N_STRATEGIES + 2 * n_cells))
-    a_eq[:n_cells, :N_STRATEGIES] = a_cells
-    a_eq[:n_cells, N_STRATEGIES : N_STRATEGIES + n_cells] = np.eye(n_cells)
-    a_eq[:n_cells, N_STRATEGIES + n_cells :] = -np.eye(n_cells)
-    a_eq[n_cells, :N_STRATEGIES] = 1.0
+    a_eq = reference_a_eq()
     b_eq = np.concatenate([b_cells, [1.0]])
     cost = np.concatenate([np.zeros(N_STRATEGIES), np.ones(2 * n_cells)])
 
@@ -407,3 +415,45 @@ def test_feasible_verdict_json_matches_lp_only_oracle():
         verdict = verdict_to_json_dict(lhv_feasible(tables))
         assert verdict["feasible"] is True
         assert json.dumps(verdict) == json.dumps(verdict_to_json_dict(reference_lhv_feasible(tables)))
+
+
+def test_phase_one_matrix_is_the_dense_oracle_as_csc():
+    from scipy.sparse import csc_array
+
+    matrix = lhv._phase_one_matrix()
+    expected = csc_array(reference_a_eq())
+    assert matrix.shape == expected.shape == (145, N_STRATEGIES + 2 * 144)
+    for name in ("indptr", "indices", "data"):
+        part = getattr(matrix, name)
+        assert part.dtype == getattr(expected, name).dtype
+        assert np.array_equal(part, getattr(expected, name))
+        assert not part.flags.writeable
+
+
+def test_lp_reuses_one_sparse_matrix(monkeypatch):
+    from scipy.sparse import issparse
+
+    matrices = []
+    solve = lhv.linprog
+
+    def recording_linprog(*args, **kwargs):
+        matrices.append(kwargs["A_eq"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lhv, "linprog", recording_linprog)
+    rng = np.random.default_rng(73)
+    for support in (3, 40):
+        weights = np.zeros(N_STRATEGIES)
+        weights[rng.choice(N_STRATEGIES, support, replace=False)] = rng.dirichlet(np.ones(support))
+        settings = ChshSettings.from_radians(*rng.uniform(0.0, math.pi, 4))
+        assert isinstance(lhv_feasible(synthesize_tables(LhvModel(weights), settings)), Feasible)
+    assert len(matrices) == 2
+    assert matrices[0] is matrices[1] is lhv._phase_one_matrix()
+    assert issparse(matrices[0])
+
+
+def test_diluted_below_the_facet_floor_matches_lp_only_oracle(psi):
+    tables = diluted_tables(psi, 1e-12)
+    assert lhv._facet_verdict(lhv._validate_tables(tables), tables) is None
+    verdict = verdict_to_json_dict(lhv_feasible(tables))
+    assert json.dumps(verdict) == json.dumps(verdict_to_json_dict(reference_lhv_feasible(tables)))
