@@ -123,9 +123,10 @@ def _strategy_cells() -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _constraint_matrix() -> np.ndarray:
-    """(144, 1296) matrix: cell (pair, i, j) indicator per strategy."""
+    """Read-only (144, 1296) matrix: cell (pair, i, j) indicator per strategy."""
     rows = np.zeros((4 * N_OUTCOMES * N_OUTCOMES, N_STRATEGIES))
     rows[_strategy_cells(), np.arange(N_STRATEGIES)] = 1.0
+    rows.flags.writeable = False
     return rows
 
 

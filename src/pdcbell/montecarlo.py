@@ -18,8 +18,9 @@ generator ships with the test suite.
 The stream is drawn in sequential blocks of ``_CHUNK`` bins; consecutive
 draws from one generator continue the same stream, so a blocked run is
 bit-identical to a single whole-stream draw while holding only one block of
-uniforms besides the event log.  The log keeps one byte per bin: the bin's
-``_cell_code``, its (setting pair, outcome i, outcome j) cell out of 144.
+uniforms besides the event log.  Outcome cells come from a guide table, exact
+as a binary search in the cumulative distribution.  The log keeps one byte
+per bin: the bin's ``_cell_code``, its (setting pair, i, j) cell out of 144.
 
 Event logs are CSV.  One renderer, ``_render_rows``, owns the bytes of a
 row: ``EventLog.to_csv`` writes what it renders, and ``EventLog.from_csv``
@@ -63,9 +64,12 @@ _N_CELLS = 36 * _N_SETTING_PAIRS
 #: Cell 6 * (o1 - 1) + o2 - 1 of the vacuum outcome (3, 3) within a setting pair.
 _VACUUM_CELL = 14
 
-#: Bins drawn per block of the random stream (one block of uniforms is
-#: ``_CHUNK * width * 8`` bytes).
-_CHUNK = 1 << 16
+#: Bins drawn per block of the random stream; a lossy block of uniforms,
+#: ``_CHUNK * 7 * 8`` bytes (0.9 MB), stays in L2.
+_CHUNK = 1 << 14
+#: Buckets per setting pair of ``_guide_table``: a power of two, so u * _GUIDE is exact.
+_GUIDE = 1 << 12
+_SPLIT = 255  # guide entry of a bucket that a cumulative value splits
 
 
 def _loss_table() -> np.ndarray:
@@ -94,7 +98,9 @@ _CONFIG_KEYS = ("T", "tau", "p_pair", "settings_rad", "seed", "L", "detector_eff
 
 _CSV_HEADER = b"bin,setting1,setting2,outcome1,outcome2"
 # Rows rendered per write and bytes read per block by the CSV event-log I/O.
-_WRITE_BLOCK = 1 << 16
+# A write block's 8 B/row of tails stays below a run's block of uniforms: glibc
+# raises its mmap threshold to the largest block freed, so they reuse heap pages.
+_WRITE_BLOCK = 1 << 14
 _READ_BLOCK = 1 << 19
 # No valid row comes near this length (an int64 bin has at most 19 digits).
 _MAX_LINE = 64
@@ -469,6 +475,25 @@ def _parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
     return _cell_code(*fields)
 
 
+def _guide_table(cumulative: np.ndarray) -> np.ndarray:
+    """Read-only uint8: at k * _GUIDE + b, pair k's cell on [b, b + 1) / _GUIDE, or _SPLIT."""
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    lo = np.stack([np.searchsorted(cum, edges[:-1], side="right") for cum in cumulative])
+    hi = np.stack([np.searchsorted(cum, edges[1:], side="left") for cum in cumulative])
+    guide = np.where(lo == hi, np.minimum(lo, 35), _SPLIT).astype(np.uint8).reshape(-1)
+    guide.flags.writeable = False
+    return guide
+
+
+def _lookup_cells(guide, cumulative, pairs, u) -> np.ndarray:
+    """uint8 min(searchsorted(cumulative[pair], u, "right"), 35) per (pair, u)."""
+    cells = guide.take(pairs.astype(np.intp) * _GUIDE + (u * _GUIDE).astype(np.intp))
+    split = np.flatnonzero(cells == _SPLIT)
+    # cumulative never decreases: its count of values <= u is searchsorted "right"
+    cells[split] = np.minimum((cumulative[pairs[split]] <= u[split, None]).sum(axis=1), 35)
+    return cells
+
+
 def run_experiment(config: RunConfig) -> EventLog:
     """Simulate one counting run; bit-identical for identical configs and seeds.
 
@@ -493,6 +518,7 @@ def run_experiment(config: RunConfig) -> EventLog:
     n = config.n_bins
     ideal = config.detector_efficiency >= 1.0
     width = 3 if ideal else 7
+    guide = _guide_table(cumulative)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     codes = np.empty(n, dtype=np.uint8)
     block = np.empty((min(_CHUNK, n), width))  # reused: no fresh pages per block
@@ -503,16 +529,14 @@ def run_experiment(config: RunConfig) -> EventLog:
         codes[start : start + len(u)] = 36 * pair_index + _VACUUM_CELL
 
         emitted = np.flatnonzero(u[:, 1] < config.pair_probability)
-        pairs = pair_index[emitted]
-        cells = np.empty(emitted.size, dtype=np.uint8)
-        for k in range(_N_SETTING_PAIRS):
-            mask = pairs == k
-            cells[mask] = np.searchsorted(cumulative[k], u[emitted[mask], 2], side="right")
-        cells = np.minimum(cells, 35)
+        rows = u.take(emitted, axis=0)
+        pairs = pair_index.take(emitted)
+        cells = _lookup_cells(guide, cumulative, pairs, rows[:, 2])
         if not ideal:
-            # 0/1 integer indices: a boolean index array would act as a mask
-            hits = (u[emitted, 3:] < config.detector_efficiency).view(np.int8)
-            cells = _LOSS_TABLE[(cells, *hits.T)]
+            # flat index 16 * cell + 8 * h1a + 4 * h1b + 2 * h2a + h2b into _LOSS_TABLE
+            hits = (rows[:, 3:] < config.detector_efficiency).view(np.uint8)
+            bits = hits @ np.array([8, 4, 2, 1], dtype=np.uint8)
+            cells = _LOSS_TABLE.reshape(-1).take(16 * cells.astype(np.intp) + bits)
         codes[start + emitted] = 36 * pairs + cells
 
     return EventLog(codes)

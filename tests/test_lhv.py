@@ -430,6 +430,14 @@ def test_phase_one_matrix_is_the_dense_oracle_as_csc():
         assert not part.flags.writeable
 
 
+def test_constraint_matrix_is_read_only():
+    matrix = lhv._constraint_matrix()
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 2.0
+    assert matrix is lhv._constraint_matrix() and matrix[0, 0] == 1.0
+
+
 def test_lp_reuses_one_sparse_matrix(monkeypatch):
     from scipy.sparse import issparse
 

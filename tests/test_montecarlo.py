@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import event_log
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdcbell import montecarlo
 from pdcbell.bell import ChshSettings, OPTIMAL_SETTINGS
@@ -494,7 +496,9 @@ def random_log(n: int, seed: int = 0) -> EventLog:
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 1000, 12345, montecarlo._WRITE_BLOCK + 1])
+@pytest.mark.parametrize(
+    "n", [0, 1, 9, 10, 99, 100, 1000, 12345, 4 * montecarlo._WRITE_BLOCK + 1]
+)
 def test_event_log_csv_matches_reference(tmp_path, n):
     log = random_log(n, seed=n)
     path, reference = tmp_path / "events.csv", tmp_path / "reference.csv"
@@ -828,6 +832,86 @@ def test_chunked_run_extreme_pair_probabilities(monkeypatch, p_pair, efficiency)
     assert vacuum.all() if p_pair == 0.0 else not vacuum.all()
 
 
+def outcome_cumulative(chsh: ChshSettings) -> np.ndarray:
+    """The (4, 36) cumulative outcome tables run_experiment samples from."""
+    state = build_experiment_state()
+    return np.stack(
+        [
+            np.cumsum(joint_distribution(state, xi, eta).probs.reshape(-1))
+            for xi, eta in chsh.setting_pairs()
+        ]
+    )
+
+
+def lookup_edges(cum: np.ndarray) -> np.ndarray:
+    """The u in [0, 1) where a cell lookup in ``cum`` can go wrong."""
+    cum = cum[(cum >= 0) & (cum < 1)]
+    edges = np.arange(montecarlo._GUIDE) / montecarlo._GUIDE
+    u = np.concatenate(
+        [
+            cum,
+            np.nextafter(cum, 0.0),
+            np.nextafter(cum, 2.0),
+            edges,  # b / M, with 0.0
+            np.nextafter(edges + 1 / montecarlo._GUIDE, 0.0),  # below (b + 1) / M, with 1 - ulp
+        ]
+    )
+    return u[(u >= 0) & (u < 1)]
+
+
+@pytest.mark.parametrize(
+    "seed", [None, 0, 1, 2], ids=["optimal", "random-0", "random-1", "random-2"]
+)
+def test_cell_lookup_is_exact_at_every_edge(seed):
+    """The p_pair 1 tables at the optimal and at random settings, for all four pairs."""
+    chsh = OPTIMAL_SETTINGS
+    if seed is not None:
+        chsh = ChshSettings.from_radians(*np.random.default_rng(seed).uniform(0, math.pi, 4))
+    cumulative = outcome_cumulative(chsh)
+    # zero-probability cells repeat cumulative values: the ties a lookup must get right
+    assert all((np.diff(cum) == 0).any() for cum in cumulative)
+    guide = montecarlo._guide_table(cumulative)
+    assert guide.dtype == np.uint8 and not guide.flags.writeable
+    # each cumulative value splits at most one bucket of its pair
+    assert np.count_nonzero(guide == montecarlo._SPLIT) <= cumulative.size
+    us = [lookup_edges(cum) for cum in cumulative]
+    pairs = np.concatenate([np.full(len(u), k, dtype=np.uint8) for k, u in enumerate(us)])
+    u = np.concatenate(us)
+    # pair 3 in the top bucket: the largest guide index
+    assert ((pairs == 3) & (u == np.nextafter(1.0, 0.0))).any()
+    cells = montecarlo._lookup_cells(guide, cumulative, pairs, u)
+    expected = np.concatenate(
+        [np.minimum(np.searchsorted(cum, u, side="right"), 35) for cum, u in zip(cumulative, us)]
+    )
+    assert cells.dtype == np.uint8
+    assert np.array_equal(cells, expected)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**63),
+    angles=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+    p_pair=st.floats(0.0, 1.0),
+    efficiency=st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+    n_bins=st.integers(1, 5000),
+    chunk=st.sampled_from(["1", "7", "64", "n", "n+1"]),
+)
+def test_run_matches_whole_stream_oracle(seed, angles, p_pair, efficiency, n_bins, chunk):
+    config = make_config(
+        total_time=n_bins * 1e-8,
+        pair_probability=p_pair,
+        settings=ChshSettings.from_radians(*angles),
+        seed=seed,
+        detector_efficiency=efficiency,
+    )
+    assert config.n_bins == n_bins
+    chunk = {"n": n_bins, "n+1": n_bins + 1}.get(chunk) or int(chunk)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(montecarlo, "_CHUNK", chunk)
+        warnings.simplefilter("ignore", UserWarning)  # p_pair above the warning level
+        assert run_experiment(config) == reference_run_experiment(config)
+
+
 def test_chunked_run_frozen_lossy_digest(tmp_path):
     path = tmp_path / "events.csv"
     run_experiment(RunConfig.from_json_dict(SMALL_LOSSY_CONFIG)).to_csv(path)
@@ -844,8 +928,8 @@ def test_run_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 1 B/bin log plus at most one block of uniforms and its temporaries
-    assert peak < n + 8 * 2**20
+    # the 1 B/bin log plus one 0.9 MB block of uniforms and its emitted rows
+    assert peak < n + 2 * 2**20
 
 
 def test_csv_read_memory_is_bounded(tmp_path):
