@@ -19,11 +19,11 @@ p_pair of about 2.5e-12, where that gap meets the allowance.  Below this
 floor the LP decides, and its per-cell tolerance returns Feasible for them.
 
 Everything else goes to a phase-one linear program: minimize the L1
-mismatch between a weighted strategy mixture and the target tables.  Zero
-mismatch means an explicit model exists; positive mismatch means
-separation, and the LP dual supplies the separating Bell functional.  Its
-constraint matrix is built once, as a sparse CSC matrix, and every solve
-reuses it.  Only this step imports scipy.  All inputs and outputs are
+mismatch between a weighted strategy mixture and the clipped, renormalized
+tables.  Zero mismatch means an explicit model exists; positive mismatch
+means separation, and the LP dual supplies the separating Bell functional.
+Its constraint matrix is built once, as a sparse CSC matrix, and every
+solve reuses it.  Only this step imports scipy.  All inputs and outputs are
 immutable.
 """
 
@@ -44,7 +44,7 @@ from .errors import (
     InputError,
     MalformedTablesError,
 )
-from .measurement import JointDistribution
+from .measurement import JointDistribution, json_floats
 
 
 def linprog(*args, **kwargs):
@@ -266,7 +266,7 @@ def _validate_tables(tables: Sequence[JointDistribution]) -> np.ndarray:
 
 
 def _facet_verdict(
-    stacked: np.ndarray, tables: Sequence[JointDistribution]
+    stacked: np.ndarray, normalized: np.ndarray, tables: Sequence[JointDistribution]
 ) -> Infeasible | None:
     """Infeasible when the best CHSH relabeling certifies it exactly, else None.
 
@@ -278,8 +278,6 @@ def _facet_verdict(
     correlators = (stacked * SIGN_TABLE).sum(axis=(1, 2))
     pattern = _CHSH_PATTERNS[int(np.argmax(_CHSH_PATTERNS @ correlators))]
     certificate = _certificate(pattern[:, None, None] * SIGN_TABLE, tables)
-    clipped = np.clip(stacked, 0.0, None)
-    normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
     slack = float(np.abs(stacked - normalized).sum())
     if certificate.gap > slack + _FACET_GAP_TOL:
         return Infeasible(certificate)
@@ -297,16 +295,20 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     such as the optimal tables diluted below p_pair 2.5e-12 (see the
     module docstring).
 
-    Feasible returns an explicit strategy mixture reproducing the tables to
-    RECONSTRUCTION_TOL per cell.  Infeasible from the LP returns a Bell
-    functional with a strictly positive, enumeration-verified gap, scaled
-    to max-abs coefficient 1.
+    The LP fits the clipped, renormalized tables, since a strategy mixture
+    sums to 1 on every table.  Feasible returns an explicit mixture
+    reproducing them to RECONSTRUCTION_TOL per cell.  Infeasible from the
+    LP returns a Bell functional with a strictly positive,
+    enumeration-verified gap on the tables as given, scaled to max-abs
+    coefficient 1.
     """
     stacked = _validate_tables(tables)
-    facet = _facet_verdict(stacked, tables)
+    clipped = np.clip(stacked, 0.0, None)
+    normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
+    facet = _facet_verdict(stacked, normalized, tables)
     if facet is not None:
         return facet
-    b_cells = stacked.reshape(-1)
+    b_cells = normalized.reshape(-1)
     a_cells = _constraint_matrix()
     n_cells = a_cells.shape[0]
     b_eq = np.concatenate([b_cells, [1.0]])
@@ -399,7 +401,7 @@ def tables_from_json_dict(data: Mapping) -> list[JointDistribution]:
     tables = [JointDistribution.from_json_dict(t) for t in raw]
     if "settings_rad" in data:
         try:
-            declared = [float(a) for a in data["settings_rad"]]
+            declared = json_floats(data, "settings_rad")
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed 'settings_rad': {exc}") from exc
         if len(declared) != 4 or not all(math.isfinite(a) for a in declared):

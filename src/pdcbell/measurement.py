@@ -157,12 +157,20 @@ class JointDistribution:
         try:
             xi = PolarizerAngle(float(data["xi_rad"]))
             eta = PolarizerAngle(float(data["eta_rad"]))
-            probs = np.array([float(p) for p in data["probs"]], dtype=float)
+            probs = np.array(json_floats(data, "probs"), dtype=float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed joint-distribution JSON: {exc}") from exc
         if probs.size != 36:
             raise InputError(f"probs must have 36 entries, got {probs.size}")
         return cls(xi, eta, probs.reshape(6, 6))
+
+
+def json_floats(data: Mapping, key: str) -> list[float]:
+    """``data[key]`` as floats; anything but an array, a string included, raises TypeError."""
+    values = data[key]
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{key} must be an array of numbers, got {type(values).__name__}")
+    return [float(v) for v in values]
 
 
 def rotate_station_basis(state: StateVector, station: str, xi: PolarizerAngle) -> StateVector:

@@ -22,12 +22,11 @@ uniforms besides the event log.  Outcome cells come from a guide table, exact
 as a binary search in the cumulative distribution.  The log keeps one byte
 per bin: the bin's ``_cell_code``, its (setting pair, i, j) cell out of 144.
 
-Event logs are CSV.  One renderer, ``_render_rows``, owns the bytes of a
-row: ``EventLog.to_csv`` writes what it renders, and ``EventLog.from_csv``
-takes a block as it is only when the renderer reproduces it from the
-block's own fields.  A block with any non-canonical line goes through the
-general checker ``_parse_rows``, so the accepted grammar and every error
-message are the checker's.
+Event logs are CSV.  One renderer, ``_render_rows``, is the row grammar:
+``EventLog.to_csv`` writes what it renders, and ``EventLog.from_csv``
+accepts a block only when the renderer reproduces it from the block's own
+fields, as it stands or with every line ending made CRLF.  An error names
+the line holding the first byte where the two differ.
 """
 
 from __future__ import annotations
@@ -42,7 +41,13 @@ import numpy as np
 
 from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
 from .errors import EmptySettingPairError, InputError, InvalidConfigError
-from .measurement import OutcomeClass, classify_occupation, joint_distribution, outcome_occupation
+from .measurement import (
+    OutcomeClass,
+    classify_occupation,
+    joint_distribution,
+    json_floats,
+    outcome_occupation,
+)
 from .optics import build_experiment_state
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -104,9 +109,6 @@ _WRITE_BLOCK = 1 << 14
 _READ_BLOCK = 1 << 19
 # No valid row comes near this length (an int64 bin has at most 19 digits).
 _MAX_LINE = 64
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-# Value range of each single-digit field after the bin: setting1, setting2, outcome1, outcome2.
-_FIELD_RANGES = ((0, 1), (0, 1), (1, 6), (1, 6))
 # Low bin digits a row template covers: rows in one aligned span of
 # 10**_SPAN_DIGITS bins differ only there and in their tail.
 _SPAN_DIGITS = 5
@@ -157,7 +159,7 @@ class RunConfig:
             seed = data["seed"]
             if isinstance(seed, bool) or not isinstance(seed, int):
                 raise InvalidConfigError(f"seed must be an integer, got {seed!r}")
-            settings = ChshSettings.from_radians(*[float(a) for a in data["settings_rad"]])
+            settings = ChshSettings.from_radians(*json_floats(data, "settings_rad"))
             return cls(
                 total_time=float(data["T"]),
                 bin_width=float(data["tau"]),
@@ -302,10 +304,9 @@ class EventLog:
         with the bin written in canonical decimal and equal to the row's
         1-based number, single-digit settings 0/1 and outcomes 1-6, lines
         ending in CRLF or LF, the last one optionally unterminated.  The file
-        is read in blocks of ``_READ_BLOCK`` bytes cut after the last newline.
-        A block that ``_render_rows`` renders back to the same bytes is taken
-        as it is; any other goes to ``_parse_rows``, which decides the rest
-        of the grammar and words every error.
+        is read in blocks of ``_READ_BLOCK`` bytes cut after the last newline;
+        ``_read_rows`` accepts a block only when ``_render_rows`` renders it
+        back, as it stands or in its CRLF form.
         """
         try:
             handle = open(path, "rb")
@@ -315,7 +316,8 @@ class EventLog:
             header = handle.readline(len(_CSV_HEADER) + 2)
             if header.removesuffix(b"\n").removesuffix(b"\r") != _CSV_HEADER:
                 raise InputError(f"event log {path} line 1: unexpected header {header!r}")
-            scratch = np.empty(_MAX_LINE + 1 + _READ_BLOCK, dtype=np.uint8)
+            # a block's CRLF form takes up to twice its bytes
+            scratch = np.empty(2 * (_MAX_LINE + 1 + _READ_BLOCK), dtype=np.uint8)
             blocks = [np.empty(0, dtype=np.uint8)]
             rows = 0
             carry = b""
@@ -364,7 +366,7 @@ def _tail_table() -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=len(_POW10))
+@functools.lru_cache(maxsize=19)  # an int64 bin has at most 19 digits
 def _row_template(width: int) -> np.ndarray:
     """Rows of ``width``-digit bins over one span: the low digits 0...0 to 9...9, CRLF.
 
@@ -412,67 +414,50 @@ def _render_rows(out: np.ndarray, first: int, codes: np.ndarray) -> np.ndarray:
 
 
 def _read_rows(buf: bytes, first_row: int, path, scratch: np.ndarray) -> np.ndarray:
-    """``_parse_rows``, taking ``buf`` as it is when it renders back to itself.
+    """The cell codes of newline-terminated rows, or InputError naming the first bad one.
 
-    The row count of canonical CRLF rows follows from the length of ``buf``,
-    width by width; their tails give the cell codes, and ``_render_rows``
-    must reproduce ``buf`` byte for byte from them.
+    ``first_row`` counts the rows before ``buf``.  The rows are accepted when
+    ``_render_rows`` renders their decoded codes back to them, as they stand or
+    in their CRLF form (LF and mixed endings).  Otherwise every line before
+    the first byte where the CRLF form and its rendering differ is canonical.
+    """
+    crlf = buf
+    codes, rendered = _render_back(buf, first_row, scratch)
+    if rendered != buf:
+        crlf = buf.replace(b"\r\n", b"\n").replace(b"\n", b"\r\n")
+        codes, rendered = _render_back(crlf, first_row, scratch)
+    if rendered == crlf:
+        return codes
+    # the rendering is never longer than crlf; a prefix of it differs at its end
+    same = np.frombuffer(crlf, np.uint8, len(rendered)) == np.frombuffer(rendered, np.uint8)
+    bad = crlf.count(b"\n", 0, np.append(same, False).argmin())
+    line = buf.split(b"\n", bad + 1)[bad] + b"\n"
+    raise InputError(
+        f"event log {path} line {first_row + bad + 2}: malformed row {line[:_MAX_LINE]!r}"
+    )
+
+
+def _render_back(buf: bytes, first_row: int, scratch: np.ndarray) -> tuple[np.ndarray, bytes]:
+    """The cell codes decoded from ``buf`` as canonical CRLF rows, and their rendering.
+
+    The row count follows from the length of ``buf``, width by width; a
+    remainder too short for a whole row is left out.  A non-canonical tail
+    decodes to a wrong code, which the rendering shows.
     """
     tails = [np.empty(0, dtype="<u8")]
     pos, bin_ = 0, first_row + 1
-    while pos < len(buf):
+    while pos + len(str(bin_)) + 10 <= len(buf):
         width = len(str(bin_))
         size = width + 10
         run = min((len(buf) - pos) // size, 10**width - bin_)
-        if run == 0:
-            return _parse_rows(buf, first_row, path)
         tails.append(
             np.ndarray((run,), dtype="<u8", buffer=buf, offset=pos + width, strides=(size,))
         )
         pos += run * size
         bin_ += run
-    # a non-canonical tail decodes to a wrong code, which the comparison catches
     tail_bytes = np.concatenate(tails).view(np.uint8).reshape(-1, 8)
     codes = _cell_code(*(tail_bytes[:, 1::2].T - np.uint8(ord("0"))))
-    if _render_rows(scratch, first_row + 1, codes).tobytes() != buf:
-        return _parse_rows(buf, first_row, path)
-    return codes
-
-
-def _parse_rows(buf: bytes, first_row: int, path) -> np.ndarray:
-    """Check newline-terminated CSV rows and return their uint8 cell codes.
-
-    ``first_row`` counts the rows before ``buf``; the error names the first
-    bad line by its number in the file (the header is line 1).
-    """
-    data = bytes(8) + buf  # the 8-byte gathers below never reach before the buffer
-    a = np.frombuffer(data, dtype=np.uint8)
-    words = np.ndarray((a.size - 7,), dtype="<u8", buffer=data, strides=(1,))
-    ends = np.flatnonzero(a == ord("\n"))
-    starts = np.concatenate(([8], ends[:-1] + 1))
-    stops = ends - (a[ends - 1] == ord("\r"))
-    bins = first_row + 1 + np.arange(ends.size)
-    width = np.searchsorted(_POW10, bins, side="right")
-    ok = stops - starts == width + 8
-    tail = words[stops - 8].view(np.uint8).reshape(-1, 8)
-    # uint8 arithmetic: a byte below the allowed range wraps round to a large value
-    fields = tail[:, 1::2].T - np.uint8(ord("0"))
-    for j, (low, high) in enumerate(_FIELD_RANGES):
-        ok &= (tail[:, 2 * j] == ord(",")) & (fields[j] - np.uint8(low) <= high - low)
-    value = np.zeros_like(bins)
-    for k in range(int(width.max(initial=0))):
-        byte = a[np.maximum(stops - 9 - k, 0)]
-        digit = np.where(k < width, byte - np.uint8(ord("0")), 0)
-        ok &= digit <= 9
-        value += digit.astype(np.int64) * 10**k
-    ok &= value == bins
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        line = data[starts[bad] : ends[bad] + 1]
-        raise InputError(
-            f"event log {path} line {first_row + bad + 2}: malformed row {line[:_MAX_LINE]!r}"
-        )
-    return _cell_code(*fields)
+    return codes, _render_rows(scratch, first_row + 1, codes).tobytes()
 
 
 def _guide_table(cumulative: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 import pdcbell
 from pdcbell import cli, lhv
-from pdcbell.bell import OPTIMAL_SETTINGS
+from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE
 from pdcbell.errors import InputError, ModelError
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables, tables_to_json_dict
 
@@ -207,6 +207,27 @@ def test_lhv_check_local_tables(tmp_path, capsys):
     assert data["feasible"] is True
 
 
+def test_lhv_check_local_tables_with_off_sums(tmp_path, capsys):
+    # A mixture of 16 CHSH-saturating strategies, each table scaled by
+    # 1 +- 1e-7 towards a CHSH value above 2, within the normalization the
+    # validator admits.  Fitted as given, these targets left the LP with a
+    # mismatch but no separating functional (exit 4); fitted renormalized,
+    # they have a model.
+    chsh = np.stack([sign * SIGN_TABLE for sign in CHSH_SIGNS])
+    saturating = np.flatnonzero(lhv._strategy_values(chsh) == 2.0)
+    rng = np.random.default_rng(10)
+    weights = np.zeros(N_STRATEGIES)
+    weights[rng.choice(saturating, 16, replace=False)] = rng.dirichlet(np.ones(16))
+    data = tables_to_json_dict(synthesize_tables(LhvModel(weights), OPTIMAL_SETTINGS))
+    for table, signs in zip(data["tables"], chsh):
+        term = np.sum(signs.reshape(-1) * table["probs"])
+        table["probs"] = [(1.0 + (1e-7 if term >= 0.0 else -1e-7)) * p for p in table["probs"]]
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("lhv-check", "--input", str(path)) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
 def test_lhv_check_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -236,12 +257,26 @@ def test_lhv_check_non_finite_table_angle_exits_2(tmp_path, capsys, quantum_tabl
     assert "is not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("settings", ["abc", None, [0.0, 0.1, 0.2, math.inf], [10**400] * 4])
-def test_lhv_check_malformed_settings_exits_2(tmp_path, capsys, quantum_tables, settings):
+@pytest.mark.parametrize(
+    "settings, probs",
+    [
+        pytest.param("abc", None, id="abc"),
+        pytest.param(None, None, id="None"),
+        pytest.param([0.0, 0.1, 0.2, math.inf], None, id="settings2"),
+        pytest.param([10**400] * 4, None, id="settings3"),
+        # a string is no array, though it iterates as one number per digit
+        pytest.param("0123", None, id="0123"),
+        pytest.param(list(OPTIMAL_SETTINGS.as_radians()), "0" * 36, id="string-probs"),
+    ],
+)
+def test_lhv_check_malformed_settings_exits_2(tmp_path, capsys, quantum_tables, settings, probs):
+    data = dict(tables_to_json_dict(quantum_tables), settings_rad=settings)
+    if probs is not None:
+        data["tables"][0]["probs"] = probs
     path = tmp_path / "tables.json"
-    path.write_text(json.dumps(dict(tables_to_json_dict(quantum_tables), settings_rad=settings)))
+    path.write_text(json.dumps(data))
     assert run_cli("lhv-check", "--input", str(path)) == 2
-    assert "settings_rad" in capsys.readouterr().err
+    assert ("settings_rad" if probs is None else "probs") in capsys.readouterr().err
 
 
 def _write_config(path, **overrides):
@@ -281,12 +316,16 @@ def test_simulate_invalid_config_exits_2(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("overrides", [{"T": math.nan}, {"tau": math.inf}, {"L": math.nan}])
+@pytest.mark.parametrize(
+    "overrides", [{"T": math.nan}, {"tau": math.inf}, {"L": math.nan}, {"settings_rad": "0123"}]
+)
 def test_simulate_non_finite_config_exits_2(tmp_path, capsys, overrides):
     config = tmp_path / "run.json"
     _write_config(config, **overrides)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
-    assert "is not finite" in capsys.readouterr().err
+    # a string is no array of four angles, though it iterates as one number per digit
+    stringy = "settings_rad" in overrides
+    assert ("settings_rad must be an array" if stringy else "is not finite") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -515,6 +515,10 @@ def test_event_log_csv_matches_reference(tmp_path, n):
     for variant in (lf, lf[:-1], data[:-2], data[:-1]):
         path.write_bytes(variant)
         assert EventLog.from_csv(path) == reference_parse_csv(path) == log
+    # a last row cut short and a trailing blank line: too short for a row
+    for variant in (data[:-4] + b"\r\n", data + b"\r\n", lf[:-4] + b"\n", lf + b"\n"):
+        path.write_bytes(variant)
+        assert_reads_like_reference(path)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
@@ -619,15 +623,30 @@ def test_event_log_csv_block_across_width_or_span(tmp_path, monkeypatch, boundar
     reference_digit_to_csv(log, reference)
     assert path.read_bytes() == reference.read_bytes()
 
-    def general_reader_called(*args):
-        raise AssertionError("a canonical block left the fast path")
+    render_rows = montecarlo._render_rows
+    renders = []
 
-    monkeypatch.setattr(montecarlo, "_parse_rows", general_reader_called)
+    def counting_render(out, first, codes):
+        renders.append((first, len(codes)))
+        return render_rows(out, first, codes)
+
+    def assert_each_block_rendered_once():
+        # consecutive renders tile the rows: no block went round a second time
+        firsts = [first for first, _ in renders]
+        ends = np.cumsum([1] + [count for _, count in renders])
+        assert firsts == ends[:-1].tolist() and ends[-1] == len(log) + 1
+        blocks = -(-(len(path.read_bytes()) - canonical_offset(0)) // montecarlo._READ_BLOCK)
+        assert len(renders) == blocks
+        renders.clear()
+
+    monkeypatch.setattr(montecarlo, "_render_rows", counting_render)
     assert EventLog.from_csv(path) == log
+    assert_each_block_rendered_once()
     # the first block stops 5 bytes short of the boundary row's end, so the
     # next one starts with that row and runs into the new width or span
     monkeypatch.setattr(montecarlo, "_READ_BLOCK", canonical_offset(boundary) - 5)
     assert EventLog.from_csv(path) == log
+    assert_each_block_rendered_once()
 
 
 CORRUPTION_ROWS = 250_001
@@ -635,16 +654,27 @@ CORRUPTION_ROWS = 250_001
 
 @pytest.fixture(scope="module")
 def corruption_log(tmp_path_factory):
+    """The log and its CSV bytes with CRLF and with LF line endings."""
     log = random_log(CORRUPTION_ROWS, seed=5)
     path = tmp_path_factory.mktemp("corrupt") / "events.csv"
     log.to_csv(path)
-    return log, path.read_bytes()
+    data = path.read_bytes()
+    return log, {"crlf": data, "lf": data.replace(b"\r\n", b"\n")}
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_event_log_csv_single_byte_corruption(tmp_path, corruption_log, seed):
-    """Each corrupted log reads like the general reader: same log or same message."""
-    log, data = corruption_log
+@pytest.mark.parametrize(
+    "form, seed",
+    [pytest.param("crlf", seed, id=str(seed)) for seed in range(12)]
+    + [pytest.param("lf", seed, id=f"lf-{seed}") for seed in range(12)],
+)
+def test_event_log_csv_single_byte_corruption(tmp_path, corruption_log, form, seed):
+    """Each corrupted log reads like the digit-by-digit reader: same log or same message.
+
+    The LF form is read through its CRLF form, so both of the reader's
+    steps meet every kind of corruption.
+    """
+    log, forms = corruption_log
+    data = forms[form]
     rng = np.random.default_rng(seed)
     path = tmp_path / "events.csv"
     for _ in range(4):
