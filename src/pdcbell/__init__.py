@@ -61,7 +61,6 @@ from .montecarlo import (
     estimate_correlators,
     run_experiment,
     sample_cascade,
-    validate_config,
 )
 from .optics import (
     PairAmplitude,

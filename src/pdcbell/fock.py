@@ -54,7 +54,7 @@ _POL_LETTERS = ("x", "y")
 Occupation = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeId:
     """One of the four optical modes: a spatial label plus a polarization index."""
 
@@ -82,6 +82,7 @@ def station_totals(occupation: Occupation) -> tuple[int, int]:
     return occupation[0] + occupation[1], occupation[2] + occupation[3]
 
 
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """Sparse pure state over the four-mode occupation basis.
 
@@ -89,17 +90,14 @@ class StateVector:
     records which spatial frame the state lives in.  Instances are immutable.
     """
 
-    __slots__ = ("_spatial", "_terms")
+    terms: Mapping[Occupation, complex] | Iterable[tuple[Occupation, complex]]
+    spatial: tuple[str, str] = ARM_LABELS
 
-    def __init__(
-        self,
-        terms: Mapping[Occupation, complex] | Iterable[tuple[Occupation, complex]],
-        spatial: tuple[str, str] = ARM_LABELS,
-    ) -> None:
-        spatial = tuple(spatial)
+    def __post_init__(self) -> None:
+        spatial = tuple(self.spatial)
         if len(spatial) != 2 or spatial[0] == spatial[1]:
             raise InputError(f"need two distinct spatial labels, got {spatial}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
         clean: dict[Occupation, complex] = {}
         for occ, amp in items:
             occ = tuple(int(n) for n in occ)
@@ -110,29 +108,18 @@ class StateVector:
             amp = complex(amp)
             if amp != 0:
                 clean[occ] = clean.get(occ, 0j) + amp
-        object.__setattr__(self, "_spatial", spatial)
-        object.__setattr__(self, "_terms", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("StateVector is immutable")
-
-    @property
-    def spatial(self) -> tuple[str, str]:
-        return self._spatial
-
-    @property
-    def terms(self) -> Mapping[Occupation, complex]:
-        return self._terms
+        object.__setattr__(self, "spatial", spatial)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def amplitude(self, occupation: Occupation) -> complex:
-        return self._terms.get(tuple(occupation), 0j)
+        return self.terms.get(tuple(occupation), 0j)
 
     def sorted_terms(self) -> list[tuple[Occupation, complex]]:
         """Terms in canonical (lexicographic occupation) order."""
-        return sorted(self._terms.items())
+        return sorted(self.terms.items())
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        return sum(abs(a) ** 2 for a in self.terms.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -142,28 +129,28 @@ class StateVector:
         if n == 0.0:
             raise InputError("cannot normalize the zero vector")
         return StateVector(
-            {occ: amp / n for occ, amp in self._terms.items() if abs(amp) / n > PRUNE_TOL},
-            self._spatial,
+            {occ: amp / n for occ, amp in self.terms.items() if abs(amp) / n > PRUNE_TOL},
+            self.spatial,
         )
 
     def prune(self) -> "StateVector":
         return StateVector(
-            {occ: amp for occ, amp in self._terms.items() if abs(amp) > PRUNE_TOL}, self._spatial
+            {occ: amp for occ, amp in self.terms.items() if abs(amp) > PRUNE_TOL}, self.spatial
         )
 
     def scale(self, factor: complex) -> "StateVector":
-        return StateVector({occ: factor * amp for occ, amp in self._terms.items()}, self._spatial)
+        return StateVector({occ: factor * amp for occ, amp in self.terms.items()}, self.spatial)
 
     def add(self, other: "StateVector") -> "StateVector":
         _check_labels(self, other)
-        out = dict(self._terms)
-        for occ, amp in other._terms.items():
+        out = dict(self.terms)
+        for occ, amp in other.terms.items():
             out[occ] = out.get(occ, 0j) + amp
-        return StateVector(out, self._spatial)
+        return StateVector(out, self.spatial)
 
     def relabel(self, spatial: tuple[str, str]) -> "StateVector":
         """Rename the spatial frame without touching amplitudes (beamsplitter output)."""
-        return StateVector(self._terms, spatial)
+        return StateVector(self.terms, spatial)
 
     def __iter__(self) -> Iterator[tuple[Occupation, complex]]:
         return iter(self.sorted_terms())
@@ -177,10 +164,10 @@ class StateVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self._spatial == other._spatial and dict(self._terms) == dict(other._terms)
+        return self.spatial == other.spatial and dict(self.terms) == dict(other.terms)
 
     def __hash__(self) -> int:
-        return hash((self._spatial, frozenset(self._terms.items())))
+        return hash((self.spatial, frozenset(self.terms.items())))
 
 
 def vacuum(spatial: tuple[str, str] = ARM_LABELS) -> StateVector:

@@ -17,6 +17,7 @@ immutable and pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping
@@ -30,16 +31,18 @@ from .fock import PHYSICS_TOL, ModeId, StateVector, apply_mode_unitary
 CLAMP_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarizerAngle:
     """Analyzer axis angle in radians, reduced mod pi (an axis is a line).
 
-    NaN and infinite angles raise InputError.
+    A bool, a string or any other non-number, NaN and infinite angles raise InputError.
     """
 
     angle: float
 
     def __post_init__(self) -> None:
+        if not is_number(self.angle):
+            raise InputError(f"analyzer angle must be a number, got {self.angle!r}")
         angle = float(self.angle)
         if not math.isfinite(angle):
             raise InputError(f"analyzer angle {angle} is not finite")
@@ -104,13 +107,16 @@ VACUUM_MASK[2, 2] = True
 LEGAL_MASK = FAVORABLE_MASK | UNFAVORABLE_MASK | VACUUM_MASK
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class JointDistribution:
     """6x6 outcome-pair probabilities for one analyzer setting pair."""
 
-    __slots__ = ("_xi", "_eta", "_probs")
+    xi: PolarizerAngle
+    eta: PolarizerAngle
+    probs: np.ndarray
 
-    def __init__(self, xi: PolarizerAngle, eta: PolarizerAngle, probs) -> None:
-        arr = np.array(probs, dtype=float)
+    def __post_init__(self) -> None:
+        arr = np.array(self.probs, dtype=float)
         if arr.shape != (6, 6):
             raise InputError(f"probability table must be 6x6, got shape {arr.shape}")
         if not np.isfinite(arr).all():
@@ -122,42 +128,24 @@ class JointDistribution:
         if abs(total - 1.0) > 1e-6:
             raise InputError(f"probability table sums to {total}, not 1")
         arr.flags.writeable = False
-        object.__setattr__(self, "_xi", xi)
-        object.__setattr__(self, "_eta", eta)
-        object.__setattr__(self, "_probs", arr)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("JointDistribution is immutable")
-
-    @property
-    def xi(self) -> PolarizerAngle:
-        return self._xi
-
-    @property
-    def eta(self) -> PolarizerAngle:
-        return self._eta
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self._probs
+        object.__setattr__(self, "probs", arr)
 
     def prob(self, i: int, j: int) -> float:
         """P(i, j) with the 1-based outcome codes."""
-        return float(self._probs[i - 1, j - 1])
+        return float(self.probs[i - 1, j - 1])
 
     def to_json_dict(self) -> dict:
         return {
-            "xi_rad": self._xi.angle,
-            "eta_rad": self._eta.angle,
-            "probs": [float(p) for p in self._probs.reshape(36)],
+            "xi_rad": self.xi.angle,
+            "eta_rad": self.eta.angle,
+            "probs": [float(p) for p in self.probs.reshape(36)],
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JointDistribution":
         try:
-            xi = PolarizerAngle(float(data["xi_rad"]))
-            eta = PolarizerAngle(float(data["eta_rad"]))
-            probs = np.array(json_floats(data, "probs"), dtype=float)
+            xi, eta = (PolarizerAngle(json_number(data, key)) for key in ("xi_rad", "eta_rad"))
+            probs = np.array(json_floats(data, "probs"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed joint-distribution JSON: {exc}") from exc
         if probs.size != 36:
@@ -165,11 +153,23 @@ class JointDistribution:
         return cls(xi, eta, probs.reshape(6, 6))
 
 
+def is_number(value) -> bool:
+    """True for a real number, numpy's included; a bool or a string is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def json_number(data: Mapping, key: str):
+    """``data[key]`` if it is a number; anything else, a string or bool included, raises TypeError."""
+    if not is_number(value := data[key]):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def json_floats(data: Mapping, key: str) -> list[float]:
-    """``data[key]`` as floats; anything but an array, a string included, raises TypeError."""
+    """``data[key]`` as floats; anything but an array of numbers raises TypeError."""
     values = data[key]
-    if not isinstance(values, (list, tuple)):
-        raise TypeError(f"{key} must be an array of numbers, got {type(values).__name__}")
+    if not isinstance(values, (list, tuple)) or not all(map(is_number, values)):
+        raise TypeError(f"{key} must be an array of numbers, got {values!r}")
     return [float(v) for v in values]
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -44,6 +45,7 @@ from .errors import EmptySettingPairError, InputError, InvalidConfigError
 from .measurement import (
     OutcomeClass,
     classify_occupation,
+    is_number,
     joint_distribution,
     json_floats,
     outcome_occupation,
@@ -114,9 +116,9 @@ _MAX_LINE = 64
 _SPAN_DIGITS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
-    """Parameters of one counting run.  SI units, angles in radians."""
+    """Parameters of one counting run, checked on construction.  SI units, angles in radians."""
 
     total_time: float
     bin_width: float
@@ -125,6 +127,11 @@ class RunConfig:
     seed: int
     station_separation: float | None = None
     detector_efficiency: float = 1.0
+
+    def __post_init__(self) -> None:
+        errors = _config_errors(self)
+        if errors:
+            raise InvalidConfigError("; ".join(errors))
 
     @property
     def n_bins(self) -> int:
@@ -147,8 +154,9 @@ class RunConfig:
     def from_json_dict(cls, data: Mapping) -> "RunConfig":
         """Parse the run-config JSON object; only the keys of ``to_json_dict``.
 
-        Unknown keys and a seed that is not an integer (``1.5``, ``true``,
-        ``"7"``) raise InvalidConfigError rather than being ignored or cast.
+        Values pass to the constructor as they are, never cast: unknown keys,
+        a number that is a string or a bool (``"1e-5"``, ``true``) and a seed
+        that is not an integer (``1.5``, ``true``, ``"7"``) raise InvalidConfigError.
         """
         if not isinstance(data, Mapping):
             raise InvalidConfigError(f"run config must be a JSON object, got {type(data).__name__}")
@@ -156,54 +164,42 @@ class RunConfig:
         if unknown:
             raise InvalidConfigError(f"unknown run config key(s): {', '.join(unknown)}")
         try:
-            seed = data["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise InvalidConfigError(f"seed must be an integer, got {seed!r}")
-            settings = ChshSettings.from_radians(*json_floats(data, "settings_rad"))
             return cls(
-                total_time=float(data["T"]),
-                bin_width=float(data["tau"]),
-                pair_probability=float(data["p_pair"]),
-                settings=settings,
-                seed=seed,
-                station_separation=(None if data.get("L") is None else float(data["L"])),
-                detector_efficiency=float(data.get("detector_efficiency", 1.0)),
+                total_time=data["T"],
+                bin_width=data["tau"],
+                pair_probability=data["p_pair"],
+                settings=ChshSettings.from_radians(*json_floats(data, "settings_rad")),
+                seed=data["seed"],
+                station_separation=data.get("L"),
+                detector_efficiency=data.get("detector_efficiency", 1.0),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError(f"malformed run config: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ConfigReport:
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
+def _config_errors(config: RunConfig) -> list[str]:
+    """Every violated RunConfig invariant, as messages naming the JSON keys.
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_config(config: RunConfig) -> ConfigReport:
-    """Check every RunConfig invariant; p_pair above 0.1 warns, not errors.
-
-    Non-finite values are reported alone, before any arithmetic on them.  The
-    bin count T/tau must be a finite integer between 1 and ``MAX_BINS``, so
-    no run is sized from an unchecked count.
+    Non-numbers, then non-finite values, are reported alone, before any
+    arithmetic on them.  The bin count T/tau must be a finite integer
+    between 1 and ``MAX_BINS``, so no run is sized from an unchecked count.
     """
-    errors = [
-        f"{name} = {value} is not finite"
-        for name, value in (
-            ("T", config.total_time),
-            ("tau", config.bin_width),
-            ("p_pair", config.pair_probability),
-            ("L", config.station_separation),
-            ("detector_efficiency", config.detector_efficiency),
-        )
-        if value is not None and not math.isfinite(value)
+    values = [
+        ("T", config.total_time),
+        ("tau", config.bin_width),
+        ("p_pair", config.pair_probability),
+        ("L", config.station_separation),
+        ("detector_efficiency", config.detector_efficiency),
     ]
+    values = [(name, value) for name, value in values if name != "L" or value is not None]
+    errors = [f"{name} = {value!r} is not a number" for name, value in values if not is_number(value)]
+    if isinstance(config.seed, bool) or not isinstance(config.seed, numbers.Integral):
+        errors.append(f"seed must be an integer, got {config.seed!r}")
     if errors:
-        return ConfigReport(tuple(errors), ())
-    warns: list[str] = []
+        return errors
+    errors = [f"{name} = {value} is not finite" for name, value in values if not math.isfinite(value)]
+    if errors:
+        return errors
     if config.total_time <= 0 or config.bin_width <= 0:
         errors.append(
             f"T and tau must be positive, got T={config.total_time}, tau={config.bin_width}"
@@ -218,11 +214,6 @@ def validate_config(config: RunConfig) -> ConfigReport:
             errors.append(f"T/tau = {ratio} is not a positive integer bin count")
     if not 0.0 <= config.pair_probability <= 1.0:
         errors.append(f"p_pair = {config.pair_probability} outside [0, 1]")
-    elif config.pair_probability > PAIR_PROBABILITY_WARN:
-        warns.append(
-            f"p_pair = {config.pair_probability} > {PAIR_PROBABILITY_WARN}: "
-            "multiple pairs per bin are no longer negligible"
-        )
     if config.station_separation is not None:
         limit = config.station_separation / SPEED_OF_LIGHT
         if config.bin_width >= limit:
@@ -234,26 +225,25 @@ def validate_config(config: RunConfig) -> ConfigReport:
         errors.append(f"detector_efficiency = {config.detector_efficiency} outside (0, 1]")
     if config.seed < 0:
         errors.append(f"seed = {config.seed} must be non-negative")
-    return ConfigReport(tuple(errors), tuple(warns))
+    return errors
 
 
+@dataclass(frozen=True, slots=True)
 class EventLog:
     """One uint8 cell code per time bin, in bin order (see ``_cell_code``).
 
-    The columns ``setting1``, ``setting2``, ``outcome1`` and ``outcome2`` are
-    decoded from the codes on access, as read-only int8 arrays.
+    ``codes`` is a one-dimensional integer array of values 0..143; a uint8
+    array is held as a read-only view, not copied.  Floats, booleans, NaN,
+    other shapes and out-of-range codes raise InputError.  The columns
+    ``setting1``, ``setting2``, ``outcome1`` and ``outcome2`` are decoded
+    from the codes on access, as read-only int8 arrays.
     """
 
-    __slots__ = ("codes",)
+    codes: np.ndarray
 
-    def __init__(self, codes) -> None:
-        """Hold ``codes``, a one-dimensional integer array of values 0..143.
-
-        A uint8 array is held as a read-only view, not copied.  Floats,
-        booleans, NaN, other shapes and out-of-range codes raise InputError.
-        """
+    def __post_init__(self) -> None:
         try:
-            arr = np.asarray(codes)
+            arr = np.asarray(self.codes)
         except (TypeError, ValueError) as exc:
             raise InputError(f"event log codes must be an integer array: {exc}") from exc
         if arr.ndim != 1 or arr.dtype.kind not in "iu":
@@ -262,8 +252,9 @@ class EventLog:
             )
         if arr.size and (arr.min() < 0 or arr.max() >= _N_CELLS):
             raise InputError(f"event log codes must lie in 0..{_N_CELLS - 1}")
-        self.codes = arr.astype(np.uint8, copy=False).view()
-        self.codes.flags.writeable = False
+        codes = arr.astype(np.uint8, copy=False).view()
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
 
     setting1 = property(lambda self: _column(self.codes // 72))
     setting2 = property(lambda self: _column(self.codes // 36 & 1))
@@ -486,11 +477,12 @@ def run_experiment(config: RunConfig) -> EventLog:
     thinning run on the emitted bins only (thinning maps a vacuum station to 3
     anyway).
     """
-    report = validate_config(config)
-    if not report.ok:
-        raise InvalidConfigError("; ".join(report.errors))
-    for message in report.warnings:
-        warnings.warn(message, stacklevel=2)
+    if config.pair_probability > PAIR_PROBABILITY_WARN:
+        warnings.warn(
+            f"p_pair = {config.pair_probability} > {PAIR_PROBABILITY_WARN}: "
+            "multiple pairs per bin are no longer negligible",
+            stacklevel=2,
+        )
 
     state = build_experiment_state()
     cumulative = np.stack(
@@ -527,7 +519,7 @@ def run_experiment(config: RunConfig) -> EventLog:
     return EventLog(codes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimateReport:
     """Counting-run summary: cell counts, vacuum tally, correlator estimates."""
 
@@ -568,6 +560,7 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
     for start in range(0, len(log), _CHUNK):
         counts += np.bincount(log.codes[start : start + _CHUNK], minlength=_N_CELLS)
     counts = counts.reshape(4, 6, 6)
+    counts.flags.writeable = False
     pair_bins = counts.sum(axis=(1, 2))
     if (pair_bins == 0).any():
         missing = [k for k in range(4) if pair_bins[k] == 0]
@@ -597,7 +590,7 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
 # -- cascade photon-number detector ------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadeProbabilities:
     """Outcome probabilities of an n-arm cascade fed with click detectors.
 

@@ -258,25 +258,29 @@ def test_lhv_check_non_finite_table_angle_exits_2(tmp_path, capsys, quantum_tabl
 
 
 @pytest.mark.parametrize(
-    "settings, probs",
+    "settings, table",
     [
-        pytest.param("abc", None, id="abc"),
-        pytest.param(None, None, id="None"),
-        pytest.param([0.0, 0.1, 0.2, math.inf], None, id="settings2"),
-        pytest.param([10**400] * 4, None, id="settings3"),
+        pytest.param("abc", {}, id="abc"),
+        pytest.param(None, {}, id="None"),
+        pytest.param([0.0, 0.1, 0.2, math.inf], {}, id="settings2"),
+        pytest.param([10**400] * 4, {}, id="settings3"),
         # a string is no array, though it iterates as one number per digit
-        pytest.param("0123", None, id="0123"),
-        pytest.param(list(OPTIMAL_SETTINGS.as_radians()), "0" * 36, id="string-probs"),
+        pytest.param("0123", {}, id="0123"),
+        pytest.param(list(OPTIMAL_SETTINGS.as_radians()), {"probs": "0" * 36}, id="string-probs"),
+        # strings that would parse as the table's own numbers are still no numbers
+        pytest.param(list(OPTIMAL_SETTINGS.as_radians()), {"xi_rad": "0.0"}, id="string-xi"),
+        pytest.param(
+            list(OPTIMAL_SETTINGS.as_radians()), {"probs": [0.0] * 35 + ["1.0"]}, id="one-string-prob"
+        ),
     ],
 )
-def test_lhv_check_malformed_settings_exits_2(tmp_path, capsys, quantum_tables, settings, probs):
+def test_lhv_check_malformed_settings_exits_2(tmp_path, capsys, quantum_tables, settings, table):
     data = dict(tables_to_json_dict(quantum_tables), settings_rad=settings)
-    if probs is not None:
-        data["tables"][0]["probs"] = probs
+    data["tables"][0].update(table)
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(data))
     assert run_cli("lhv-check", "--input", str(path)) == 2
-    assert ("settings_rad" if probs is None else "probs") in capsys.readouterr().err
+    assert next(iter(table), "settings_rad") in capsys.readouterr().err
 
 
 def _write_config(path, **overrides):
@@ -317,15 +321,33 @@ def test_simulate_invalid_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "overrides", [{"T": math.nan}, {"tau": math.inf}, {"L": math.nan}, {"settings_rad": "0123"}]
+    "overrides",
+    [
+        {"T": math.nan},
+        {"tau": math.inf},
+        {"L": math.nan},
+        {"settings_rad": "0123"},
+        {"T": "1e-5"},
+        {"p_pair": True},
+        {"detector_efficiency": True},
+        {"settings_rad": ["0", "0.785", "1.96", "1.18"]},
+    ],
 )
 def test_simulate_non_finite_config_exits_2(tmp_path, capsys, overrides):
     config = tmp_path / "run.json"
     _write_config(config, **overrides)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
-    # a string is no array of four angles, though it iterates as one number per digit
-    stringy = "settings_rad" in overrides
-    assert ("settings_rad must be an array" if stringy else "is not finite") in capsys.readouterr().err
+    [(key, value)] = overrides.items()
+    if key == "settings_rad":
+        # a string is no array of four angles, though it iterates as one number per digit
+        message = "settings_rad must be an array of numbers"
+    elif isinstance(value, float):
+        message = f"{key} = {value} is not finite"
+    else:
+        # a string or a bool is no number, though float() would take it as one
+        message = f"{key} = {value!r} is not a number"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -353,6 +375,11 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     _write_config(config)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"), "--seed", "-1") == 2
     assert "seed = -1 must be non-negative" in capsys.readouterr().err
+    # the file's own seed is checked even when --seed replaces it
+    _write_config(config, seed=-1)
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"), "--seed", "5") == 2
+    assert "seed = -1 must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("seed", [1.5, True, "7"])

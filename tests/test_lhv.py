@@ -157,9 +157,9 @@ def test_malformed_tables_rejected(quantum_tables):
 def _raw_table(xi, eta, probs):
     """Bypass JointDistribution validation to feed lhv_feasible bad data."""
     table = object.__new__(JointDistribution)
-    object.__setattr__(table, "_xi", xi)
-    object.__setattr__(table, "_eta", eta)
-    object.__setattr__(table, "_probs", probs)
+    object.__setattr__(table, "xi", xi)
+    object.__setattr__(table, "eta", eta)
+    object.__setattr__(table, "probs", probs)
     return table
 
 

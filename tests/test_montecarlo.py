@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -27,7 +28,6 @@ from pdcbell.montecarlo import (
     estimate_correlators,
     run_experiment,
     sample_cascade,
-    validate_config,
 )
 from pdcbell.optics import build_experiment_state
 
@@ -50,20 +50,16 @@ def make_config(**overrides):
 
 
 def test_config_tau_within_light_travel_time():
-    ok = make_config(station_separation=10.0, bin_width=1e-8, total_time=1e-3)
-    assert validate_config(ok).ok
-    bad = make_config(station_separation=1.0, bin_width=1e-8, total_time=1e-3)
-    report = validate_config(bad)
-    assert not report.ok
-    assert any("L/c" in message for message in report.errors)
+    make_config(station_separation=10.0, bin_width=1e-8, total_time=1e-3)
+    with pytest.raises(InvalidConfigError, match="L/c"):
+        make_config(station_separation=1.0, bin_width=1e-8, total_time=1e-3)
 
 
 def test_config_bin_count_arithmetic():
     config = make_config(total_time=1.0, bin_width=1e-8)
-    assert validate_config(config).ok
     assert config.n_bins == 10**8
-    ragged = make_config(total_time=1.05e-8, bin_width=1e-8)
-    assert not validate_config(ragged).ok
+    with pytest.raises(InvalidConfigError):
+        make_config(total_time=1.05e-8, bin_width=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -76,9 +72,8 @@ def test_config_bin_count_arithmetic():
     ],
 )
 def test_config_bin_count_bounded(total_time, bin_width, message):
-    report = validate_config(make_config(total_time=total_time, bin_width=bin_width))
-    assert not report.ok
-    assert any(message in error for error in report.errors)
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        make_config(total_time=total_time, bin_width=bin_width)
 
 
 @pytest.mark.parametrize(
@@ -87,16 +82,15 @@ def test_config_bin_count_bounded(total_time, bin_width, message):
     ids=["readme", "cap", "half-bin-short"],
 )
 def test_config_bin_count_integral_to_a_few_ulps(total_time, bins):
-    config = make_config(total_time=total_time, bin_width=1e-8)
-    report = validate_config(config)
     if bins is None:  # T/tau = 999 999 999.5
-        assert any("is not a positive integer bin count" in error for error in report.errors)
+        with pytest.raises(InvalidConfigError, match="is not a positive integer bin count"):
+            make_config(total_time=total_time, bin_width=1e-8)
     else:
-        assert report.ok and config.n_bins == bins
+        assert make_config(total_time=total_time, bin_width=1e-8).n_bins == bins
 
 
 def test_config_bin_count_cap_is_inclusive(monkeypatch):
-    assert validate_config(make_config(total_time=montecarlo.MAX_BINS * 1e-8)).ok
+    make_config(total_time=montecarlo.MAX_BINS * 1e-8)
     monkeypatch.setattr(montecarlo, "MAX_BINS", 1000)
     assert len(run_experiment(make_config(total_time=1e-5))) == 1000
     with pytest.raises(InvalidConfigError, match="exceeds the limit of 1000"):
@@ -104,18 +98,21 @@ def test_config_bin_count_cap_is_inclusive(monkeypatch):
 
 
 def test_config_pair_probability_warning():
-    report = validate_config(make_config(pair_probability=0.5))
-    assert report.ok
-    assert report.warnings
-    with pytest.warns(UserWarning):
-        run_experiment(make_config(pair_probability=0.5, total_time=1e-6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = make_config(pair_probability=0.5, total_time=1e-6)
+    with pytest.warns(UserWarning, match="p_pair = 0.5 > 0.1"):
+        run_experiment(config)
 
 
 def test_config_errors_collected():
-    report = validate_config(
+    with pytest.raises(InvalidConfigError) as caught:
         make_config(pair_probability=1.5, detector_efficiency=0.0, seed=-1)
-    )
-    assert len(report.errors) == 3
+    messages = str(caught.value).split("; ")
+    assert len(messages) == 3
+    assert "p_pair = 1.5 outside [0, 1]" in messages
+    assert "detector_efficiency = 0.0 outside (0, 1]" in messages
+    assert "seed = -1 must be non-negative" in messages
     with pytest.raises(InvalidConfigError):
         run_experiment(make_config(pair_probability=-0.1))
 
@@ -125,11 +122,9 @@ def test_config_errors_collected():
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_values(field, value):
-    report = validate_config(make_config(**{field: value}))
-    assert not report.ok
-    assert "is not finite" in report.errors[0]
-    with pytest.raises(InvalidConfigError):
-        run_experiment(make_config(**{field: value}))
+    with pytest.raises(InvalidConfigError, match="is not finite") as caught:
+        make_config(**{field: value})
+    assert "; " not in str(caught.value)  # reported alone, before any arithmetic on it
 
 
 def test_config_json_round_trip():
