@@ -123,12 +123,15 @@ class ChshResult:
     total = (unfavorable_part + favorable_part) / 2.
     """
 
-    total: float
     favorable_part: float
     unfavorable_part: float
     correlators: tuple[float, float, float, float]
     settings: ChshSettings
     favorable_weight: float
+
+    @property
+    def total(self) -> float:
+        return float(sum(s * e for s, e in zip(CHSH_SIGNS, self.correlators)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,14 +153,13 @@ def chsh_from_tables(tables: Sequence[JointDistribution]) -> ChshResult:
     settings = ChshSettings.from_tables(tables)
     weighted = [SIGN_TABLE * t.probs for t in tables]
     correlators = tuple(float(np.sum(w)) for w in weighted)
-    total = float(sum(s * e for s, e in zip(CHSH_SIGNS, correlators)))
 
     fav_mass = float(np.mean([t.probs[FAVORABLE_MASK].sum() for t in tables]))
     fav_combo = sum(s * float(np.sum(w[FAVORABLE_MASK])) for s, w in zip(CHSH_SIGNS, weighted))
     rest_combo = sum(s * float(np.sum(w[~FAVORABLE_MASK])) for s, w in zip(CHSH_SIGNS, weighted))
     favorable_part = fav_combo / fav_mass if fav_mass > _EMPTY_BLOCK_TOL else 0.0
     unfavorable_part = rest_combo / (1.0 - fav_mass) if 1.0 - fav_mass > _EMPTY_BLOCK_TOL else 0.0
-    return ChshResult(total, favorable_part, unfavorable_part, correlators, settings, fav_mass)
+    return ChshResult(favorable_part, unfavorable_part, correlators, settings, fav_mass)
 
 
 def _value_sign(occ: tuple[int, int, int, int]) -> float:
@@ -213,8 +215,7 @@ def chsh_decomposition(state: StateVector, settings: ChshSettings) -> ChshResult
         else 0.0
     )
     correlators = tuple(pair_operator_expectation(state, x, e) for x, e in settings.setting_pairs())
-    total = float(sum(s * v for s, v in zip(CHSH_SIGNS, correlators)))
-    return ChshResult(total, favorable_part, unfavorable_part, correlators, settings, w_fav)
+    return ChshResult(favorable_part, unfavorable_part, correlators, settings, w_fav)
 
 
 def diluted_chsh(p_vacuum: float, undiluted: float) -> float:

@@ -55,10 +55,6 @@ class MalformedTablesError(InputError):
     """Probability tables are negative or not normalized."""
 
 
-class BoundMismatchError(ModelError):
-    """A certificate's stored local bound disagrees with re-enumeration."""
-
-
 class CertificateExtractionError(ModelError):
     """LP dual did not yield a verifiable separating functional."""
 

@@ -3,10 +3,10 @@
 A local model assigns each hidden variable value a deterministic outcome
 per station per setting; the achievable correlation patterns form the
 convex hull of the 6^2 * 6^2 = 1296 deterministic strategies.  Membership
-of four observed tables in that polytope is decided in two steps, and an
-infeasibility verdict never rests on solver internals: its certificate's
-local bound is always re-established by brute-force maximization over all
-1296 strategies.
+in that polytope of four observed tables, taken in the (xi,eta), (xi,eta'),
+(xi',eta), (xi',eta') pattern, is decided in two steps, and an infeasibility
+verdict never rests on solver internals: a BellCertificate enumerates its
+own local bound over all 1296 strategies when it is built.
 
 First the facet step: the best of the eight CHSH relabelings (the minus
 sign on each setting pair, times an overall sign) is evaluated on them.  It
@@ -31,20 +31,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
-from .errors import (
-    BoundMismatchError,
-    CertificateExtractionError,
-    InputError,
-    MalformedTablesError,
-)
-from .measurement import JointDistribution, json_floats
+from .errors import CertificateExtractionError, InputError, MalformedTablesError
+from .measurement import JointDistribution, finite_floats, json_floats
 
 
 def linprog(*args, **kwargs):
@@ -64,7 +59,7 @@ N_STRATEGIES = (N_OUTCOMES**2) ** 2  # 1296
 #: A returned model must reproduce its targets at least this well, per cell.
 RECONSTRUCTION_TOL = 1e-7
 
-#: Tolerance for the stored-vs-recomputed local bound comparison.
+#: Tolerance on a model's weights: their sign and their sum to 1.
 BOUND_TOL = 1e-9
 
 #: Rounding allowance on a facet gap.  The CHSH value is a sum of 144
@@ -147,14 +142,14 @@ def _phase_one_matrix():
     return matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LhvModel:
     """Probability weights over the 1296 deterministic strategies."""
 
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.weights, dtype=float)
+        arr = finite_floats(self.weights, "strategy weights")
         if arr.shape != (N_STRATEGIES,):
             raise InputError(f"weights must have length {N_STRATEGIES}, got {arr.shape}")
         if arr.min() < -BOUND_TOL:
@@ -166,26 +161,27 @@ class LhvModel:
         object.__setattr__(self, "weights", arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellCertificate:
     """A linear functional separating some tables from the local polytope.
 
     ``coefficients`` has shape (4, 6, 6): one weight per (setting pair,
-    outcome i, outcome j) cell.  ``local_bound`` is the maximum of the
-    functional over all deterministic strategies and ``quantum_value`` its
-    value on the separated tables.
+    outcome i, outcome j) cell, and ``quantum_value`` is the functional's
+    value on the separated tables.  ``local_bound``, its maximum over all
+    deterministic strategies, is enumerated on construction.
     """
 
     coefficients: np.ndarray
-    local_bound: float
     quantum_value: float
+    local_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coefficients, dtype=float)
+        arr = finite_floats(self.coefficients, "certificate coefficients")
         if arr.shape != (4, N_OUTCOMES, N_OUTCOMES):
             raise InputError(f"coefficients must have shape (4, 6, 6), got {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
+        object.__setattr__(self, "local_bound", local_bound_by_enumeration(arr))
 
     @property
     def gap(self) -> float:
@@ -206,10 +202,7 @@ class Feasible:
 
     model: LhvModel
     reconstruction_error: float
-
-    @property
-    def feasible(self) -> bool:
-        return True
+    feasible = True
 
 
 @dataclass(frozen=True)
@@ -217,10 +210,7 @@ class Infeasible:
     """No local model exists; the certificate proves it."""
 
     certificate: BellCertificate
-
-    @property
-    def feasible(self) -> bool:
-        return False
+    feasible = False
 
 
 def _strategy_values(coefficients: np.ndarray) -> np.ndarray:
@@ -240,12 +230,7 @@ def contract_tables(coefficients: np.ndarray, tables: Sequence[JointDistribution
 
 
 def _certificate(coefficients: np.ndarray, tables: Sequence[JointDistribution]) -> BellCertificate:
-    """``coefficients`` against ``tables``, with the local bound by enumeration."""
-    return BellCertificate(
-        coefficients,
-        local_bound=local_bound_by_enumeration(coefficients),
-        quantum_value=contract_tables(coefficients, tables),
-    )
+    return BellCertificate(coefficients, contract_tables(coefficients, tables))
 
 
 def chsh_certificate(tables: Sequence[JointDistribution]) -> BellCertificate:
@@ -300,9 +285,11 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     reproducing them to RECONSTRUCTION_TOL per cell.  Infeasible from the
     LP returns a Bell functional with a strictly positive,
     enumeration-verified gap on the tables as given, scaled to max-abs
-    coefficient 1.
+    coefficient 1.  Tables off the (xi,eta), (xi,eta'), (xi',eta), (xi',eta')
+    pattern the polytope assumes raise InconsistentSettingsError.
     """
     stacked = _validate_tables(tables)
+    ChshSettings.from_tables(tables)
     clipped = np.clip(stacked, 0.0, None)
     normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
     facet = _facet_verdict(stacked, normalized, tables)
@@ -345,31 +332,16 @@ def synthesize_tables(model: LhvModel, settings: ChshSettings) -> list[JointDist
     return [JointDistribution(xi, eta, t) for (xi, eta), t in zip(settings.setting_pairs(), tables)]
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    """Independent re-verification of a certificate by strategy enumeration."""
-
-    recomputed_local_bound: float
-    quantum_value: float
-    gap: float
-
-
 def verify_certificate(
     cert: BellCertificate, tables: Sequence[JointDistribution]
-) -> CertificateReport:
-    """Recompute a certificate's bound and value from scratch.
+) -> BellCertificate:
+    """``cert``'s functional contracted with ``tables``, as a new certificate.
 
-    The local bound comes from exhaustive maximization over the 1296
-    strategies, not from any LP output; a stored bound that disagrees by
-    more than BOUND_TOL raises BoundMismatchError.
+    Its local bound is enumerated afresh over the 1296 strategies, never
+    taken from an LP output, and its gap is its value on ``tables`` minus
+    that bound.
     """
-    bound = local_bound_by_enumeration(cert.coefficients)
-    if abs(bound - cert.local_bound) > BOUND_TOL:
-        raise BoundMismatchError(
-            f"stored local bound {cert.local_bound} vs recomputed {bound}"
-        )
-    value = contract_tables(cert.coefficients, tables)
-    return CertificateReport(bound, value, value - bound)
+    return _certificate(cert.coefficients, tables)
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -390,7 +362,8 @@ def tables_from_json_dict(data: Mapping) -> list[JointDistribution]:
 
     Expected shape: {"tables": [table, table, table, table]} with each table
     in the measurement JSON format, ordered (xi,eta), (xi,eta'), (xi',eta),
-    (xi',eta'); an optional "settings_rad" entry is cross-checked.
+    (xi',eta'); an optional "settings_rad" entry is checked against the
+    settings the tables share.
     """
     try:
         raw = data["tables"]
@@ -406,10 +379,10 @@ def tables_from_json_dict(data: Mapping) -> list[JointDistribution]:
             raise InputError(f"malformed 'settings_rad': {exc}") from exc
         if len(declared) != 4 or not all(math.isfinite(a) for a in declared):
             raise InputError("'settings_rad' must list 4 finite angles")
-        settings = ChshSettings.from_radians(*declared)
-        for table, (xi, eta) in zip(tables, settings.setting_pairs()):
-            if abs(table.xi.angle - xi.angle) > 1e-9 or abs(table.eta.angle - eta.angle) > 1e-9:
-                raise InputError("'settings_rad' disagrees with the per-table angles")
+        declared = ChshSettings.from_radians(*declared).as_radians()
+        derived = ChshSettings.from_tables(tables).as_radians()
+        if max(abs(a - b) for a, b in zip(declared, derived)) > 1e-9:
+            raise InputError("'settings_rad' disagrees with the per-table angles")
     return tables
 
 

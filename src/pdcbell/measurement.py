@@ -116,11 +116,9 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.probs, dtype=float)
+        arr = finite_floats(self.probs, "probability table")
         if arr.shape != (6, 6):
             raise InputError(f"probability table must be 6x6, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InputError("probability table contains NaN or infinite entries")
         if arr.min() < -PHYSICS_TOL:
             raise InputError(f"negative probability {arr.min()} in table")
         arr[np.abs(arr) < CLAMP_TOL] = 0.0
@@ -156,6 +154,19 @@ class JointDistribution:
 def is_number(value) -> bool:
     """True for a real number, numpy's included; a bool or a string is none."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def finite_floats(values, what: str) -> np.ndarray:
+    """A float copy of an array of real numbers; anything else, NaN or inf raises InputError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise InputError(f"{what} must be an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InputError(f"{what} must be an array of real numbers, not {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} contains NaN or infinite entries")
+    return arr.astype(float)
 
 
 def json_number(data: Mapping, key: str):

@@ -177,6 +177,14 @@ class RunConfig:
             raise InvalidConfigError(f"malformed run config: {exc}") from exc
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, but False for an int beyond the float range, where it raises."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _config_errors(config: RunConfig) -> list[str]:
     """Every violated RunConfig invariant, as messages naming the JSON keys.
 
@@ -197,7 +205,7 @@ def _config_errors(config: RunConfig) -> list[str]:
         errors.append(f"seed must be an integer, got {config.seed!r}")
     if errors:
         return errors
-    errors = [f"{name} = {value} is not finite" for name, value in values if not math.isfinite(value)]
+    errors = [f"{name} = {value} is not finite" for name, value in values if not _is_finite(value)]
     if errors:
         return errors
     if config.total_time <= 0 or config.bin_width <= 0:
@@ -519,17 +527,41 @@ def run_experiment(config: RunConfig) -> EventLog:
     return EventLog(codes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EstimateReport:
-    """Counting-run summary: cell counts, vacuum tally, correlator estimates."""
+    """Counting-run summary: the cell counts, and the estimates they determine.
 
-    counts: np.ndarray  # (4, 6, 6) events per (setting pair, i, j)
-    n_bins: int
-    n_vacuum: int  # events with no photons at either end
-    correlators: tuple[float, float, float, float]
-    correlator_stderrs: tuple[float, float, float, float]
-    chsh: float
-    chsh_stderr: float
+    ``counts`` is a read-only (4, 6, 6) array of events per (setting pair,
+    i, j).  Anything but non-negative integers in that shape raises
+    InputError, and a setting pair without events EmptySettingPairError.
+    """
+
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.counts)
+        if arr.shape != (4, 6, 6) or arr.dtype.kind not in "iu" or (arr < 0).any():
+            raise InputError(f"counts must be non-negative (4, 6, 6) integers, not {arr.dtype}")
+        if missing := [k for k in range(4) if arr[k].sum() == 0]:
+            raise EmptySettingPairError(f"no events for setting pair(s) {missing}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "counts", arr)
+
+    n_bins = property(lambda self: int(self.counts.sum()))
+    n_vacuum = property(lambda self: int(self.counts[:, 2, 2].sum()))  # no photons at either end
+
+    @property
+    def correlators(self) -> tuple[float, float, float, float]:
+        pair_bins = self.counts.sum(axis=(1, 2))
+        return tuple(float(np.sum(SIGN_TABLE * self.counts[k]) / pair_bins[k]) for k in range(4))
+
+    @property
+    def correlator_stderrs(self) -> tuple[float, float, float, float]:
+        pairs = zip(self.correlators, self.counts.sum(axis=(1, 2)))
+        return tuple(math.sqrt(max(1.0 - mean * mean, 0.0) / n) for mean, n in pairs)
+
+    chsh = property(lambda self: float(sum(s * e for s, e in zip(CHSH_SIGNS, self.correlators))))
+    chsh_stderr = property(lambda self: math.sqrt(sum(se * se for se in self.correlator_stderrs)))
 
     def vacuum_fraction(self) -> float:
         return self.n_vacuum / self.n_bins
@@ -552,39 +584,12 @@ class EstimateReport:
 
 
 def estimate_correlators(log: EventLog) -> EstimateReport:
-    """Empirical correlators with plug-in standard errors from an event log."""
-    if len(log) == 0:
-        raise EmptySettingPairError("event log is empty")
+    """The log's cell counts: the report derives correlators and plug-in standard errors."""
     # Counted per block, since bincount casts its uint8 input to an intp copy.
     counts = np.zeros(_N_CELLS, dtype=np.int64)
     for start in range(0, len(log), _CHUNK):
         counts += np.bincount(log.codes[start : start + _CHUNK], minlength=_N_CELLS)
-    counts = counts.reshape(4, 6, 6)
-    counts.flags.writeable = False
-    pair_bins = counts.sum(axis=(1, 2))
-    if (pair_bins == 0).any():
-        missing = [k for k in range(4) if pair_bins[k] == 0]
-        raise EmptySettingPairError(f"no events for setting pair(s) {missing}")
-
-    correlators = []
-    stderrs = []
-    for k in range(4):
-        mean = float(np.sum(SIGN_TABLE * counts[k]) / pair_bins[k])
-        variance = max(1.0 - mean * mean, 0.0)
-        correlators.append(mean)
-        stderrs.append(math.sqrt(variance / pair_bins[k]))
-
-    chsh = float(sum(s * e for s, e in zip(CHSH_SIGNS, correlators)))
-    chsh_stderr = math.sqrt(sum(se * se for se in stderrs))
-    return EstimateReport(
-        counts=counts,
-        n_bins=len(log),
-        n_vacuum=int(counts[:, 2, 2].sum()),
-        correlators=tuple(correlators),
-        correlator_stderrs=tuple(stderrs),
-        chsh=chsh,
-        chsh_stderr=chsh_stderr,
-    )
+    return EstimateReport(counts.reshape(4, 6, 6))
 
 
 # -- cascade photon-number detector ------------------------------------------

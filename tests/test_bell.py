@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_station_state
 from pdcbell.bell import (
+    GRID_POINTS,
     ChshSettings,
     OPTIMAL_SETTINGS,
     OUTCOME_VALUES,
@@ -259,6 +260,30 @@ def test_optimize_angles_diluted_state(psi, p_pair):
     settings, value = optimize_angles(state)
     assert settings == OPTIMAL_SETTINGS
     assert value == pytest.approx(diluted_chsh(1.0 - p_pair, 1 + SQRT2), abs=1e-12)
+
+
+@pytest.mark.parametrize("state", [c for c in _oracle_cases() if c.id.startswith("random")])
+def test_refinement_finds_the_optimum_between_grid_points(state):
+    coeffs = _correlator_coefficients(state)
+
+    def chsh_poly(angles):
+        b_xi, b_xip, b_eta, b_etap = _harmonics(angles)
+        return float(b_xi @ coeffs @ (b_eta + b_etap) + b_xip @ coeffs @ (b_eta - b_etap))
+
+    basis = _harmonics(np.arange(GRID_POINTS) * (math.pi / GRID_POINTS))
+    e_grid = basis @ coeffs @ basis.T
+    pair_best = (e_grid[:, None, :] + e_grid[None, :, :]).max(axis=2) + (
+        e_grid[:, None, :] - e_grid[None, :, :]
+    ).max(axis=2)
+    settings, value = optimize_angles(state)
+    assert value > pair_best.max() + 1e-5
+    assert value == chsh_from_tables(tables_at(state, settings)).total
+    angles = settings.as_radians()
+    for k in range(4):
+        for step in (-1e-4, 1e-4):
+            moved = list(angles)
+            moved[k] += step
+            assert chsh_poly(moved) <= chsh_poly(angles) + 1e-9
 
 
 def test_optimize_angles_singlet(psi):

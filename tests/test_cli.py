@@ -15,6 +15,7 @@ from pdcbell import cli, lhv
 from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE
 from pdcbell.errors import InputError, ModelError
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables, tables_to_json_dict
+from pdcbell.measurement import PolarizerAngle, joint_distribution
 
 SQRT2 = math.sqrt(2.0)
 
@@ -281,6 +282,14 @@ def test_lhv_check_malformed_settings_exits_2(tmp_path, capsys, quantum_tables, 
     path.write_text(json.dumps(data))
     assert run_cli("lhv-check", "--input", str(path)) == 2
     assert next(iter(table), "settings_rad") in capsys.readouterr().err
+
+
+def test_lhv_check_off_pattern_tables_exit_2(tmp_path, capsys, psi, quantum_tables):
+    last = joint_distribution(psi, PolarizerAngle(1.0), PolarizerAngle(0.3))
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"tables": [t.to_json_dict() for t in [*quantum_tables[:3], last]]}))
+    assert run_cli("lhv-check", "--input", str(path)) == 2
+    assert "pattern" in capsys.readouterr().err
 
 
 def _write_config(path, **overrides):

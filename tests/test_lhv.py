@@ -7,7 +7,6 @@ import pytest
 from pdcbell import lhv
 from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE, ChshSettings
 from pdcbell.errors import (
-    BoundMismatchError,
     CertificateExtractionError,
     InconsistentSettingsError,
     MalformedTablesError,
@@ -180,20 +179,21 @@ def test_certificate_nonpositive_gap_on_local_tables(quantum_tables):
         assert report.gap <= 1e-12
 
 
-def test_certificate_bound_mismatch_detected(quantum_tables):
-    certificate = chsh_certificate(quantum_tables)
-    tampered = BellCertificate(
-        certificate.coefficients, local_bound=certificate.local_bound + 1.0,
-        quantum_value=certificate.quantum_value,
-    )
-    with pytest.raises(BoundMismatchError):
-        verify_certificate(tampered, quantum_tables)
-
-
 def test_local_bound_enumeration_matches_chsh_structure():
     signs = np.outer([-1.0, 1, 1, 1, 1, 1], [-1.0, 1, 1, 1, 1, 1])
     coefficients = np.stack([s * signs for s in (1.0, 1.0, 1.0, -1.0)])
     assert local_bound_by_enumeration(coefficients) == pytest.approx(2.0, abs=0)
+
+
+def test_certificate_enumerates_its_local_bound():
+    coefficients = np.random.default_rng(54).normal(size=(4, 6, 6))
+    certificate = BellCertificate(coefficients, 1.0)
+    brute = max(
+        sum(float(np.sum(coefficients[pair] * strategy.table(pair))) for pair in range(4))
+        for strategy in enumerate_strategies()
+    )
+    assert certificate.local_bound == pytest.approx(brute, abs=1e-12)
+    assert certificate.gap == 1.0 - certificate.local_bound
 
 
 def test_continuity_probe_mixture_threshold(quantum_tables):
@@ -252,6 +252,19 @@ def test_tables_json_writer_rejects_off_pattern_tables(quantum_tables):
         tables_to_json_dict(quantum_tables[:3])
 
 
+def test_off_pattern_tables_get_no_verdict(psi, quantum_tables):
+    """The polytope assumes the CHSH pattern, so tables off it are refused, not decided."""
+    last = joint_distribution(psi, PolarizerAngle(1.0), PolarizerAngle(0.3))
+    off = [*quantum_tables[:3], last]
+    with pytest.raises(InconsistentSettingsError, match="pattern"):
+        lhv_feasible(off)
+    data = {"tables": [t.to_json_dict() for t in off]}
+    with pytest.raises(InconsistentSettingsError, match="pattern"):
+        lhv_feasible(tables_from_json_dict(data))
+    with pytest.raises(InconsistentSettingsError, match="pattern"):
+        tables_from_json_dict(dict(data, settings_rad=list(OPTIMAL_SETTINGS.as_radians())))
+
+
 # -- facet step ----------------------------------------------------------------
 
 
@@ -295,14 +308,33 @@ def reference_lhv_feasible(tables):
     scale = np.abs(dual).max()
     for candidate in (dual, -dual) if scale > 0.0 else ():
         coefficients = (candidate / scale).reshape(4, 6, 6)
-        certificate = BellCertificate(
-            coefficients,
-            local_bound=local_bound_by_enumeration(coefficients),
-            quantum_value=lhv.contract_tables(coefficients, tables),
-        )
+        certificate = BellCertificate(coefficients, lhv.contract_tables(coefficients, tables))
         if certificate.gap > 0.0:
             return Infeasible(certificate)
     raise CertificateExtractionError("no verifiable separating functional")
+
+
+def test_lp_certifies_tables_the_facet_step_passes_on(quantum_tables):
+    # Station-1 outcomes 1 and 2 swapped in both xi tables: the paper's CHSH
+    # drops to 1, so no CHSH relabeling settles them, yet they stay nonlocal.
+    swapped = [
+        JointDistribution(t.xi, t.eta, t.probs[[1, 0, 2, 3, 4, 5]]) if pair < 2 else t
+        for pair, t in enumerate(quantum_tables)
+    ]
+    assert chsh_certificate(swapped).quantum_value == pytest.approx(1.0, abs=1e-12)
+    stacked = lhv._validate_tables(swapped)
+    normalized = stacked / stacked.sum(axis=(1, 2), keepdims=True)
+    assert lhv._facet_verdict(stacked, normalized, swapped) is None
+    verdict = lhv_feasible(swapped)
+    assert isinstance(verdict, Infeasible)
+    certificate = verdict.certificate
+    assert certificate.local_bound == 2.0
+    assert certificate.gap == pytest.approx(SQRT2 - 1, abs=1e-12)
+    check = verify_certificate(certificate, swapped)
+    assert check.local_bound == certificate.local_bound
+    assert check.quantum_value == certificate.quantum_value
+    expected = verdict_to_json_dict(reference_lhv_feasible(swapped))
+    assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(expected)
 
 
 def diluted_tables(psi, p_pair):
@@ -316,7 +348,7 @@ def test_dilution_sweep_infeasible_with_exact_gap(psi, p_pair):
     verdict = lhv_feasible(tables)
     assert isinstance(verdict, Infeasible)
     report = verify_certificate(verdict.certificate, tables)
-    assert report.recomputed_local_bound == 2.0
+    assert report.local_bound == 2.0
     assert report.gap == pytest.approx((SQRT2 - 1) * p_pair, abs=1e-12)
 
 

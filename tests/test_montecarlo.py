@@ -120,7 +120,9 @@ def test_config_errors_collected():
 @pytest.mark.parametrize(
     "field", ["total_time", "bin_width", "pair_probability", "station_separation", "detector_efficiency"]
 )
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-float")]
+)
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(InvalidConfigError, match="is not finite") as caught:
         make_config(**{field: value})

@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from pdcbell.bell import OPTIMAL_SETTINGS
+from pdcbell.bell import OPTIMAL_SETTINGS, chsh_decomposition
+from pdcbell.errors import InputError
 from pdcbell.lhv import N_STRATEGIES, BellCertificate, LhvModel
-from pdcbell.measurement import PolarizerAngle, joint_distribution
+from pdcbell.measurement import JointDistribution, PolarizerAngle, joint_distribution
 from pdcbell.montecarlo import RunConfig, estimate_correlators, run_experiment
 from pdcbell.optics import build_experiment_state
 
@@ -35,7 +36,8 @@ VALUES = {
     "EventLog": lambda: run_experiment(_run_config()),
     "EstimateReport": lambda: estimate_correlators(run_experiment(_run_config())),
     "LhvModel": lambda: LhvModel(np.full(N_STRATEGIES, 1.0 / N_STRATEGIES)),
-    "BellCertificate": lambda: BellCertificate(np.zeros((4, 6, 6)), 2.0, 1.0 + math.sqrt(2.0)),
+    "BellCertificate": lambda: BellCertificate(np.zeros((4, 6, 6)), 1.0 + math.sqrt(2.0)),
+    "ChshResult": lambda: chsh_decomposition(build_experiment_state(), OPTIMAL_SETTINGS),
 }
 
 
@@ -53,3 +55,39 @@ def test_value_fields_cannot_be_changed(make):
             with pytest.raises(ValueError, match="read-only"):
                 current.reshape(-1)[0] = 1
         assert getattr(value, field.name) is current
+    assert isinstance(value == make(), bool)
+
+
+ANGLE = PolarizerAngle(0.0)
+
+#: Each array field, with a valid value and how to build its value type from it.
+ARRAY_FIELDS = {
+    "probs": (np.full((6, 6), 1.0 / 36.0), lambda a: JointDistribution(ANGLE, ANGLE, a)),
+    "weights": (np.full(N_STRATEGIES, 1.0 / N_STRATEGIES), LhvModel),
+    "coefficients": (np.zeros((4, 6, 6)), lambda a: BellCertificate(a, 1.0)),
+}
+
+
+def _first(a):
+    """True at the first entry of ``a`` only."""
+    return np.arange(a.size).reshape(a.shape) == 0
+
+
+#: Entries that are no finite real numbers, each in the field's shape.  Bools
+#: sit one-hot, so a cast would sum to 1 as the tables and weights must.
+NON_NUMBERS = {
+    "strings": lambda a: a.astype(str),
+    "bools": _first,
+    "objects": lambda a: a.astype(object),
+    "nan": lambda a: np.where(_first(a), math.nan, a),
+    "inf": lambda a: np.where(_first(a), math.inf, a),
+}
+
+
+@pytest.mark.parametrize("corrupt", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_array_fields_hold_only_finite_numbers(field, corrupt):
+    valid, make = ARRAY_FIELDS[field]
+    make(valid)
+    with pytest.raises(InputError):
+        make(corrupt(valid))
