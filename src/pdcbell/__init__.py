@@ -34,11 +34,9 @@ from .fock import (
 )
 from .lhv import (
     BellCertificate,
-    DeterministicStrategy,
     Feasible,
     Infeasible,
     LhvModel,
-    enumerate_strategies,
     lhv_feasible,
     synthesize_tables,
     verify_certificate,

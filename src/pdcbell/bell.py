@@ -38,6 +38,7 @@ from .measurement import (
     FAVORABLE_MASK,
     JointDistribution,
     PolarizerAngle,
+    axis_distance,
     classify_occupation,
     joint_distribution,
     rotate_station_basis,
@@ -85,10 +86,10 @@ class ChshSettings:
             raise InconsistentSettingsError(f"need exactly 4 tables, got {len(tables)}")
         t = tables
         checks = (
-            abs(t[0].xi.angle - t[1].xi.angle),
-            abs(t[2].xi.angle - t[3].xi.angle),
-            abs(t[0].eta.angle - t[2].eta.angle),
-            abs(t[1].eta.angle - t[3].eta.angle),
+            axis_distance(t[0].xi.angle, t[1].xi.angle),
+            axis_distance(t[2].xi.angle, t[3].xi.angle),
+            axis_distance(t[0].eta.angle, t[2].eta.angle),
+            axis_distance(t[1].eta.angle, t[3].eta.angle),
         )
         if max(checks) > 1e-12:
             raise InconsistentSettingsError(

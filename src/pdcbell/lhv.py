@@ -19,17 +19,21 @@ p_pair of about 2.5e-12, where that gap meets the allowance.  Below this
 floor the LP decides, and its per-cell tolerance returns Feasible for them.
 
 Everything else goes to a phase-one linear program: minimize the L1
-mismatch between a weighted strategy mixture and the clipped, renormalized
-tables.  Zero mismatch means an explicit model exists; positive mismatch
-means separation, and the LP dual supplies the separating Bell functional.
-Its constraint matrix is built once, as a sparse CSC matrix, and every
-solve reuses it.  Only this step imports scipy.  All inputs and outputs are
-immutable.
+mismatch between a strategy mixture and the clipped, renormalized tables.
+Zero mismatch is an explicit model; positive mismatch means separation, and
+the LP dual is the separating Bell functional.  A strategy of weight w adds
+w to each of its four cells, so an exact model weighs only strategies whose
+cells are all non-zero in the targets (27 of 1296 on the optimal tables, 37
+diluted, 119 under per-photon loss).  The LP runs over those first: a model
+there is a full one, so pruning neither loses nor invents a Feasible
+verdict, but it is one exact mixture, not a canonical one.  A miss reruns
+the LP over all 1296, the only solve that yields certificates.  Its sparse
+CSC matrix is built once; a restricted solve takes a column selection.
+Only the LP imports scipy.  All inputs and outputs are immutable.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,7 +43,7 @@ import numpy as np
 
 from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
 from .errors import CertificateExtractionError, InputError, MalformedTablesError
-from .measurement import JointDistribution, finite_floats, json_floats
+from .measurement import JointDistribution, axis_distance, finite_floats, json_floats
 
 
 def linprog(*args, **kwargs):
@@ -79,36 +83,13 @@ _CHSH_PATTERNS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Fixed outcomes per setting: s1 = (at xi, at xi'), s2 = (at eta, at eta')."""
-
-    s1: tuple[int, int]
-    s2: tuple[int, int]
-
-    def table(self, pair_index: int) -> np.ndarray:
-        """The 0/1 point-mass table this strategy induces for one setting pair."""
-        i = self.s1[pair_index // 2]
-        j = self.s2[pair_index % 2]
-        out = np.zeros((N_OUTCOMES, N_OUTCOMES))
-        out[i - 1, j - 1] = 1.0
-        return out
-
-
-def enumerate_strategies() -> list[DeterministicStrategy]:
-    """All 1296 strategies in canonical order (lexicographic in s1 then s2)."""
-    return [
-        DeterministicStrategy((a0, a1), (b0, b1))
-        for a0, a1, b0, b1 in itertools.product(range(1, N_OUTCOMES + 1), repeat=4)
-    ]
-
-
 @lru_cache(maxsize=1)
 def _strategy_cells() -> np.ndarray:
     """The cell each strategy hits, per setting pair: a read-only (4, 1296) array.
 
     Entry [pair, k] is the flat cell index 36 pair + 6 (i - 1) + (j - 1) of
-    strategy k's outcome pair (i, j), strategies in canonical order.
+    strategy k's outcome pair (i, j); k runs lexicographically over the
+    outcomes at (xi, xi', eta, eta').
     """
     s1, s2 = np.split(np.indices((N_OUTCOMES,) * 4).reshape(4, -1), 2)
     cells = np.stack([36 * pair + N_OUTCOMES * s1[pair // 2] + s2[pair % 2] for pair in range(4)])
@@ -269,6 +250,28 @@ def _facet_verdict(
     return None
 
 
+def _phase_one(b_cells: np.ndarray, strategies: np.ndarray):
+    """The phase-one LP over ``strategies`` (a column selection unless all 1296).
+
+    Returns its result, the clipped weights over all 1296 strategies
+    renormalized, and their largest per-cell miss of ``b_cells``.
+    """
+    n_cells = len(b_cells)
+    matrix = _phase_one_matrix()
+    if len(strategies) < N_STRATEGIES:
+        matrix = matrix[:, np.concatenate([strategies, N_STRATEGIES + np.arange(2 * n_cells)])]
+    cost = np.concatenate([np.zeros(len(strategies)), np.ones(2 * n_cells)])
+    b_eq = np.concatenate([b_cells, [1.0]])
+    result = linprog(cost, A_eq=matrix, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not result.success:  # pragma: no cover - phase-one LP is always feasible
+        raise CertificateExtractionError(f"LP solver failed: {result.message}")
+
+    weights = np.zeros(N_STRATEGIES)
+    weights[strategies] = np.clip(result.x[: len(strategies)], 0.0, None)
+    weights /= weights.sum()
+    return result, weights, float(np.abs(_constraint_matrix() @ weights - b_cells).max())
+
+
 def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     """Decide whether four tables admit any local-hidden-variable model.
 
@@ -281,12 +284,13 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     module docstring).
 
     The LP fits the clipped, renormalized tables, since a strategy mixture
-    sums to 1 on every table.  Feasible returns an explicit mixture
-    reproducing them to RECONSTRUCTION_TOL per cell.  Infeasible from the
-    LP returns a Bell functional with a strictly positive,
-    enumeration-verified gap on the tables as given, scaled to max-abs
-    coefficient 1.  Tables off the (xi,eta), (xi,eta'), (xi',eta), (xi',eta')
-    pattern the polytope assumes raise InconsistentSettingsError.
+    sums to 1 on every table, first over the strategies whose four cells are
+    all non-zero there, then over all 1296 if that misses.  Feasible returns
+    one exact mixture, not a canonical one, reproducing the targets to
+    RECONSTRUCTION_TOL per cell.  Infeasible from the LP returns a Bell
+    functional with a strictly positive, enumeration-verified gap on the
+    tables as given, scaled to max-abs coefficient 1.  Tables off the (xi,eta),
+    (xi,eta'), (xi',eta), (xi',eta') pattern raise InconsistentSettingsError.
     """
     stacked = _validate_tables(tables)
     ChshSettings.from_tables(tables)
@@ -296,22 +300,14 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     if facet is not None:
         return facet
     b_cells = normalized.reshape(-1)
-    a_cells = _constraint_matrix()
-    n_cells = a_cells.shape[0]
-    b_eq = np.concatenate([b_cells, [1.0]])
-    cost = np.concatenate([np.zeros(N_STRATEGIES), np.ones(2 * n_cells)])
+    supported = np.flatnonzero((b_cells[_strategy_cells()] > 0).all(axis=0))
+    everything = np.arange(N_STRATEGIES)
+    for strategies in [supported, everything] if 0 < len(supported) < N_STRATEGIES else [everything]:
+        result, weights, error = _phase_one(b_cells, strategies)
+        if error <= RECONSTRUCTION_TOL:
+            return Feasible(LhvModel(weights), error)
 
-    result = linprog(cost, A_eq=_phase_one_matrix(), b_eq=b_eq, bounds=(0, None), method="highs")
-    if not result.success:  # pragma: no cover - phase-one LP is always feasible
-        raise CertificateExtractionError(f"LP solver failed: {result.message}")
-
-    weights = np.clip(result.x[:N_STRATEGIES], 0.0, None)
-    weights /= weights.sum()
-    error = float(np.abs(a_cells @ weights - b_cells).max())
-    if error <= RECONSTRUCTION_TOL:
-        return Feasible(LhvModel(weights), error)
-
-    dual = np.asarray(result.eqlin.marginals[:n_cells], dtype=float)
+    dual = np.asarray(result.eqlin.marginals[:-1], dtype=float)
     scale = np.abs(dual).max()
     # Max-abs scaling to 1 also lands CHSH-shaped functionals on their
     # conventional local bound of 2; an all-zero dual separates nothing.
@@ -381,7 +377,7 @@ def tables_from_json_dict(data: Mapping) -> list[JointDistribution]:
             raise InputError("'settings_rad' must list 4 finite angles")
         declared = ChshSettings.from_radians(*declared).as_radians()
         derived = ChshSettings.from_tables(tables).as_radians()
-        if max(abs(a - b) for a, b in zip(declared, derived)) > 1e-9:
+        if max(axis_distance(a, b) for a, b in zip(declared, derived)) > 1e-9:
             raise InputError("'settings_rad' disagrees with the per-table angles")
     return tables
 

@@ -49,14 +49,19 @@ class PolarizerAngle:
         reduced = math.fmod(angle, math.pi)
         if reduced < 0.0:
             reduced += math.pi
+        if reduced == math.pi:  # a tiny negative angle rounds up to pi, the axis 0
+            reduced = 0.0
         object.__setattr__(self, "angle", reduced)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "PolarizerAngle":
         return cls(math.radians(degrees))
 
-    def __sub__(self, other: "PolarizerAngle") -> float:
-        return self.angle - other.angle
+
+def axis_distance(a: float, b: float) -> float:
+    """Distance in radians between two analyzer axes, wrapped mod pi (0 and pi are one axis)."""
+    gap = math.fmod(abs(a - b), math.pi)
+    return min(gap, math.pi - gap)
 
 
 class OutcomeClass(IntEnum):

@@ -1,5 +1,7 @@
 import cmath
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from pdcbell.bell import OPTIMAL_SETTINGS
 from pdcbell.errors import ModeLabelMismatchError
 from pdcbell.fock import PHYSICS_TOL, STATION_LABELS, StateVector
-from pdcbell.measurement import joint_distribution
+from pdcbell.measurement import classify_occupation, joint_distribution, outcome_occupation
 from pdcbell.montecarlo import EventLog
 from pdcbell.optics import build_experiment_state
 
@@ -15,6 +17,64 @@ from pdcbell.optics import build_experiment_state
 ALLOWED_OCCUPATIONS = [
     occ for occ in itertools.product(range(3), repeat=4) if sum(occ) <= 2 and max(occ) <= 2
 ]
+
+
+N_OUTCOMES = 6
+
+
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """Fixed outcomes per setting: s1 = (at xi, at xi'), s2 = (at eta, at eta')."""
+
+    s1: tuple[int, int]
+    s2: tuple[int, int]
+
+    def table(self, pair_index: int) -> np.ndarray:
+        """The 0/1 point-mass table this strategy induces for one setting pair."""
+        i = self.s1[pair_index // 2]
+        j = self.s2[pair_index % 2]
+        out = np.zeros((N_OUTCOMES, N_OUTCOMES))
+        out[i - 1, j - 1] = 1.0
+        return out
+
+
+def enumerate_strategies() -> list[DeterministicStrategy]:
+    """All 1296 strategies in canonical order (lexicographic in s1 then s2)."""
+    return [
+        DeterministicStrategy((a0, a1), (b0, b1))
+        for a0, a1, b0, b1 in itertools.product(range(1, N_OUTCOMES + 1), repeat=4)
+    ]
+
+
+def thinned_table(probs: np.ndarray, eff: float) -> np.ndarray:
+    """Independent oracle: binomial thinning of each port of each station."""
+
+    def station_demotions(code):
+        n_plus, n_minus = outcome_occupation(code)
+        out = {}
+        for keep_plus in range(n_plus + 1):
+            for keep_minus in range(n_minus + 1):
+                weight = (
+                    math.comb(n_plus, keep_plus)
+                    * eff**keep_plus
+                    * (1 - eff) ** (n_plus - keep_plus)
+                    * math.comb(n_minus, keep_minus)
+                    * eff**keep_minus
+                    * (1 - eff) ** (n_minus - keep_minus)
+                )
+                out_code = classify_occupation(keep_plus, keep_minus)
+                out[out_code] = out.get(out_code, 0.0) + weight
+        return out
+
+    thinned = np.zeros((6, 6))
+    for i in range(1, 7):
+        for j in range(1, 7):
+            if probs[i - 1, j - 1] == 0.0:
+                continue
+            for di, wi in station_demotions(i).items():
+                for dj, wj in station_demotions(j).items():
+                    thinned[di - 1, dj - 1] += probs[i - 1, j - 1] * wi * wj
+    return thinned
 
 
 def event_log(setting1, setting2, outcome1, outcome2) -> EventLog:

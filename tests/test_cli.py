@@ -292,6 +292,21 @@ def test_lhv_check_off_pattern_tables_exit_2(tmp_path, capsys, psi, quantum_tabl
     assert "pattern" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("xi", [-1e-17, math.pi - 1e-13])
+def test_lhv_check_accepts_an_axis_given_mod_pi(tmp_path, capsys, quantum_tables, xi):
+    # The optimal xi is 0.0; the (xi, eta') table and settings_rad name that axis as xi.
+    data = tables_to_json_dict(quantum_tables)
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("lhv-check", "--input", str(path)) == 3
+    expected = capsys.readouterr().out
+    data["tables"][1]["xi_rad"] = xi
+    data["settings_rad"][0] = xi
+    path.write_text(json.dumps(data))
+    assert run_cli("lhv-check", "--input", str(path)) == 3
+    assert capsys.readouterr().out == expected
+
+
 def _write_config(path, **overrides):
     payload = {
         "T": 1e-5,
@@ -419,6 +434,8 @@ def test_package_exports_no_modules_or_removed_names():
         "ValueAssignment",
         "apply_creation",
         "states_equal_up_to_phase",
+        "DeterministicStrategy",
+        "enumerate_strategies",
     }
     for name in pdcbell.__all__:
         assert not isinstance(getattr(pdcbell, name), types.ModuleType), name

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import enumerate_strategies, thinned_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdcbell import lhv
 from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE, ChshSettings
@@ -18,7 +21,6 @@ from pdcbell.lhv import (
     LhvModel,
     N_STRATEGIES,
     chsh_certificate,
-    enumerate_strategies,
     lhv_feasible,
     local_bound_by_enumeration,
     synthesize_tables,
@@ -314,13 +316,72 @@ def reference_lhv_feasible(tables):
     raise CertificateExtractionError("no verifiable separating functional")
 
 
+def supported_strategies(tables) -> np.ndarray:
+    """The strategies whose four cells are all non-zero in the clipped, renormalized tables.
+
+    Picked through DeterministicStrategy.table, independently of lhv's cell table.
+    """
+    stacked = np.clip(lhv._validate_tables(tables), 0.0, None)
+    normalized = stacked / stacked.sum(axis=(1, 2), keepdims=True)
+    return np.array(
+        [
+            k
+            for k, strategy in enumerate(enumerate_strategies())
+            if all(normalized[pair][strategy.table(pair) == 1.0].item() > 0.0 for pair in range(4))
+        ],
+        dtype=int,
+    )
+
+
+def reference_pruned_lhv_feasible(tables):
+    """The LP restricted to the supported strategies, else reference_lhv_feasible.
+
+    The oracle for lhv_feasible's LP path.  It hands linprog a dense column
+    selection of a matrix built afresh on every call, and falls back to the
+    unpruned oracle when every strategy is supported, none is, or the
+    restricted mixture misses the tables.
+    """
+    supported = supported_strategies(tables)
+    if 0 < len(supported) < N_STRATEGIES:
+        stacked = np.clip(lhv._validate_tables(tables), 0.0, None)
+        b_cells = (stacked / stacked.sum(axis=(1, 2), keepdims=True)).reshape(-1)
+        n_cells = len(b_cells)
+        columns = np.concatenate([supported, N_STRATEGIES + np.arange(2 * n_cells)])
+        cost = np.concatenate([np.zeros(len(supported)), np.ones(2 * n_cells)])
+        b_eq = np.concatenate([b_cells, [1.0]])
+        a_eq = reference_a_eq()[:, columns]
+        result = lhv.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert result.success, result.message
+        weights = np.zeros(N_STRATEGIES)
+        weights[supported] = np.clip(result.x[: len(supported)], 0.0, None)
+        weights /= weights.sum()
+        error = float(np.abs(lhv._constraint_matrix() @ weights - b_cells).max())
+        if error <= lhv.RECONSTRUCTION_TOL:
+            return Feasible(LhvModel(weights), error)
+    return reference_lhv_feasible(tables)
+
+
+def assert_matches_pruned_oracle(verdict, tables):
+    """Byte-identical verdict JSON to the pruned oracle, and the unpruned oracle's flag."""
+    expected = verdict_to_json_dict(reference_pruned_lhv_feasible(tables))
+    assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(expected)
+    assert verdict.feasible == reference_lhv_feasible(tables).feasible
+
+
+def outcome_swapped(tables):
+    """Station-1 outcomes 1 and 2 swapped in both xi tables."""
+    return [
+        JointDistribution(t.xi, t.eta, t.probs[[1, 0, 2, 3, 4, 5]]) if pair < 2 else t
+        for pair, t in enumerate(tables)
+    ]
+
+
 def test_lp_certifies_tables_the_facet_step_passes_on(quantum_tables):
     # Station-1 outcomes 1 and 2 swapped in both xi tables: the paper's CHSH
     # drops to 1, so no CHSH relabeling settles them, yet they stay nonlocal.
-    swapped = [
-        JointDistribution(t.xi, t.eta, t.probs[[1, 0, 2, 3, 4, 5]]) if pair < 2 else t
-        for pair, t in enumerate(quantum_tables)
-    ]
+    # Their zero cells prune the LP, whose restricted fit misses, so the
+    # full LP supplies the certificate.
+    swapped = outcome_swapped(quantum_tables)
     assert chsh_certificate(swapped).quantum_value == pytest.approx(1.0, abs=1e-12)
     stacked = lhv._validate_tables(swapped)
     normalized = stacked / stacked.sum(axis=(1, 2), keepdims=True)
@@ -398,8 +459,7 @@ def test_facet_saturating_local_mixtures_feasible(support):
         verdict = lhv_feasible(tables)
         assert isinstance(verdict, Feasible)
         assert verdict.reconstruction_error <= 1e-7
-        expected = verdict_to_json_dict(reference_lhv_feasible(tables))
-        assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(expected)
+        assert_matches_pruned_oracle(verdict, tables)
 
 
 def test_facet_rounding_noise_left_to_the_lp():
@@ -435,8 +495,7 @@ def test_local_tables_with_off_sums_left_to_the_lp(delta):
         assert chsh_certificate(scaled).gap > 1e-12
         verdict = lhv_feasible(scaled)
         assert isinstance(verdict, Feasible)
-        expected = verdict_to_json_dict(reference_lhv_feasible(scaled))
-        assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(expected)
+        assert_matches_pruned_oracle(verdict, scaled)
 
 
 def test_feasible_verdict_json_matches_lp_only_oracle():
@@ -446,9 +505,14 @@ def test_feasible_verdict_json_matches_lp_only_oracle():
         weights[rng.choice(N_STRATEGIES, support, replace=False)] = rng.dirichlet(np.ones(support))
         settings = ChshSettings.from_radians(*rng.uniform(0.0, math.pi, 4))
         tables = synthesize_tables(LhvModel(weights), settings)
-        verdict = verdict_to_json_dict(lhv_feasible(tables))
-        assert verdict["feasible"] is True
-        assert json.dumps(verdict) == json.dumps(verdict_to_json_dict(reference_lhv_feasible(tables)))
+        verdict = lhv_feasible(tables)
+        assert verdict.feasible is True
+        assert_matches_pruned_oracle(verdict, tables)
+    # Every cell is non-zero at full support, so nothing is pruned and the
+    # verdict is the unpruned LP's, byte for byte.
+    assert len(supported_strategies(tables)) == N_STRATEGIES
+    expected = verdict_to_json_dict(reference_lhv_feasible(tables))
+    assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(expected)
 
 
 def test_phase_one_matrix_is_the_dense_oracle_as_csc():
@@ -472,9 +536,8 @@ def test_constraint_matrix_is_read_only():
     assert matrix is lhv._constraint_matrix() and matrix[0, 0] == 1.0
 
 
-def test_lp_reuses_one_sparse_matrix(monkeypatch):
-    from scipy.sparse import issparse
-
+def recorded_matrices(monkeypatch) -> list:
+    """The A_eq of every linprog call lhv_feasible makes from now on."""
     matrices = []
     solve = lhv.linprog
 
@@ -483,15 +546,99 @@ def test_lp_reuses_one_sparse_matrix(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(lhv, "linprog", recording_linprog)
+    return matrices
+
+
+def test_lp_reuses_one_sparse_matrix(monkeypatch, quantum_tables):
+    from scipy.sparse import issparse
+
+    full = lhv._phase_one_matrix()
+    builds = lhv._phase_one_matrix.cache_info().misses
+    matrices = recorded_matrices(monkeypatch)
     rng = np.random.default_rng(73)
-    for support in (3, 40):
+    cases = []
+    for support in (3, 40, N_STRATEGIES):
         weights = np.zeros(N_STRATEGIES)
         weights[rng.choice(N_STRATEGIES, support, replace=False)] = rng.dirichlet(np.ones(support))
         settings = ChshSettings.from_radians(*rng.uniform(0.0, math.pi, 4))
-        assert isinstance(lhv_feasible(synthesize_tables(LhvModel(weights), settings)), Feasible)
-    assert len(matrices) == 2
-    assert matrices[0] is matrices[1] is lhv._phase_one_matrix()
-    assert issparse(matrices[0])
+        cases.append((synthesize_tables(LhvModel(weights), settings), Feasible))
+    cases.append((outcome_swapped(quantum_tables), Infeasible))
+    # Signalling point masses: xi's outcome is 1 beside eta and 2 beside eta',
+    # so no strategy is supported, and only the full LP runs.  CHSH reads 2.
+    cells = [(0, 0), (1, 1), (0, 0), (0, 0)]
+    signalling = [
+        JointDistribution(xi, eta, np.eye(36)[6 * i + j].reshape(6, 6))
+        for (xi, eta), (i, j) in zip(OPTIMAL_SETTINGS.setting_pairs(), cells)
+    ]
+    cases.append((signalling, Infeasible))
+    expected_columns = []
+    for tables, verdict_type in cases:
+        assert isinstance(lhv_feasible(tables), verdict_type)
+        supported = list(supported_strategies(tables))
+        if 0 < len(supported) < N_STRATEGIES:
+            expected_columns.append(supported)
+        if len(supported) in (0, N_STRATEGIES) or verdict_type is Infeasible:
+            expected_columns.append(list(range(N_STRATEGIES)))
+    assert lhv._phase_one_matrix.cache_info().misses == builds
+    # restricted, restricted, full (every strategy supported), restricted then
+    # full, full (no strategy supported)
+    assert [len(c) for c in expected_columns][2:] == [N_STRATEGIES, 27, N_STRATEGIES, N_STRATEGIES]
+    assert len(matrices) == len(expected_columns) == 6
+    assert matrices[2] is matrices[4] is matrices[5] is full
+    dense = full.toarray()
+    column_of = {dense[:, k].tobytes(): k for k in range(dense.shape[1])}
+    slack = list(range(N_STRATEGIES, dense.shape[1]))
+    for matrix, strategies in zip(matrices, expected_columns):
+        assert issparse(matrix) and matrix.format == "csc"
+        picked = [column_of[column.tobytes()] for column in matrix.toarray().T]
+        assert picked == strategies + slack
+
+
+def test_supported_strategy_counts_of_the_paper_tables(monkeypatch, psi, quantum_tables):
+    lossy = [JointDistribution(t.xi, t.eta, thinned_table(t.probs, 0.85)) for t in quantum_tables]
+    assert len(supported_strategies(quantum_tables)) == 27
+    assert len(supported_strategies(diluted_tables(psi, 0.01))) == 37
+    assert len(supported_strategies(lossy)) == 119
+    # Both reach the LP and are fitted by the restricted solve alone.
+    matrices = recorded_matrices(monkeypatch)
+    assert lhv_feasible(diluted_tables(psi, 1e-12)).feasible
+    assert lhv_feasible(lossy).feasible
+    assert [m.shape[1] - 2 * 144 for m in matrices] == [37, 119]
+
+
+def pruning_case(psi, quantum_tables, kind: str, support: int, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "mixture":
+        weights = np.zeros(N_STRATEGIES)
+        weights[rng.choice(N_STRATEGIES, support, replace=False)] = rng.dirichlet(np.ones(support))
+        settings = ChshSettings.from_radians(*rng.uniform(0.0, math.pi, 4))
+        return synthesize_tables(LhvModel(weights), settings)
+    if kind == "diluted":
+        return diluted_tables(psi, 1e-12)
+    if kind == "lossy":
+        return [JointDistribution(t.xi, t.eta, thinned_table(t.probs, 0.85)) for t in quantum_tables]
+    return outcome_swapped(quantum_tables)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(("mixture", "diluted", "lossy", "swapped")),
+    support=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_lp_agrees_with_the_unpruned_oracle(psi, quantum_tables, kind, support, seed):
+    tables = pruning_case(psi, quantum_tables, kind, support, seed)
+    verdict = lhv_feasible(tables)
+    oracle = reference_lhv_feasible(tables)
+    assert verdict.feasible == oracle.feasible
+    if not verdict.feasible:
+        assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(verdict_to_json_dict(oracle))
+        return
+    rebuilt = synthesize_tables(verdict.model, ChshSettings.from_tables(tables))
+    error = max(float(np.abs(a.probs - b.probs).max()) for a, b in zip(rebuilt, tables))
+    assert error <= lhv.RECONSTRUCTION_TOL
+    pruned = np.setdiff1d(np.arange(N_STRATEGIES), supported_strategies(tables))
+    assert not verdict.model.weights[pruned].any()
 
 
 def test_diluted_below_the_facet_floor_matches_lp_only_oracle(psi):

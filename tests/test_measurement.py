@@ -26,6 +26,9 @@ def test_polarizer_angle_reduced_mod_pi():
     assert PolarizerAngle(-0.1).angle == pytest.approx(math.pi - 0.1, abs=1e-12)
     assert PolarizerAngle(math.pi).angle == pytest.approx(0.0, abs=1e-12)
     assert PolarizerAngle.from_degrees(225.0).angle == pytest.approx(math.pi / 4, abs=1e-12)
+    # -1e-17 + pi rounds to pi, outside [0, pi): it is the axis 0
+    assert PolarizerAngle(-1e-17).angle == 0.0
+    assert 0.0 <= PolarizerAngle(-1e-300).angle < math.pi
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])

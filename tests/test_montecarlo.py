@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import event_log
+from conftest import event_log, thinned_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,37 +193,6 @@ def test_vacuum_fraction_tracks_pair_probability():
         assert abs(report.pair_vacuum_probability(pair) - (1 - p)) < 20 * sigma
 
 
-def _thinned_table(probs: np.ndarray, eff: float) -> np.ndarray:
-    """Independent oracle: binomial thinning of each port of each station."""
-
-    def station_demotions(code):
-        n_plus, n_minus = outcome_occupation(code)
-        out = {}
-        for keep_plus in range(n_plus + 1):
-            for keep_minus in range(n_minus + 1):
-                weight = (
-                    math.comb(n_plus, keep_plus)
-                    * eff**keep_plus
-                    * (1 - eff) ** (n_plus - keep_plus)
-                    * math.comb(n_minus, keep_minus)
-                    * eff**keep_minus
-                    * (1 - eff) ** (n_minus - keep_minus)
-                )
-                out_code = classify_occupation(keep_plus, keep_minus)
-                out[out_code] = out.get(out_code, 0.0) + weight
-        return out
-
-    thinned = np.zeros((6, 6))
-    for i in range(1, 7):
-        for j in range(1, 7):
-            if probs[i - 1, j - 1] == 0.0:
-                continue
-            for di, wi in station_demotions(i).items():
-                for dj, wj in station_demotions(j).items():
-                    thinned[di - 1, dj - 1] += probs[i - 1, j - 1] * wi * wj
-    return thinned
-
-
 def test_detector_inefficiency_demotes_outcomes():
     eff = 0.6
     settings = ChshSettings.from_radians(0.3, 0.3, 1.2, 1.2)
@@ -240,7 +209,7 @@ def test_detector_inefficiency_demotes_outcomes():
     ideal = joint_distribution(
         build_experiment_state(), PolarizerAngle(0.3), PolarizerAngle(1.2)
     ).probs
-    expected = _thinned_table(ideal, eff)
+    expected = thinned_table(ideal, eff)
     empirical = report.counts.sum(axis=0) / report.n_bins
     assert np.allclose(empirical, expected, atol=0.01)
 
