@@ -22,7 +22,6 @@ from .bell import (
     chsh_from_tables,
     chsh_operator_expectation,
     correlator,
-    diluted_chsh,
     optimize_angles,
 )
 from .errors import InputError, ModelError, PdcBellError

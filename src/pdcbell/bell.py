@@ -219,17 +219,6 @@ def chsh_decomposition(state: StateVector, settings: ChshSettings) -> ChshResult
     return ChshResult(favorable_part, unfavorable_part, correlators, settings, w_fav)
 
 
-def diluted_chsh(p_vacuum: float, undiluted: float) -> float:
-    """CHSH value after mixing in vacuum bins at probability p_vacuum.
-
-    Vacuum bins contribute +1 to every correlator, so the combination moves
-    linearly toward 2; it stays above 2 exactly when the undiluted value is.
-    """
-    if not 0.0 <= p_vacuum <= 1.0:
-        raise InputError(f"vacuum probability must lie in [0, 1], got {p_vacuum}")
-    return 2.0 * p_vacuum + (1.0 - p_vacuum) * undiluted
-
-
 def _chsh_value(state: StateVector, angles: Sequence[float]) -> float:
     tables = [
         joint_distribution(state, x, e)

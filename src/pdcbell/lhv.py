@@ -24,12 +24,12 @@ Zero mismatch is an explicit model; positive mismatch means separation, and
 the LP dual is the separating Bell functional.  A strategy of weight w adds
 w to each of its four cells, so an exact model weighs only strategies whose
 cells are all non-zero in the targets (27 of 1296 on the optimal tables, 37
-diluted, 119 under per-photon loss).  The LP runs over those first: a model
-there is a full one, so pruning neither loses nor invents a Feasible
-verdict, but it is one exact mixture, not a canonical one.  A miss reruns
-the LP over all 1296, the only solve that yields certificates.  Its sparse
-CSC matrix is built once; a restricted solve takes a column selection.
-Only the LP imports scipy.  All inputs and outputs are immutable.
+diluted, 119 under per-photon loss).  The LP runs over those first, through
+milp, on the non-zero cells alone (a zero cell's row would only zero its
+slacks): a model there is a full one, but one exact mixture, not a canonical
+one.  A miss reruns the LP over all 1296 strategies and 144 cells through
+linprog, whose duals alone yield certificates.  Only the LP imports scipy.
+All inputs and outputs are immutable.
 """
 
 from __future__ import annotations
@@ -57,6 +57,13 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+def milp(*args, **kwargs):
+    """scipy.optimize.milp, imported on first use as linprog is; it solves the restricted LP."""
+    from scipy.optimize import milp as scipy_milp
+
+    return scipy_milp(*args, **kwargs)
+
+
 N_OUTCOMES = 6
 N_STRATEGIES = (N_OUTCOMES**2) ** 2  # 1296
 
@@ -75,11 +82,7 @@ _FACET_GAP_TOL = 1e-12
 #: by: the minus sign on each of the four setting pairs, CHSH_SIGNS first,
 #: then the same four with the overall sign flipped.
 _CHSH_PATTERNS = np.array(
-    [
-        [sign * (-1.0 if k == minus else 1.0) for k in range(4)]
-        for sign in (1.0, -1.0)
-        for minus in (3, 0, 1, 2)
-    ]
+    [sign * (1.0 - 2.0 * np.eye(4)[minus]) for sign in (1.0, -1.0) for minus in (3, 0, 1, 2)]
 )
 
 
@@ -106,18 +109,25 @@ def _constraint_matrix() -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=1)
-def _phase_one_matrix():
-    """The phase-one LP's equality matrix, built once as a read-only CSC.
-
-    Blocks [cells | +I | -I ; 1...1 | 0 | 0] over the variables [weights
-    (1296), slack+ (144), slack- (144)].  Only the LP path imports scipy.
-    """
+def _phase_one_csc(strategies: np.ndarray, rows: np.ndarray):
+    """Phase-one equality CSC: each strategy's four cells, all in the sorted ``rows``
+    and renumbered among them, and the sum row; then slack +1 and -1 per row."""
     from scipy.sparse import csc_array
 
-    eye = np.eye(4 * N_OUTCOMES**2)
-    sums = np.concatenate([np.ones(N_STRATEGIES), np.zeros(2 * len(eye))])
-    matrix = csc_array(np.block([[_constraint_matrix(), eye, -eye], [sums]]))
+    n, m = len(strategies), len(rows)
+    renumbered = np.zeros(4 * N_OUTCOMES**2, dtype=np.int32)
+    renumbered[rows] = np.arange(m)
+    cells = np.vstack([renumbered[_strategy_cells()[:, strategies]], np.full((1, n), m, np.int32)])
+    indices = np.concatenate([cells.T.reshape(-1), np.tile(np.arange(m, dtype=np.int32), 2)])
+    starts = np.append(np.arange(0, 5 * n, 5), np.arange(5 * n, 5 * n + 2 * m + 1)).astype(np.int32)
+    data = np.append(np.ones(5 * n + m), np.full(m, -1.0))
+    return csc_array((data, indices, starts), shape=(m + 1, n + 2 * m))
+
+
+@lru_cache(maxsize=1)
+def _phase_one_matrix():
+    """The full phase-one equality matrix [cells | +I | -I ; 1...1 | 0 | 0], built once."""
+    matrix = _phase_one_csc(np.arange(N_STRATEGIES), np.arange(4 * N_OUTCOMES**2))
     for part in (matrix.data, matrix.indices, matrix.indptr):
         part.flags.writeable = False
     return matrix
@@ -251,18 +261,20 @@ def _facet_verdict(
 
 
 def _phase_one(b_cells: np.ndarray, strategies: np.ndarray):
-    """The phase-one LP over ``strategies`` (a column selection unless all 1296).
+    """The phase-one LP: linprog over all 1296 strategies, else milp on the non-zero cells.
 
-    Returns its result, the clipped weights over all 1296 strategies
-    renormalized, and their largest per-cell miss of ``b_cells``.
+    No supported strategy touches a zero cell, whose row 0 = s+ - s- only zeroes
+    its slacks.  Returns the result, the clipped, renormalized weights over all
+    1296 strategies and their largest per-cell miss of ``b_cells``.
     """
-    n_cells = len(b_cells)
-    matrix = _phase_one_matrix()
-    if len(strategies) < N_STRATEGIES:
-        matrix = matrix[:, np.concatenate([strategies, N_STRATEGIES + np.arange(2 * n_cells)])]
-    cost = np.concatenate([np.zeros(len(strategies)), np.ones(2 * n_cells)])
-    b_eq = np.concatenate([b_cells, [1.0]])
-    result = linprog(cost, A_eq=matrix, b_eq=b_eq, bounds=(0, None), method="highs")
+    full = len(strategies) == N_STRATEGIES
+    rows = np.arange(len(b_cells)) if full else np.flatnonzero(b_cells)
+    cost = np.concatenate([np.zeros(len(strategies)), np.ones(2 * len(rows))])
+    b = np.append(b_cells[rows], 1.0)
+    if full:
+        result = linprog(cost, A_eq=_phase_one_matrix(), b_eq=b, bounds=(0, None), method="highs")
+    else:
+        result = milp(cost, constraints=(_phase_one_csc(strategies, rows), b, b))
     if not result.success:  # pragma: no cover - phase-one LP is always feasible
         raise CertificateExtractionError(f"LP solver failed: {result.message}")
 
@@ -284,8 +296,8 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     module docstring).
 
     The LP fits the clipped, renormalized tables, since a strategy mixture
-    sums to 1 on every table, first over the strategies whose four cells are
-    all non-zero there, then over all 1296 if that misses.  Feasible returns
+    sums to 1 on every table: milp over the supported strategies and the
+    non-zero cells, then linprog over everything if that misses.  Feasible returns
     one exact mixture, not a canonical one, reproducing the targets to
     RECONSTRUCTION_TOL per cell.  Infeasible from the LP returns a Bell
     functional with a strictly positive, enumeration-verified gap on the

@@ -49,7 +49,7 @@ class PolarizerAngle:
         reduced = math.fmod(angle, math.pi)
         if reduced < 0.0:
             reduced += math.pi
-        if reduced == math.pi:  # a tiny negative angle rounds up to pi, the axis 0
+        if reduced in (0.0, math.pi):  # -0.0, and a tiny negative angle rounded up to pi
             reduced = 0.0
         object.__setattr__(self, "angle", reduced)
 

@@ -109,6 +109,13 @@ def test_chsh_command_diluted(capsys):
     assert data["total"] == pytest.approx(2 + 0.01 * (SQRT2 - 1), abs=1e-9)
 
 
+def test_chsh_command_negative_zero_setting(capsys):
+    assert run_cli("chsh", "--settings", OPTIMAL_FLAG) == 0
+    expected = capsys.readouterr().out
+    assert run_cli("chsh", "--settings=-0deg,45deg,112.5deg,67.5deg") == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_chsh_command_equal_settings(capsys):
     assert run_cli("chsh", "--settings", "30deg,30deg,30deg,30deg") == 0
     data = json.loads(capsys.readouterr().out)

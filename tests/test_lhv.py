@@ -336,8 +336,10 @@ def supported_strategies(tables) -> np.ndarray:
 def reference_pruned_lhv_feasible(tables):
     """The LP restricted to the supported strategies, else reference_lhv_feasible.
 
-    The oracle for lhv_feasible's LP path.  It hands linprog a dense column
-    selection of a matrix built afresh on every call, and falls back to the
+    The oracle for lhv_feasible's LP path.  It keeps the rows of the
+    non-zero cells (and the sum row), the supported strategies and the
+    slack pair of each kept row, selected densely from a matrix built afresh
+    on every call, and solves through lhv.milp.  It falls back to the
     unpruned oracle when every strategy is supported, none is, or the
     restricted mixture misses the tables.
     """
@@ -346,11 +348,12 @@ def reference_pruned_lhv_feasible(tables):
         stacked = np.clip(lhv._validate_tables(tables), 0.0, None)
         b_cells = (stacked / stacked.sum(axis=(1, 2), keepdims=True)).reshape(-1)
         n_cells = len(b_cells)
-        columns = np.concatenate([supported, N_STRATEGIES + np.arange(2 * n_cells)])
-        cost = np.concatenate([np.zeros(len(supported)), np.ones(2 * n_cells)])
-        b_eq = np.concatenate([b_cells, [1.0]])
-        a_eq = reference_a_eq()[:, columns]
-        result = lhv.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        rows = np.flatnonzero(b_cells)
+        columns = np.concatenate([supported, N_STRATEGIES + rows, N_STRATEGIES + n_cells + rows])
+        a_eq = reference_a_eq()[np.append(rows, n_cells)][:, columns]
+        cost = np.concatenate([np.zeros(len(supported)), np.ones(2 * len(rows))])
+        b_eq = np.append(b_cells[rows], 1.0)
+        result = lhv.milp(cost, constraints=(a_eq, b_eq, b_eq))
         assert result.success, result.message
         weights = np.zeros(N_STRATEGIES)
         weights[supported] = np.clip(result.x[: len(supported)], 0.0, None)
@@ -537,16 +540,27 @@ def test_constraint_matrix_is_read_only():
 
 
 def recorded_matrices(monkeypatch) -> list:
-    """The A_eq of every linprog call lhv_feasible makes from now on."""
-    matrices = []
-    solve = lhv.linprog
+    """(solver, matrix) of every milp and linprog call lhv_feasible makes from now on."""
+    calls = []
+    restricted, full = lhv.milp, lhv.linprog
+
+    def recording_milp(*args, **kwargs):
+        calls.append(("milp", kwargs["constraints"][0]))
+        return restricted(*args, **kwargs)
 
     def recording_linprog(*args, **kwargs):
-        matrices.append(kwargs["A_eq"])
-        return solve(*args, **kwargs)
+        calls.append(("linprog", kwargs["A_eq"]))
+        return full(*args, **kwargs)
 
+    monkeypatch.setattr(lhv, "milp", recording_milp)
     monkeypatch.setattr(lhv, "linprog", recording_linprog)
-    return matrices
+    return calls
+
+
+def kept_rows(tables) -> np.ndarray:
+    """The non-zero cells of the clipped, renormalized tables: a restricted LP's rows."""
+    stacked = np.clip(lhv._validate_tables(tables), 0.0, None)
+    return np.flatnonzero(stacked / stacked.sum(axis=(1, 2), keepdims=True))
 
 
 def test_lp_reuses_one_sparse_matrix(monkeypatch, quantum_tables):
@@ -554,7 +568,7 @@ def test_lp_reuses_one_sparse_matrix(monkeypatch, quantum_tables):
 
     full = lhv._phase_one_matrix()
     builds = lhv._phase_one_matrix.cache_info().misses
-    matrices = recorded_matrices(monkeypatch)
+    calls = recorded_matrices(monkeypatch)
     rng = np.random.default_rng(73)
     cases = []
     for support in (3, 40, N_STRATEGIES):
@@ -571,27 +585,26 @@ def test_lp_reuses_one_sparse_matrix(monkeypatch, quantum_tables):
         for (xi, eta), (i, j) in zip(OPTIMAL_SETTINGS.setting_pairs(), cells)
     ]
     cases.append((signalling, Infeasible))
-    expected_columns = []
+    expected = []
     for tables, verdict_type in cases:
         assert isinstance(lhv_feasible(tables), verdict_type)
-        supported = list(supported_strategies(tables))
+        supported = supported_strategies(tables)
         if 0 < len(supported) < N_STRATEGIES:
-            expected_columns.append(supported)
+            expected.append(("milp", supported, kept_rows(tables)))
         if len(supported) in (0, N_STRATEGIES) or verdict_type is Infeasible:
-            expected_columns.append(list(range(N_STRATEGIES)))
+            expected.append(("linprog", np.arange(N_STRATEGIES), np.arange(144)))
     assert lhv._phase_one_matrix.cache_info().misses == builds
     # restricted, restricted, full (every strategy supported), restricted then
-    # full, full (no strategy supported)
-    assert [len(c) for c in expected_columns][2:] == [N_STRATEGIES, 27, N_STRATEGIES, N_STRATEGIES]
-    assert len(matrices) == len(expected_columns) == 6
-    assert matrices[2] is matrices[4] is matrices[5] is full
+    # full (the swapped tables), full (no strategy supported)
+    solvers = ["milp", "milp", "linprog", "milp", "linprog", "linprog"]
+    assert [solver for solver, _ in calls] == [solver for solver, _, _ in expected] == solvers
+    assert len(expected[3][1]) == 27
+    assert calls[2][1] is calls[4][1] is calls[5][1] is full
     dense = full.toarray()
-    column_of = {dense[:, k].tobytes(): k for k in range(dense.shape[1])}
-    slack = list(range(N_STRATEGIES, dense.shape[1]))
-    for matrix, strategies in zip(matrices, expected_columns):
+    for (_, matrix), (_, strategies, rows) in zip(calls, expected):
         assert issparse(matrix) and matrix.format == "csc"
-        picked = [column_of[column.tobytes()] for column in matrix.toarray().T]
-        assert picked == strategies + slack
+        columns = np.concatenate([strategies, N_STRATEGIES + rows, N_STRATEGIES + 144 + rows])
+        assert np.array_equal(matrix.toarray(), dense[np.append(rows, 144)][:, columns])
 
 
 def test_supported_strategy_counts_of_the_paper_tables(monkeypatch, psi, quantum_tables):
@@ -599,11 +612,14 @@ def test_supported_strategy_counts_of_the_paper_tables(monkeypatch, psi, quantum
     assert len(supported_strategies(quantum_tables)) == 27
     assert len(supported_strategies(diluted_tables(psi, 0.01))) == 37
     assert len(supported_strategies(lossy)) == 119
-    # Both reach the LP and are fitted by the restricted solve alone.
-    matrices = recorded_matrices(monkeypatch)
+    # Both reach the LP and are fitted by the restricted solve alone, over
+    # their supported strategies and non-zero cells.
+    calls = recorded_matrices(monkeypatch)
     assert lhv_feasible(diluted_tables(psi, 1e-12)).feasible
     assert lhv_feasible(lossy).feasible
-    assert [m.shape[1] - 2 * 144 for m in matrices] == [37, 119]
+    assert [solver for solver, _ in calls] == ["milp", "milp"]
+    cells = [m.shape[0] - 1 for _, m in calls]
+    assert [(m.shape[1] - 2 * n, n) for (_, m), n in zip(calls, cells)] == [(37, 38), (119, 54)]
 
 
 def pruning_case(psi, quantum_tables, kind: str, support: int, seed: int):

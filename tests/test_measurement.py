@@ -29,6 +29,8 @@ def test_polarizer_angle_reduced_mod_pi():
     # -1e-17 + pi rounds to pi, outside [0, pi): it is the axis 0
     assert PolarizerAngle(-1e-17).angle == 0.0
     assert 0.0 <= PolarizerAngle(-1e-300).angle < math.pi
+    # fmod keeps the sign of zero; the axis is +0.0 either way
+    assert math.copysign(1.0, PolarizerAngle(-0.0).angle) == 1.0
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
