@@ -96,12 +96,12 @@ def _emit(payload: dict, out: Path | None) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON in ``path``; an unreadable file, bad bytes or too deep nesting raise InputError."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        return json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

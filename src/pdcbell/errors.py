@@ -51,10 +51,6 @@ class InconsistentSettingsError(InputError):
     """Four correlation tables do not share a consistent CHSH setting pattern."""
 
 
-class MalformedTablesError(InputError):
-    """Probability tables are negative or not normalized."""
-
-
 class CertificateExtractionError(ModelError):
     """LP dual did not yield a verifiable separating functional."""
 

@@ -28,7 +28,9 @@ diluted, 119 under per-photon loss).  The LP runs over those first, through
 milp, on the non-zero cells alone (a zero cell's row would only zero its
 slacks): a model there is a full one, but one exact mixture, not a canonical
 one.  A miss reruns the LP over all 1296 strategies and 144 cells through
-linprog, whose duals alone yield certificates.  Only the LP imports scipy.
+linprog, whose duals alone yield certificates.  Each solve's matrix, the
+reconstruction check and synthesized tables come from one description of
+the polytope, the four cells each strategy hits.  Only the LP imports scipy.
 All inputs and outputs are immutable.
 """
 
@@ -42,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
-from .errors import CertificateExtractionError, InputError, MalformedTablesError
+from .errors import CertificateExtractionError, InputError
 from .measurement import JointDistribution, axis_distance, finite_floats, json_floats
 
 
@@ -100,13 +102,11 @@ def _strategy_cells() -> np.ndarray:
     return cells
 
 
-@lru_cache(maxsize=1)
-def _constraint_matrix() -> np.ndarray:
-    """Read-only (144, 1296) matrix: cell (pair, i, j) indicator per strategy."""
-    rows = np.zeros((4 * N_OUTCOMES * N_OUTCOMES, N_STRATEGIES))
-    rows[_strategy_cells(), np.arange(N_STRATEGIES)] = 1.0
-    rows.flags.writeable = False
-    return rows
+def _cell_probs(weights: np.ndarray) -> np.ndarray:
+    """The 144 flat cell probabilities a mixture with these strategy weights produces."""
+    return np.bincount(
+        _strategy_cells().reshape(-1), weights=np.tile(weights, 4), minlength=4 * N_OUTCOMES**2
+    )
 
 
 def _phase_one_csc(strategies: np.ndarray, rows: np.ndarray):
@@ -122,15 +122,6 @@ def _phase_one_csc(strategies: np.ndarray, rows: np.ndarray):
     starts = np.append(np.arange(0, 5 * n, 5), np.arange(5 * n, 5 * n + 2 * m + 1)).astype(np.int32)
     data = np.append(np.ones(5 * n + m), np.full(m, -1.0))
     return csc_array((data, indices, starts), shape=(m + 1, n + 2 * m))
-
-
-@lru_cache(maxsize=1)
-def _phase_one_matrix():
-    """The full phase-one equality matrix [cells | +I | -I ; 1...1 | 0 | 0], built once."""
-    matrix = _phase_one_csc(np.arange(N_STRATEGIES), np.arange(4 * N_OUTCOMES**2))
-    for part in (matrix.data, matrix.indices, matrix.indptr):
-        part.flags.writeable = False
-    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,18 +220,6 @@ def chsh_certificate(tables: Sequence[JointDistribution]) -> BellCertificate:
     return _certificate(np.stack([s * SIGN_TABLE for s in CHSH_SIGNS]), tables)
 
 
-def _validate_tables(tables: Sequence[JointDistribution]) -> np.ndarray:
-    if len(tables) != 4:
-        raise MalformedTablesError(f"need exactly 4 tables, got {len(tables)}")
-    stacked = np.stack([np.asarray(t.probs, dtype=float) for t in tables])
-    if stacked.min() < -1e-9:
-        raise MalformedTablesError(f"negative table entry {stacked.min()}")
-    sums = stacked.reshape(4, -1).sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-6:
-        raise MalformedTablesError(f"tables are not normalized: sums {sums}")
-    return stacked
-
-
 def _facet_verdict(
     stacked: np.ndarray, normalized: np.ndarray, tables: Sequence[JointDistribution]
 ) -> Infeasible | None:
@@ -249,7 +228,7 @@ def _facet_verdict(
     Every local table set lies at least ``gap`` from ``stacked`` in summed
     L1 distance (the coefficients are +-1), so a gap above the slack of
     the clipped, renormalized tables plus _FACET_GAP_TOL cannot come from a
-    local model that is off only by the normalization the validator admits.
+    local model that is off only by the normalization a JointDistribution admits.
     """
     correlators = (stacked * SIGN_TABLE).sum(axis=(1, 2))
     pattern = _CHSH_PATTERNS[int(np.argmax(_CHSH_PATTERNS @ correlators))]
@@ -263,25 +242,27 @@ def _facet_verdict(
 def _phase_one(b_cells: np.ndarray, strategies: np.ndarray):
     """The phase-one LP: linprog over all 1296 strategies, else milp on the non-zero cells.
 
-    No supported strategy touches a zero cell, whose row 0 = s+ - s- only zeroes
-    its slacks.  Returns the result, the clipped, renormalized weights over all
-    1296 strategies and their largest per-cell miss of ``b_cells``.
+    Its matrix is built per solve from the cells each strategy hits; no
+    supported strategy touches a zero cell, whose row 0 = s+ - s- only zeroes
+    its slacks.  Returns the result, the clipped, renormalized weights over
+    all 1296 strategies and their largest per-cell miss of ``b_cells``.
     """
     full = len(strategies) == N_STRATEGIES
     rows = np.arange(len(b_cells)) if full else np.flatnonzero(b_cells)
     cost = np.concatenate([np.zeros(len(strategies)), np.ones(2 * len(rows))])
+    a = _phase_one_csc(strategies, rows)
     b = np.append(b_cells[rows], 1.0)
     if full:
-        result = linprog(cost, A_eq=_phase_one_matrix(), b_eq=b, bounds=(0, None), method="highs")
+        result = linprog(cost, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
     else:
-        result = milp(cost, constraints=(_phase_one_csc(strategies, rows), b, b))
+        result = milp(cost, constraints=(a, b, b))
     if not result.success:  # pragma: no cover - phase-one LP is always feasible
         raise CertificateExtractionError(f"LP solver failed: {result.message}")
 
     weights = np.zeros(N_STRATEGIES)
     weights[strategies] = np.clip(result.x[: len(strategies)], 0.0, None)
     weights /= weights.sum()
-    return result, weights, float(np.abs(_constraint_matrix() @ weights - b_cells).max())
+    return result, weights, float(np.abs(_cell_probs(weights) - b_cells).max())
 
 
 def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
@@ -304,8 +285,8 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     tables as given, scaled to max-abs coefficient 1.  Tables off the (xi,eta),
     (xi,eta'), (xi',eta), (xi',eta') pattern raise InconsistentSettingsError.
     """
-    stacked = _validate_tables(tables)
     ChshSettings.from_tables(tables)
+    stacked = np.stack([t.probs for t in tables])
     clipped = np.clip(stacked, 0.0, None)
     normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
     facet = _facet_verdict(stacked, normalized, tables)
@@ -334,9 +315,7 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
 
 def synthesize_tables(model: LhvModel, settings: ChshSettings) -> list[JointDistribution]:
     """The four joint tables a strategy mixture produces."""
-    cells = _strategy_cells().reshape(-1)
-    probs = np.bincount(cells, weights=np.tile(model.weights, 4), minlength=4 * N_OUTCOMES**2)
-    tables = probs.reshape(4, N_OUTCOMES, N_OUTCOMES)
+    tables = _cell_probs(model.weights).reshape(4, N_OUTCOMES, N_OUTCOMES)
     return [JointDistribution(xi, eta, t) for (xi, eta), t in zip(settings.setting_pairs(), tables)]
 
 

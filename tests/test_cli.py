@@ -245,6 +245,25 @@ def test_lhv_check_malformed_json(tmp_path, capsys):
     assert run_cli("lhv-check", "--input", str(tmp_path / "missing.json")) == 2
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"tables": "\xe9"}', "codec can't decode"), (b"[" * 100_000, "recursion")],
+    ids=["non-utf8", "deep-nesting"],
+)
+@pytest.mark.parametrize(
+    "command", [("lhv-check", "--input"), ("simulate", "--config")], ids=["lhv-check", "simulate"]
+)
+def test_undecodable_json_file_exits_2(tmp_path, capsys, command, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = ("--out", str(tmp_path / "x.csv")) if command[0] == "simulate" else ()
+    assert run_cli(*command, str(path), *out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not valid JSON") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_lhv_check_nan_cell_exits_2(tmp_path, capsys, quantum_tables):
     data = tables_to_json_dict(quantum_tables)
     data["tables"][1]["probs"][7] = math.nan
