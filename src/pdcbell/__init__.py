@@ -21,7 +21,6 @@ from .bell import (
     chsh_decomposition,
     chsh_from_tables,
     chsh_operator_expectation,
-    correlator,
     optimize_angles,
 )
 from .errors import InputError, ModelError, PdcBellError

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InconsistentSettingsError, InputError
+from .errors import InputError
 from .fock import PHYSICS_TOL, StateVector, inner_product
 from .measurement import (
     FAVORABLE_MASK,
@@ -79,11 +79,11 @@ class ChshSettings:
     def from_tables(cls, tables: Sequence[JointDistribution]) -> "ChshSettings":
         """The angles of four tables in ``setting_pairs`` order.
 
-        Raises InconsistentSettingsError unless there are exactly four tables
-        sharing the (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern.
+        Raises InputError unless there are exactly four tables sharing the
+        (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern.
         """
         if len(tables) != 4:
-            raise InconsistentSettingsError(f"need exactly 4 tables, got {len(tables)}")
+            raise InputError(f"need exactly 4 tables, got {len(tables)}")
         t = tables
         checks = (
             axis_distance(t[0].xi.angle, t[1].xi.angle),
@@ -92,7 +92,7 @@ class ChshSettings:
             axis_distance(t[1].eta.angle, t[3].eta.angle),
         )
         if max(checks) > 1e-12:
-            raise InconsistentSettingsError(
+            raise InputError(
                 "tables do not share the (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern"
             )
         return cls(t[0].xi, t[2].xi, t[0].eta, t[1].eta)
@@ -142,11 +142,6 @@ class ChshResult:
             "correlators": list(self.correlators),
             "settings_rad": list(self.settings.as_radians()),
         }
-
-
-def correlator(dist: JointDistribution) -> float:
-    """Expectation of the value product over one joint distribution."""
-    return float(np.sum(SIGN_TABLE * dist.probs))
 
 
 def chsh_from_tables(tables: Sequence[JointDistribution]) -> ChshResult:

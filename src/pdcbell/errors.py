@@ -1,10 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""The package's two kinds of failure, under one base class.
 
-Two branches matter for the CLI exit-code mapping: InputError covers
-malformed user-supplied data (bad angles, bad config files, bad tables)
-and maps to exit code 2, while ModelError covers violated physics or
-algebra contracts (occupancy overflow, non-unitary matrices, mismatched
-labels) and maps to exit code 4.
+Every library failure is one of two kinds, and the CLI maps each to an exit
+code: InputError covers malformed user-supplied data (bad angles, bad config
+files, bad tables, bad event logs) and maps to exit code 2, while ModelError
+covers violated physics or algebra contracts (occupancy overflow, non-unitary
+matrices, mismatched labels) and maps to exit code 4.  The message says which
+check fired.
 """
 
 
@@ -18,46 +19,3 @@ class InputError(PdcBellError):
 
 class ModelError(PdcBellError):
     """An internal physics or algebra invariant was violated."""
-
-
-class OccupancyOverflowError(ModelError):
-    """A creation operator would push a mode (or state) past 2 photons."""
-
-
-class NonUnitaryMatrixError(ModelError):
-    """A mode transformation matrix failed the unitarity check."""
-
-
-class ModeLabelMismatchError(ModelError):
-    """Two states use different spatial labelings and cannot be combined."""
-
-
-class UnknownModeError(ModelError):
-    """A spatial label or polarization index does not exist in the state."""
-
-
-class WrongFrameError(ModelError):
-    """Operation applied to a state in the wrong spatial frame
-
-    (e.g. beamsplitter applied to an already post-beamsplitter state).
-    """
-
-
-class OutOfModelError(ModelError):
-    """A detector occupation pattern falls outside the two-photon model."""
-
-
-class InconsistentSettingsError(InputError):
-    """Four correlation tables do not share a consistent CHSH setting pattern."""
-
-
-class CertificateExtractionError(ModelError):
-    """LP dual did not yield a verifiable separating functional."""
-
-
-class InvalidConfigError(InputError):
-    """A simulation run configuration violates its invariants."""
-
-
-class EmptySettingPairError(InputError):
-    """An event log contains no events for one of the four setting pairs."""

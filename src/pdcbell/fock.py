@@ -24,15 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
-from .errors import (
-    InputError,
-    ModeLabelMismatchError,
-    NonUnitaryMatrixError,
-    OccupancyOverflowError,
-    UnknownModeError,
-)
+from .errors import InputError, ModelError
 
 ARM_LABELS = ("a", "b")
 STATION_LABELS = ("1", "2")
@@ -63,7 +57,7 @@ class ModeId:
 
     def __post_init__(self) -> None:
         if self.polarization not in (0, 1):
-            raise UnknownModeError(f"polarization index must be 0 or 1, got {self.polarization}")
+            raise ModelError(f"polarization index must be 0 or 1, got {self.polarization}")
 
 
 def mode_index(spatial_labels: tuple[str, str], mode: ModeId) -> int:
@@ -71,7 +65,7 @@ def mode_index(spatial_labels: tuple[str, str], mode: ModeId) -> int:
     try:
         s = spatial_labels.index(mode.spatial)
     except ValueError:
-        raise UnknownModeError(
+        raise ModelError(
             f"spatial label {mode.spatial!r} not in state labels {spatial_labels}"
         ) from None
     return 2 * s + mode.polarization
@@ -90,21 +84,20 @@ class StateVector:
     records which spatial frame the state lives in.  Instances are immutable.
     """
 
-    terms: Mapping[Occupation, complex] | Iterable[tuple[Occupation, complex]]
+    terms: Mapping[Occupation, complex]
     spatial: tuple[str, str] = ARM_LABELS
 
     def __post_init__(self) -> None:
         spatial = tuple(self.spatial)
         if len(spatial) != 2 or spatial[0] == spatial[1]:
             raise InputError(f"need two distinct spatial labels, got {spatial}")
-        items = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
         clean: dict[Occupation, complex] = {}
-        for occ, amp in items:
+        for occ, amp in self.terms.items():
             occ = tuple(int(n) for n in occ)
             if len(occ) != 4 or any(n < 0 for n in occ):
                 raise InputError(f"bad occupation vector {occ}")
             if max(occ) > MAX_PHOTONS or sum(occ) > MAX_PHOTONS:
-                raise OccupancyOverflowError(f"occupation {occ} exceeds the {MAX_PHOTONS}-photon cap")
+                raise ModelError(f"occupation {occ} exceeds the {MAX_PHOTONS}-photon cap")
             amp = complex(amp)
             if amp != 0:
                 clean[occ] = clean.get(occ, 0j) + amp
@@ -152,9 +145,6 @@ class StateVector:
         """Rename the spatial frame without touching amplitudes (beamsplitter output)."""
         return StateVector(self.terms, spatial)
 
-    def __iter__(self) -> Iterator[tuple[Occupation, complex]]:
-        return iter(self.sorted_terms())
-
     def __repr__(self) -> str:
         inner = " + ".join(
             f"({amp:.6g})|{occupation_key(occ)}>" for occ, amp in self.sorted_terms()
@@ -180,22 +170,20 @@ def basis_state(occupation: Occupation, spatial: tuple[str, str] = ARM_LABELS) -
 
 def _check_labels(s1: StateVector, s2: StateVector) -> None:
     if s1.spatial != s2.spatial:
-        raise ModeLabelMismatchError(
-            f"states use different spatial labels: {s1.spatial} vs {s2.spatial}"
-        )
+        raise ModelError(f"states use different spatial labels: {s1.spatial} vs {s2.spatial}")
 
 
 def _check_unitary(u) -> tuple[tuple[complex, ...], ...]:
     rows = tuple(tuple(complex(x) for x in row) for row in u)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise NonUnitaryMatrixError("mode transformation must be a 2x2 matrix")
+        raise ModelError("mode transformation must be a 2x2 matrix")
     # u @ u^dagger == I within ALGEBRA_TOL
     for i in range(2):
         for j in range(2):
             entry = sum(rows[i][k] * rows[j][k].conjugate() for k in range(2))
             target = 1.0 if i == j else 0.0
             if abs(entry - target) > ALGEBRA_TOL:
-                raise NonUnitaryMatrixError(f"matrix is not unitary within {ALGEBRA_TOL}")
+                raise ModelError(f"matrix is not unitary within {ALGEBRA_TOL}")
     return rows
 
 
@@ -211,7 +199,7 @@ def apply_mode_unitary(state: StateVector, modes: tuple[ModeId, ModeId], u) -> S
     i0 = mode_index(state.spatial, modes[0])
     i1 = mode_index(state.spatial, modes[1])
     if i0 == i1:
-        raise UnknownModeError("mode pair must name two distinct modes")
+        raise ModelError("mode pair must name two distinct modes")
 
     out: dict[Occupation, complex] = {}
     for occ, amp in state.terms.items():

@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
-from .errors import CertificateExtractionError, InputError
+from .errors import InputError, ModelError
 from .measurement import JointDistribution, axis_distance, finite_floats, json_floats
 
 
@@ -205,14 +205,10 @@ def local_bound_by_enumeration(coefficients: np.ndarray) -> float:
     return float(_strategy_values(np.asarray(coefficients, dtype=float)).max())
 
 
-def contract_tables(coefficients: np.ndarray, tables: Sequence[JointDistribution]) -> float:
-    """Value of a Bell functional on four observed tables."""
-    stacked = np.stack([t.probs for t in tables])
-    return float(np.sum(np.asarray(coefficients, dtype=float) * stacked))
-
-
 def _certificate(coefficients: np.ndarray, tables: Sequence[JointDistribution]) -> BellCertificate:
-    return BellCertificate(coefficients, contract_tables(coefficients, tables))
+    """The functional ``coefficients`` as a certificate: its value on the four ``tables``."""
+    stacked = np.stack([t.probs for t in tables])
+    return BellCertificate(coefficients, float(np.sum(coefficients * stacked)))
 
 
 def chsh_certificate(tables: Sequence[JointDistribution]) -> BellCertificate:
@@ -257,7 +253,7 @@ def _phase_one(b_cells: np.ndarray, strategies: np.ndarray):
     else:
         result = milp(cost, constraints=(a, b, b))
     if not result.success:  # pragma: no cover - phase-one LP is always feasible
-        raise CertificateExtractionError(f"LP solver failed: {result.message}")
+        raise ModelError(f"LP solver failed: {result.message}")
 
     weights = np.zeros(N_STRATEGIES)
     weights[strategies] = np.clip(result.x[: len(strategies)], 0.0, None)
@@ -283,7 +279,7 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     RECONSTRUCTION_TOL per cell.  Infeasible from the LP returns a Bell
     functional with a strictly positive, enumeration-verified gap on the
     tables as given, scaled to max-abs coefficient 1.  Tables off the (xi,eta),
-    (xi,eta'), (xi',eta), (xi',eta') pattern raise InconsistentSettingsError.
+    (xi,eta'), (xi',eta), (xi',eta') pattern raise InputError.
     """
     ChshSettings.from_tables(tables)
     stacked = np.stack([t.probs for t in tables])
@@ -308,9 +304,7 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
         certificate = _certificate((candidate / scale).reshape(4, N_OUTCOMES, N_OUTCOMES), tables)
         if certificate.gap > 0.0:
             return Infeasible(certificate)
-    raise CertificateExtractionError(
-        "LP reported mismatch but no verifiable separating functional was found"
-    )
+    raise ModelError("LP reported mismatch but no verifiable separating functional was found")
 
 
 def synthesize_tables(model: LhvModel, settings: ChshSettings) -> list[JointDistribution]:

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError, OutOfModelError, UnknownModeError
+from .errors import InputError, ModelError
 from .fock import PHYSICS_TOL, ModeId, StateVector, apply_mode_unitary
 
 #: Joint probabilities below this are clamped to exactly zero.
@@ -52,10 +52,6 @@ class PolarizerAngle:
         if reduced in (0.0, math.pi):  # -0.0, and a tiny negative angle rounded up to pi
             reduced = 0.0
         object.__setattr__(self, "angle", reduced)
-
-    @classmethod
-    def from_degrees(cls, degrees: float) -> "PolarizerAngle":
-        return cls(math.radians(degrees))
 
 
 def axis_distance(a: float, b: float) -> float:
@@ -90,7 +86,7 @@ _OUTCOME_TO_OCCUPATION = {v: k for k, v in _OCCUPATION_TO_OUTCOME.items()}
 def classify_occupation(n_plus: int, n_minus: int) -> OutcomeClass:
     """Outcome class for (D+ count, D- count); at most two photons total."""
     if n_plus < 0 or n_minus < 0 or n_plus + n_minus > 2:
-        raise OutOfModelError(f"occupation ({n_plus}, {n_minus}) outside the two-photon model")
+        raise ModelError(f"occupation ({n_plus}, {n_minus}) outside the two-photon model")
     return _OCCUPATION_TO_OUTCOME[(n_plus, n_minus)]
 
 
@@ -132,10 +128,6 @@ class JointDistribution:
             raise InputError(f"probability table sums to {total}, not 1")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-
-    def prob(self, i: int, j: int) -> float:
-        """P(i, j) with the 1-based outcome codes."""
-        return float(self.probs[i - 1, j - 1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,7 +188,7 @@ def rotate_station_basis(state: StateVector, station: str, xi: PolarizerAngle) -
     the analyzer axis and index 1 the perpendicular one.
     """
     if station not in state.spatial:
-        raise UnknownModeError(f"unknown station {station!r}; state labels are {state.spatial}")
+        raise ModelError(f"unknown station {station!r}; state labels are {state.spatial}")
     c, s = math.cos(xi.angle), math.sin(xi.angle)
     u = ((c, s), (-s, c))
     return apply_mode_unitary(state, (ModeId(station, 0), ModeId(station, 1)), u)

@@ -41,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
-from .errors import EmptySettingPairError, InputError, InvalidConfigError
+from .errors import InputError
 from .measurement import (
     OutcomeClass,
     classify_occupation,
@@ -57,7 +57,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 #: Above this per-bin pair probability the one-pair-per-bin assumption is shaky.
 PAIR_PROBABILITY_WARN = 0.1
 
-#: Longest accepted run in bins: its in-memory event log takes 1 GB.
+#: Longest accepted run in bins, and longest event log read: 1 GB in memory.
 MAX_BINS = 10**9
 
 #: Relative distance from an integer within which T/tau counts as that
@@ -131,7 +131,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         errors = _config_errors(self)
         if errors:
-            raise InvalidConfigError("; ".join(errors))
+            raise InputError("; ".join(errors))
 
     @property
     def n_bins(self) -> int:
@@ -156,13 +156,13 @@ class RunConfig:
 
         Values pass to the constructor as they are, never cast: unknown keys,
         a number that is a string or a bool (``"1e-5"``, ``true``) and a seed
-        that is not an integer (``1.5``, ``true``, ``"7"``) raise InvalidConfigError.
+        that is not an integer (``1.5``, ``true``, ``"7"``) raise InputError.
         """
         if not isinstance(data, Mapping):
-            raise InvalidConfigError(f"run config must be a JSON object, got {type(data).__name__}")
+            raise InputError(f"run config must be a JSON object, got {type(data).__name__}")
         unknown = sorted(str(key) for key in data if key not in _CONFIG_KEYS)
         if unknown:
-            raise InvalidConfigError(f"unknown run config key(s): {', '.join(unknown)}")
+            raise InputError(f"unknown run config key(s): {', '.join(unknown)}")
         try:
             return cls(
                 total_time=data["T"],
@@ -174,7 +174,7 @@ class RunConfig:
                 detector_efficiency=data.get("detector_efficiency", 1.0),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidConfigError(f"malformed run config: {exc}") from exc
+            raise InputError(f"malformed run config: {exc}") from exc
 
 
 def _is_finite(value) -> bool:
@@ -302,10 +302,11 @@ class EventLog:
         Accepted: the header line, then rows ``<bin>,<s1>,<s2>,<o1>,<o2>``
         with the bin written in canonical decimal and equal to the row's
         1-based number, single-digit settings 0/1 and outcomes 1-6, lines
-        ending in CRLF or LF, the last one optionally unterminated.  The file
-        is read in blocks of ``_READ_BLOCK`` bytes cut after the last newline;
-        ``_read_rows`` accepts a block only when ``_render_rows`` renders it
-        back, as it stands or in its CRLF form.
+        ending in CRLF or LF, the last one optionally unterminated, and at
+        most ``MAX_BINS`` rows, the longest run.  The file is read in blocks
+        of ``_READ_BLOCK`` bytes cut after the last newline; ``_read_rows``
+        accepts a block only when ``_render_rows`` renders it back, as it
+        stands or in its CRLF form, and the row count is checked per block.
         """
         try:
             handle = open(path, "rb")
@@ -320,18 +321,22 @@ class EventLog:
             blocks = [np.empty(0, dtype=np.uint8)]
             rows = 0
             carry = b""
-            while chunk := handle.read(_READ_BLOCK):
-                buf = carry + chunk
+            while buf := carry + handle.read(_READ_BLOCK):
+                if len(buf) == len(carry):  # end of file after an unterminated last row
+                    buf += b"\n"
                 cut = buf.rfind(b"\n") + 1
-                blocks.append(_read_rows(buf[:cut], rows, path, scratch))
-                rows += len(blocks[-1])
+                block = _read_rows(buf[:cut], rows, path, scratch)
+                if rows + len(block) > MAX_BINS:
+                    raise InputError(
+                        f"event log {path} line {MAX_BINS + 2}: more than {MAX_BINS} rows"
+                    )
+                blocks.append(block)
+                rows += len(block)
                 carry = buf[cut:]
                 if len(carry) > _MAX_LINE:
                     raise InputError(
                         f"event log {path} line {rows + 2}: row longer than {_MAX_LINE} bytes"
                     )
-            if carry:
-                blocks.append(_read_rows(carry + b"\n", rows, path, scratch))
         return cls(np.concatenate(blocks))
 
 
@@ -533,7 +538,7 @@ class EstimateReport:
 
     ``counts`` is a read-only (4, 6, 6) array of events per (setting pair,
     i, j).  Anything but non-negative integers in that shape raises
-    InputError, and a setting pair without events EmptySettingPairError.
+    InputError, as does a setting pair without events.
     """
 
     counts: np.ndarray
@@ -543,7 +548,7 @@ class EstimateReport:
         if arr.shape != (4, 6, 6) or arr.dtype.kind not in "iu" or (arr < 0).any():
             raise InputError(f"counts must be non-negative (4, 6, 6) integers, not {arr.dtype}")
         if missing := [k for k in range(4) if arr[k].sum() == 0]:
-            raise EmptySettingPairError(f"no events for setting pair(s) {missing}")
+            raise InputError(f"no events for setting pair(s) {missing}")
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
@@ -562,14 +567,6 @@ class EstimateReport:
 
     chsh = property(lambda self: float(sum(s * e for s, e in zip(CHSH_SIGNS, self.correlators))))
     chsh_stderr = property(lambda self: math.sqrt(sum(se * se for se in self.correlator_stderrs)))
-
-    def vacuum_fraction(self) -> float:
-        return self.n_vacuum / self.n_bins
-
-    def pair_vacuum_probability(self, pair: int) -> float:
-        """Estimated P(3, 3) for one setting pair (vacuum count over pair bins)."""
-        pair_bins = self.counts[pair].sum()
-        return float(self.counts[pair, 2, 2] / pair_bins)
 
     def to_json_dict(self) -> dict:
         return {
@@ -614,11 +611,14 @@ class CascadeProbabilities:
     single_photon_fires: float
 
 
-def _check_cascade_args(n: int, efficiency: float) -> None:
-    if int(n) != n or n < 2:
-        raise InputError(f"cascade fan-out must be an integer >= 2, got {n}")
-    if not 0.0 < efficiency <= 1.0:
-        raise InputError(f"efficiency must lie in (0, 1], got {efficiency}")
+def _check_cascade_args(n: int, efficiency: float, trials: int = 1, seed: int = 0) -> None:
+    """InputError unless fan-out, trials and seed are integers (a bool is none) at or above
+    2, 1 and 0, and efficiency is a number in (0, 1], as RunConfig checks its own."""
+    for name, value, low in (("cascade fan-out", n, 2), ("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not is_number(efficiency) or not 0.0 < efficiency <= 1.0:
+        raise InputError(f"efficiency must lie in (0, 1], got {efficiency!r}")
 
 
 def cascade_misclassification(n: int, efficiency: float = 1.0) -> CascadeProbabilities:
@@ -658,9 +658,7 @@ def sample_cascade(
     classical weights), so the sampler draws each photon's arm uniformly
     and thins detections at the given efficiency.
     """
-    _check_cascade_args(n, efficiency)
-    if trials < 1:
-        raise InputError(f"trials must be positive, got {trials}")
+    _check_cascade_args(n, efficiency, trials, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     arms = rng.integers(0, n, size=(trials, 2))
     detected = rng.random((trials, 2)) < efficiency

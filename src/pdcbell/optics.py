@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, WrongFrameError
+from .errors import InputError, ModelError
 from .fock import (
     ALGEBRA_TOL,
     ARM_LABELS,
@@ -70,7 +70,7 @@ def source_state() -> StateVector:
 def apply_waveplate(state: StateVector, arm: str, angle: float) -> StateVector:
     """Rotate the polarization of one arm by ``angle`` radians (the experiment uses pi/2)."""
     if arm not in state.spatial:
-        raise WrongFrameError(f"unknown arm {arm!r}; state labels are {state.spatial}")
+        raise ModelError(f"unknown arm {arm!r}; state labels are {state.spatial}")
     c, s = math.cos(angle), math.sin(angle)
     u = ((c, -s), (s, c))
     return apply_mode_unitary(state, (ModeId(arm, 0), ModeId(arm, 1)), u)
@@ -83,9 +83,7 @@ def apply_beamsplitter(state: StateVector) -> StateVector:
     with the transmission amplitude; arm b the other way around.
     """
     if state.spatial != ARM_LABELS:
-        raise WrongFrameError(
-            f"beamsplitter expects arm labels {ARM_LABELS}, state has {state.spatial}"
-        )
+        raise ModelError(f"beamsplitter expects arm labels {ARM_LABELS}, state has {state.spatial}")
     u = ((_REFLECTION, _TRANSMISSION), (_TRANSMISSION, _REFLECTION))
     out = state
     for pol in (0, 1):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdcbell.bell import OPTIMAL_SETTINGS
-from pdcbell.errors import ModeLabelMismatchError
+from pdcbell.errors import ModelError
 from pdcbell.fock import PHYSICS_TOL, STATION_LABELS, StateVector
 from pdcbell.measurement import classify_occupation, joint_distribution, outcome_occupation
 from pdcbell.montecarlo import EventLog
@@ -103,7 +103,7 @@ def states_equal_up_to_phase(
 ) -> tuple[bool, float]:
     """Whether s2 == e^{i phi} s1 for a single phase phi; returns (equal, phi)."""
     if s1.spatial != s2.spatial:
-        raise ModeLabelMismatchError(f"spatial labels differ: {s1.spatial} vs {s2.spatial}")
+        raise ModelError(f"spatial labels differ: {s1.spatial} vs {s2.spatial}")
     if not s1.terms and not s2.terms:
         return True, 0.0
     if not s1.terms or not s2.terms:

@@ -13,13 +13,12 @@ from pdcbell.bell import (
     chsh_decomposition,
     chsh_from_tables,
     chsh_operator_expectation,
-    correlator,
     optimize_angles,
     _correlator_coefficients,
     _harmonics,
     _value_sign,
 )
-from pdcbell.errors import InconsistentSettingsError
+from pdcbell.errors import InputError
 from pdcbell.fock import STATION_LABELS, vacuum
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables
 from pdcbell.measurement import (
@@ -58,17 +57,17 @@ def test_sign_table_is_read_only():
 
 def test_correlator_vacuum_table():
     dist = joint_distribution(vacuum(STATION_LABELS), PolarizerAngle(0.4), PolarizerAngle(1.0))
-    assert correlator(dist) == pytest.approx(1.0, abs=1e-15)
+    assert float(np.sum(SIGN_TABLE * dist.probs)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_correlator_equal_settings(psi):
     dist = joint_distribution(psi, PolarizerAngle(0.8), PolarizerAngle(0.8))
-    assert correlator(dist) == pytest.approx(0.0, abs=1e-12)
+    assert float(np.sum(SIGN_TABLE * dist.probs)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlator_quarter_turn(psi):
     dist = joint_distribution(psi, PolarizerAngle(math.pi / 4), PolarizerAngle(0.0))
-    assert correlator(dist) == pytest.approx(0.5, abs=1e-12)
+    assert float(np.sum(SIGN_TABLE * dist.probs)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_correlator_closed_form(psi):
@@ -76,10 +75,9 @@ def test_correlator_closed_form(psi):
     for _ in range(100):
         xi, eta = rng.random() * math.pi, rng.random() * math.pi
         dist = joint_distribution(psi, PolarizerAngle(xi), PolarizerAngle(eta))
-        assert correlator(dist) == pytest.approx(
-            0.5 - 0.5 * math.cos(2 * (xi - eta)), abs=1e-9
-        )
-        assert -1.0 <= correlator(dist) <= 1.0
+        value = float(np.sum(SIGN_TABLE * dist.probs))
+        assert value == pytest.approx(0.5 - 0.5 * math.cos(2 * (xi - eta)), abs=1e-9)
+        assert -1.0 <= value <= 1.0
 
 
 def test_chsh_equal_settings_is_zero(psi):
@@ -107,9 +105,9 @@ def test_chsh_pure_vacuum_tables():
 def test_chsh_inconsistent_settings(psi):
     tables = tables_at(psi, OPTIMAL_SETTINGS)
     broken = [tables[0], tables[2], tables[1], tables[3]]
-    with pytest.raises(InconsistentSettingsError):
+    with pytest.raises(InputError, match="pattern"):
         chsh_from_tables(broken)
-    with pytest.raises(InconsistentSettingsError):
+    with pytest.raises(InputError, match="exactly 4"):
         chsh_from_tables(tables[:3])
 
 

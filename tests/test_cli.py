@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdcbell
-from pdcbell import cli, lhv
+from pdcbell import cli, lhv, montecarlo
 from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE
 from pdcbell.errors import InputError, ModelError
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables, tables_to_json_dict
@@ -462,6 +462,7 @@ def test_package_exports_no_modules_or_removed_names():
         "states_equal_up_to_phase",
         "DeterministicStrategy",
         "enumerate_strategies",
+        "correlator",
     }
     for name in pdcbell.__all__:
         assert not isinstance(getattr(pdcbell, name), types.ModuleType), name
@@ -489,6 +490,40 @@ def test_analyze_echoes_settings(tmp_path, capsys):
     assert run_cli("analyze", "--input", str(events), "--settings", OPTIMAL_FLAG) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["settings_rad"] == pytest.approx(list(OPTIMAL_SETTINGS.as_radians()))
+
+
+#: SHA-256 of the exact ``analyze`` stdout on two seeded 10^5-bin runs, one with
+#: ideal detectors and one at detector efficiency 0.8, frozen like GOLDEN_STDOUT.
+GOLDEN_ANALYZE = [
+    ({}, "7fd016b3ccdbdedca97452021761517ce14f10c56e42506e6a15af52a29b9f2e"),
+    ({"detector_efficiency": 0.8}, "c2ef825fbb2f77a8e7b3f9e44562c5bcf7e2b7c849b89f6f6fb30d7c658180f4"),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", GOLDEN_ANALYZE, ids=["ideal", "efficiency-0.8"])
+def test_golden_analyze_stdout(tmp_path, capsys, overrides, digest):
+    config = tmp_path / "run.json"
+    _write_config(config, T=1e-3, **overrides)
+    events = tmp_path / "events.csv"
+    assert run_cli("simulate", "--config", str(config), "--out", str(events)) == 0
+    assert run_cli("analyze", "--input", str(events)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_analyze_refuses_a_log_longer_than_a_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "MAX_BINS", 100)
+    events = tmp_path / "events.csv"
+    codes = 36 * (np.arange(101) % 4) + 14  # vacuum bins of all four setting pairs
+    montecarlo.EventLog(codes).to_csv(events)
+    assert run_cli("analyze", "--input", str(events)) == 2
+    assert f"event log {events} line 102: more than 100 rows" in capsys.readouterr().err
+    # the same when the last row is unterminated
+    events.write_bytes(events.read_bytes().removesuffix(b"\r\n"))
+    assert run_cli("analyze", "--input", str(events)) == 2
+    assert f"event log {events} line 102: more than 100 rows" in capsys.readouterr().err
+    montecarlo.EventLog(codes[:100]).to_csv(events)
+    assert run_cli("analyze", "--input", str(events)) == 0
+    assert json.loads(capsys.readouterr().out)["n_bins"] == 100
 
 
 def test_analyze_missing_file_exits_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pdcbell import lhv
 from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE, ChshSettings
-from pdcbell.errors import CertificateExtractionError, InconsistentSettingsError, InputError
+from pdcbell.errors import InputError, ModelError
 from pdcbell.lhv import (
     BellCertificate,
     Feasible,
@@ -180,7 +180,7 @@ def test_malformed_tables_rejected(quantum_tables):
     slightly_negative = [tampered(zero, -1e-10), *quantum_tables[1:]]
     assert slightly_negative[0].probs[zero] == -1e-10
     assert isinstance(lhv_feasible(slightly_negative), Infeasible)
-    with pytest.raises(InconsistentSettingsError, match="exactly 4"):
+    with pytest.raises(InputError, match="exactly 4"):
         lhv_feasible(quantum_tables[:2])
 
 
@@ -268,9 +268,9 @@ def test_tables_json_round_trip(quantum_tables):
 def test_tables_json_writer_rejects_off_pattern_tables(quantum_tables):
     """The writer raises rather than write settings its own reader rejects."""
     swapped = [quantum_tables[0], quantum_tables[2], quantum_tables[1], quantum_tables[3]]
-    with pytest.raises(InconsistentSettingsError, match="pattern"):
+    with pytest.raises(InputError, match="pattern"):
         tables_to_json_dict(swapped)
-    with pytest.raises(InconsistentSettingsError, match="exactly 4"):
+    with pytest.raises(InputError, match="exactly 4"):
         tables_to_json_dict(quantum_tables[:3])
 
 
@@ -278,12 +278,12 @@ def test_off_pattern_tables_get_no_verdict(psi, quantum_tables):
     """The polytope assumes the CHSH pattern, so tables off it are refused, not decided."""
     last = joint_distribution(psi, PolarizerAngle(1.0), PolarizerAngle(0.3))
     off = [*quantum_tables[:3], last]
-    with pytest.raises(InconsistentSettingsError, match="pattern"):
+    with pytest.raises(InputError, match="pattern"):
         lhv_feasible(off)
     data = {"tables": [t.to_json_dict() for t in off]}
-    with pytest.raises(InconsistentSettingsError, match="pattern"):
+    with pytest.raises(InputError, match="pattern"):
         lhv_feasible(tables_from_json_dict(data))
-    with pytest.raises(InconsistentSettingsError, match="pattern"):
+    with pytest.raises(InputError, match="pattern"):
         tables_from_json_dict(dict(data, settings_rad=list(OPTIMAL_SETTINGS.as_radians())))
 
 
@@ -331,10 +331,11 @@ def reference_lhv_feasible(tables):
     scale = np.abs(dual).max()
     for candidate in (dual, -dual) if scale > 0.0 else ():
         coefficients = (candidate / scale).reshape(4, 6, 6)
-        certificate = BellCertificate(coefficients, lhv.contract_tables(coefficients, tables))
+        value = float(np.sum(coefficients * stacked_probs(tables)))
+        certificate = BellCertificate(coefficients, value)
         if certificate.gap > 0.0:
             return Infeasible(certificate)
-    raise CertificateExtractionError("no verifiable separating functional")
+    raise ModelError("no verifiable separating functional")
 
 
 def supported_strategies(tables) -> np.ndarray:

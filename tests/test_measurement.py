@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_station_state, states_equal_up_to_phase
-from pdcbell.errors import InputError, OutOfModelError, UnknownModeError
+from pdcbell.errors import InputError, ModelError
 from pdcbell.fock import STATION_LABELS, basis_state, vacuum
 from pdcbell.measurement import (
     FAVORABLE_MASK,
@@ -25,7 +25,7 @@ def test_polarizer_angle_reduced_mod_pi():
     assert PolarizerAngle(math.pi + 0.3).angle == pytest.approx(0.3, abs=1e-12)
     assert PolarizerAngle(-0.1).angle == pytest.approx(math.pi - 0.1, abs=1e-12)
     assert PolarizerAngle(math.pi).angle == pytest.approx(0.0, abs=1e-12)
-    assert PolarizerAngle.from_degrees(225.0).angle == pytest.approx(math.pi / 4, abs=1e-12)
+    assert PolarizerAngle(math.radians(225.0)).angle == pytest.approx(math.pi / 4, abs=1e-12)
     # -1e-17 + pi rounds to pi, outside [0, pi): it is the axis 0
     assert PolarizerAngle(-1e-17).angle == 0.0
     assert 0.0 <= PolarizerAngle(-1e-300).angle < math.pi
@@ -49,9 +49,9 @@ def test_classify_occupation_taxonomy():
 
 
 def test_classify_occupation_out_of_model():
-    with pytest.raises(OutOfModelError):
+    with pytest.raises(ModelError, match="outside the two-photon model"):
         classify_occupation(2, 1)
-    with pytest.raises(OutOfModelError):
+    with pytest.raises(ModelError, match="outside the two-photon model"):
         classify_occupation(-1, 0)
 
 
@@ -90,7 +90,7 @@ def test_rotation_two_photon_closed_form():
 
 
 def test_rotation_unknown_station():
-    with pytest.raises(UnknownModeError):
+    with pytest.raises(ModelError, match="unknown station"):
         rotate_station_basis(vacuum(STATION_LABELS), "a", PolarizerAngle(0.1))
 
 
@@ -106,7 +106,7 @@ def test_joint_distribution_pure_vacuum():
     dist = joint_distribution(
         vacuum(STATION_LABELS), PolarizerAngle(0.3), PolarizerAngle(1.1)
     )
-    assert dist.prob(3, 3) == 1.0
+    assert dist.probs[2, 2] == 1.0
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -185,10 +185,10 @@ def test_favorable_block_singlet_statistics(psi):
         xi, eta = rng.random() * math.pi, rng.random() * math.pi
         dist = joint_distribution(psi, PolarizerAngle(xi), PolarizerAngle(eta))
         delta = xi - eta
-        assert dist.prob(1, 1) == pytest.approx(math.sin(delta) ** 2 / 4, abs=1e-9)
-        assert dist.prob(2, 2) == pytest.approx(math.sin(delta) ** 2 / 4, abs=1e-9)
-        assert dist.prob(1, 2) == pytest.approx(math.cos(delta) ** 2 / 4, abs=1e-9)
-        assert dist.prob(2, 1) == pytest.approx(math.cos(delta) ** 2 / 4, abs=1e-9)
+        assert dist.probs[0, 0] == pytest.approx(math.sin(delta) ** 2 / 4, abs=1e-9)
+        assert dist.probs[1, 1] == pytest.approx(math.sin(delta) ** 2 / 4, abs=1e-9)
+        assert dist.probs[0, 1] == pytest.approx(math.cos(delta) ** 2 / 4, abs=1e-9)
+        assert dist.probs[1, 0] == pytest.approx(math.cos(delta) ** 2 / 4, abs=1e-9)
 
 
 def test_pair_amplitude_phase_invariance(psi):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pdcbell import montecarlo
 from pdcbell.bell import ChshSettings, OPTIMAL_SETTINGS
-from pdcbell.errors import EmptySettingPairError, InputError, InvalidConfigError
+from pdcbell.errors import InputError
 from pdcbell.measurement import (
     LEGAL_MASK,
     PolarizerAngle,
@@ -51,14 +51,14 @@ def make_config(**overrides):
 
 def test_config_tau_within_light_travel_time():
     make_config(station_separation=10.0, bin_width=1e-8, total_time=1e-3)
-    with pytest.raises(InvalidConfigError, match="L/c"):
+    with pytest.raises(InputError, match="L/c"):
         make_config(station_separation=1.0, bin_width=1e-8, total_time=1e-3)
 
 
 def test_config_bin_count_arithmetic():
     config = make_config(total_time=1.0, bin_width=1e-8)
     assert config.n_bins == 10**8
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InputError, match="is not a positive integer bin count"):
         make_config(total_time=1.05e-8, bin_width=1e-8)
 
 
@@ -72,7 +72,7 @@ def test_config_bin_count_arithmetic():
     ],
 )
 def test_config_bin_count_bounded(total_time, bin_width, message):
-    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+    with pytest.raises(InputError, match=re.escape(message)):
         make_config(total_time=total_time, bin_width=bin_width)
 
 
@@ -83,7 +83,7 @@ def test_config_bin_count_bounded(total_time, bin_width, message):
 )
 def test_config_bin_count_integral_to_a_few_ulps(total_time, bins):
     if bins is None:  # T/tau = 999 999 999.5
-        with pytest.raises(InvalidConfigError, match="is not a positive integer bin count"):
+        with pytest.raises(InputError, match="is not a positive integer bin count"):
             make_config(total_time=total_time, bin_width=1e-8)
     else:
         assert make_config(total_time=total_time, bin_width=1e-8).n_bins == bins
@@ -93,7 +93,7 @@ def test_config_bin_count_cap_is_inclusive(monkeypatch):
     make_config(total_time=montecarlo.MAX_BINS * 1e-8)
     monkeypatch.setattr(montecarlo, "MAX_BINS", 1000)
     assert len(run_experiment(make_config(total_time=1e-5))) == 1000
-    with pytest.raises(InvalidConfigError, match="exceeds the limit of 1000"):
+    with pytest.raises(InputError, match="exceeds the limit of 1000"):
         run_experiment(make_config(total_time=1.001e-5))
 
 
@@ -106,14 +106,14 @@ def test_config_pair_probability_warning():
 
 
 def test_config_errors_collected():
-    with pytest.raises(InvalidConfigError) as caught:
+    with pytest.raises(InputError, match="p_pair = 1.5 outside") as caught:
         make_config(pair_probability=1.5, detector_efficiency=0.0, seed=-1)
     messages = str(caught.value).split("; ")
     assert len(messages) == 3
     assert "p_pair = 1.5 outside [0, 1]" in messages
     assert "detector_efficiency = 0.0 outside (0, 1]" in messages
     assert "seed = -1 must be non-negative" in messages
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InputError, match="p_pair = -0.1 outside"):
         run_experiment(make_config(pair_probability=-0.1))
 
 
@@ -124,7 +124,7 @@ def test_config_errors_collected():
     "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-float")]
 )
 def test_config_rejects_non_finite_values(field, value):
-    with pytest.raises(InvalidConfigError, match="is not finite") as caught:
+    with pytest.raises(InputError, match="is not finite") as caught:
         make_config(**{field: value})
     assert "; " not in str(caught.value)  # reported alone, before any arithmetic on it
 
@@ -134,7 +134,7 @@ def test_config_json_round_trip():
     back = RunConfig.from_json_dict(config.to_json_dict())
     assert back == config
     assert RunConfig.from_json_dict(make_config().to_json_dict()) == make_config()
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InputError, match="malformed run config"):
         RunConfig.from_json_dict({"T": 1.0})
 
 
@@ -188,9 +188,10 @@ def test_vacuum_fraction_tracks_pair_probability():
     config = make_config(pair_probability=p, total_time=4e-4)
     report = estimate_correlators(run_experiment(config))
     sigma = math.sqrt(p * (1 - p) / config.n_bins)
-    assert abs(report.vacuum_fraction() - (1 - p)) < 5 * sigma
+    assert abs(report.n_vacuum / report.n_bins - (1 - p)) < 5 * sigma
     for pair in range(4):
-        assert abs(report.pair_vacuum_probability(pair) - (1 - p)) < 20 * sigma
+        pair_vacuum = float(report.counts[pair, 2, 2] / report.counts[pair].sum())
+        assert abs(pair_vacuum - (1 - p)) < 20 * sigma
 
 
 def test_detector_inefficiency_demotes_outcomes():
@@ -287,9 +288,9 @@ def test_chsh_estimate_undiluted():
 
 def test_empty_setting_pair_rejected():
     log = event_log([0, 0], [0, 1], [3, 3], [3, 3])
-    with pytest.raises(EmptySettingPairError):
+    with pytest.raises(InputError, match="no events for setting pair"):
         estimate_correlators(log)
-    with pytest.raises(EmptySettingPairError):
+    with pytest.raises(InputError, match="no events for setting pair"):
         estimate_correlators(event_log([], [], [], []))
 
 
@@ -1033,6 +1034,38 @@ def test_cascade_sampler_agrees_with_analytic():
             estimate = getattr(sampled, fieldname)
             sigma = math.sqrt(max(truth * (1 - truth), 1e-12) / trials)
             assert abs(estimate - truth) <= 4 * sigma, (fieldname, n)
+
+
+@pytest.mark.parametrize(
+    "function, args, kwargs, message",
+    [
+        (cascade_misclassification, (math.inf,), {}, "fan-out must be an integer >= 2, got inf"),
+        (cascade_misclassification, (math.nan,), {}, "fan-out must be an integer >= 2, got nan"),
+        (cascade_misclassification, (4.0,), {}, "fan-out must be an integer >= 2, got 4.0"),
+        (cascade_misclassification, (4, "0.5"), {}, "efficiency must lie in (0, 1], got '0.5'"),
+        (cascade_misclassification, (4, True), {}, "efficiency must lie in (0, 1], got True"),
+        (cascade_misclassification, (4, math.nan), {}, "efficiency must lie in (0, 1], got nan"),
+        (sample_cascade, (3,), {"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
+        (sample_cascade, (3,), {"trials": True}, "trials must be an integer >= 1, got True"),
+        (sample_cascade, (3,), {"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        (sample_cascade, (3,), {"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ],
+    ids=[
+        "fan-out-inf",
+        "fan-out-nan",
+        "fan-out-float",
+        "efficiency-string",
+        "efficiency-bool",
+        "efficiency-nan",
+        "trials-float",
+        "trials-bool",
+        "seed-float",
+        "seed-negative",
+    ],
+)
+def test_cascade_rejects_non_numbers_bools_and_non_integers(function, args, kwargs, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        function(*args, **kwargs)
 
 
 def test_cascade_invalid_parameters():
