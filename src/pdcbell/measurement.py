@@ -95,17 +95,10 @@ def outcome_occupation(outcome: OutcomeClass | int) -> tuple[int, int]:
     return _OUTCOME_TO_OCCUPATION[OutcomeClass(outcome)]
 
 
-# Block structure of the legal outcome pairs for the experiment's states:
-# favorable (one photon each side), unfavorable (two photons one side,
-# vacuum at the other) and the both-vacuum cell.
+# The favorable outcome pairs, one photon at each station: the block of the
+# table that carries the violation.
 FAVORABLE_MASK = np.zeros((6, 6), dtype=bool)
 FAVORABLE_MASK[0:2, 0:2] = True
-UNFAVORABLE_MASK = np.zeros((6, 6), dtype=bool)
-UNFAVORABLE_MASK[3:6, 2] = True
-UNFAVORABLE_MASK[2, 3:6] = True
-VACUUM_MASK = np.zeros((6, 6), dtype=bool)
-VACUUM_MASK[2, 2] = True
-LEGAL_MASK = FAVORABLE_MASK | UNFAVORABLE_MASK | VACUUM_MASK
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -34,6 +34,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -282,18 +284,18 @@ class EventLog:
 
         Rows are rendered by ``_render_rows`` in blocks of at most
         ``_WRITE_BLOCK`` bins, so memory stays bounded whatever the log's length.
+        A file that fails to open, take a write or close raises InputError.
         """
         n = len(self)
+        scratch = np.empty(min(n, _WRITE_BLOCK) * (len(str(n)) + 10), dtype=np.uint8)
         try:
-            handle = open(path, "wb")
+            with open(path, "wb") as handle:
+                handle.write(_CSV_HEADER + b"\r\n")
+                for start in range(0, n, _WRITE_BLOCK):
+                    codes = self.codes[start : start + _WRITE_BLOCK]
+                    handle.write(_render_rows(scratch, start + 1, codes))
         except OSError as exc:
             raise InputError(f"cannot write event log {path}: {exc}") from exc
-        scratch = np.empty(min(n, _WRITE_BLOCK) * (len(str(n)) + 10), dtype=np.uint8)
-        with handle:
-            handle.write(_CSV_HEADER + b"\r\n")
-            for start in range(0, n, _WRITE_BLOCK):
-                codes = self.codes[start : start + _WRITE_BLOCK]
-                handle.write(_render_rows(scratch, start + 1, codes))
 
     @classmethod
     def from_csv(cls, path) -> "EventLog":
@@ -303,10 +305,13 @@ class EventLog:
         with the bin written in canonical decimal and equal to the row's
         1-based number, single-digit settings 0/1 and outcomes 1-6, lines
         ending in CRLF or LF, the last one optionally unterminated, and at
-        most ``MAX_BINS`` rows, the longest run.  The file is read in blocks
-        of ``_READ_BLOCK`` bytes cut after the last newline; ``_read_rows``
+        most ``MAX_BINS`` rows, the longest run.  The file is read into one
+        reused buffer in blocks of ``_READ_BLOCK`` bytes, cut after the last
+        newline, the partial line carried to the buffer's front; ``_read_rows``
         accepts a block only when ``_render_rows`` renders it back, as it
         stands or in its CRLF form, and the row count is checked per block.
+        The codes go into one array sized from the file length, grown when
+        the input is a pipe or holds more rows, and cut to the rows read.
         """
         try:
             handle = open(path, "rb")
@@ -316,28 +321,36 @@ class EventLog:
             header = handle.readline(len(_CSV_HEADER) + 2)
             if header.removesuffix(b"\n").removesuffix(b"\r") != _CSV_HEADER:
                 raise InputError(f"event log {path} line 1: unexpected header {header!r}")
+            info = os.fstat(handle.fileno())
+            size = info.st_size - len(header) if stat.S_ISREG(info.st_mode) else 0
+            codes = np.empty(_max_rows(size), dtype=np.uint8)
+            buf = bytearray(_MAX_LINE + 1 + _READ_BLOCK)
+            data = np.frombuffer(buf, np.uint8)
             # a block's CRLF form takes up to twice its bytes
-            scratch = np.empty(2 * (_MAX_LINE + 1 + _READ_BLOCK), dtype=np.uint8)
-            blocks = [np.empty(0, dtype=np.uint8)]
-            rows = 0
-            carry = b""
-            while buf := carry + handle.read(_READ_BLOCK):
-                if len(buf) == len(carry):  # end of file after an unterminated last row
-                    buf += b"\n"
-                cut = buf.rfind(b"\n") + 1
-                block = _read_rows(buf[:cut], rows, path, scratch)
-                if rows + len(block) > MAX_BINS:
+            scratch = np.empty(2 * len(buf), dtype=np.uint8)
+            work = np.empty(len(scratch) // 8 + 1, dtype="<u8")
+            rows = carry = 0
+            while end := carry + handle.readinto(data[carry : carry + _READ_BLOCK]):
+                if end == carry:  # end of file after an unterminated last row
+                    buf[end] = ord("\n")
+                    end += 1
+                cut = buf.rfind(b"\n", 0, end) + 1
+                need = rows + cut // 10  # a row takes at least 10 bytes
+                if need > len(codes):  # in place: no view of codes is left
+                    codes.resize(max(need, min(2 * len(codes), MAX_BINS)), refcheck=False)
+                rows += _read_rows(data[:cut], rows, path, codes[rows:need], scratch, work)
+                if rows > MAX_BINS:
                     raise InputError(
                         f"event log {path} line {MAX_BINS + 2}: more than {MAX_BINS} rows"
                     )
-                blocks.append(block)
-                rows += len(block)
-                carry = buf[cut:]
-                if len(carry) > _MAX_LINE:
+                carry = end - cut
+                if carry > _MAX_LINE:
                     raise InputError(
                         f"event log {path} line {rows + 2}: row longer than {_MAX_LINE} bytes"
                     )
-        return cls(np.concatenate(blocks))
+                buf[:carry] = buf[cut:end]
+        codes.resize(rows, refcheck=False)
+        return cls(codes)
 
 
 def _column(values: np.ndarray) -> np.ndarray:
@@ -408,7 +421,10 @@ def _render_rows(out: np.ndarray, first: int, codes: np.ndarray) -> np.ndarray:
         rows = out[pos : pos + run * size].reshape(run, size)
         rows[...] = template[low : low + run]
         if width > _SPAN_DIGITS:
-            rows[:, : width - _SPAN_DIGITS] = np.frombuffer(str(bin_ // span).encode(), np.uint8)
+            # the constant high digits, one strided byte column each: numpy
+            # broadcasts them into the 2-D rows on a slow path
+            for j, digit in enumerate(str(bin_ // span).encode()):
+                out[pos + j : pos + run * size : size] = digit
         tail = np.ndarray((run,), dtype="<u8", buffer=out, offset=pos + width, strides=(size,))
         tail[...] = tails[done : done + run]
         pos += run * size
@@ -417,51 +433,89 @@ def _render_rows(out: np.ndarray, first: int, codes: np.ndarray) -> np.ndarray:
     return out[:pos]
 
 
-def _read_rows(buf: bytes, first_row: int, path, scratch: np.ndarray) -> np.ndarray:
-    """The cell codes of newline-terminated rows, or InputError naming the first bad one.
+def _max_rows(size: int) -> int:
+    """The most rows ``size`` bytes after the header can hold, at most ``MAX_BINS``.
 
-    ``first_row`` counts the rows before ``buf``.  The rows are accepted when
-    ``_render_rows`` renders their decoded codes back to them, as they stand or
-    in their CRLF form (LF and mixed endings).  Otherwise every line before
-    the first byte where the CRLF form and its rendering differ is canonical.
+    Every row ends in LF, the shortest ending, except the last, which may
+    have none; a log holding more rows is not accepted.
     """
-    crlf = buf
-    codes, rendered = _render_back(buf, first_row, scratch)
-    if rendered != buf:
-        crlf = buf.replace(b"\r\n", b"\n").replace(b"\n", b"\r\n")
-        codes, rendered = _render_back(crlf, first_row, scratch)
-    if rendered == crlf:
-        return codes
+    rows, width, size = 0, 1, size + 1
+    while size >= width + 9:
+        run = min(size // (width + 9), 9 * 10 ** (width - 1))
+        rows += run
+        size -= run * (width + 9)
+        width += 1
+    return min(rows, MAX_BINS)
+
+
+def _read_rows(block, first_row: int, path, out, scratch, work) -> int:
+    """Decode newline-terminated rows into ``out``; their count, or InputError.
+
+    ``block`` is a uint8 array, ``first_row`` counts the rows before it and
+    ``out`` holds ``len(block) // 10`` codes, as many rows as it can hold.
+    The rows are accepted when ``_render_rows`` renders their codes back to
+    them, as they stand or in their CRLF form (LF and mixed endings).
+    Otherwise the error names the line holding the first byte where the CRLF
+    form and its rendering differ.  ``scratch`` (uint8) and ``work`` (uint64)
+    each hold twice the block's bytes; only the CRLF form allocates.
+    """
+    rows, rendered = _render_back(block, first_row, out, scratch, work)
+    if _same(rendered, block, work):
+        return rows
+    crlf = bytes(block).replace(b"\r\n", b"\n").replace(b"\n", b"\r\n")
+    crlf_block = np.frombuffer(crlf, np.uint8)
+    codes = np.empty(len(crlf) // 11, dtype=np.uint8)
+    rows, rendered = _render_back(crlf_block, first_row, codes, scratch, work)
+    if _same(rendered, crlf_block, work):
+        out[:rows] = codes[:rows]
+        return rows
     # the rendering is never longer than crlf; a prefix of it differs at its end
-    same = np.frombuffer(crlf, np.uint8, len(rendered)) == np.frombuffer(rendered, np.uint8)
+    same = crlf_block[: len(rendered)] == rendered
     bad = crlf.count(b"\n", 0, np.append(same, False).argmin())
-    line = buf.split(b"\n", bad + 1)[bad] + b"\n"
+    line = bytes(block).split(b"\n", bad + 1)[bad] + b"\n"
     raise InputError(
         f"event log {path} line {first_row + bad + 2}: malformed row {line[:_MAX_LINE]!r}"
     )
 
 
-def _render_back(buf: bytes, first_row: int, scratch: np.ndarray) -> tuple[np.ndarray, bytes]:
-    """The cell codes decoded from ``buf`` as canonical CRLF rows, and their rendering.
+def _same(rendered: np.ndarray, block: np.ndarray, work: np.ndarray) -> bool:
+    """Whether two uint8 arrays hold the same bytes; ``work`` holds the flags."""
+    if len(rendered) != len(block):
+        return False
+    return bool(np.equal(rendered, block, out=work.view(bool)[: len(block)]).all())
 
-    The row count follows from the length of ``buf``, width by width; a
-    remainder too short for a whole row is left out.  A non-canonical tail
-    decodes to a wrong code, which the rendering shows.
+
+#: Keeps the low nibble of each field digit of a tail word, at bits 8, 24, 40, 56.
+_TAIL_DIGITS = np.uint64(0x0F000F000F000F00)
+#: Times the masked word, puts ``_cell_code`` + 7 of its fields into bits 56-63:
+#: field k sits at bit 16 k + 8 and meets its weight at bit 48 - 16 k.  The
+#: other partial products stay below bit 56 or overflow.
+_TAIL_WEIGHTS = np.uint64(_cell_code(1 << 48, 1 << 32, 1 << 16, 1) + 7)
+
+
+def _render_back(block, first_row: int, out, scratch, work) -> tuple[int, np.ndarray]:
+    """Decode ``block`` as canonical CRLF rows into ``out``: their count and rendering.
+
+    The row count follows from the length of ``block``, width by width; a
+    remainder too short for a whole row is left out.  Each row's 8-byte
+    tail word decodes with one mask, multiply and shift in ``work``; a
+    non-canonical tail decodes to a wrong code, which the rendering shows.
     """
-    tails = [np.empty(0, dtype="<u8")]
-    pos, bin_ = 0, first_row + 1
-    while pos + len(str(bin_)) + 10 <= len(buf):
+    rows, pos, bin_ = 0, 0, first_row + 1
+    while pos + len(str(bin_)) + 10 <= len(block):
         width = len(str(bin_))
         size = width + 10
-        run = min((len(buf) - pos) // size, 10**width - bin_)
-        tails.append(
-            np.ndarray((run,), dtype="<u8", buffer=buf, offset=pos + width, strides=(size,))
-        )
+        run = min((len(block) - pos) // size, 10**width - bin_)
+        tails = np.ndarray((run,), dtype="<u8", buffer=block, offset=pos + width, strides=(size,))
+        np.bitwise_and(tails, _TAIL_DIGITS, out=work[rows : rows + run])
+        rows += run
         pos += run * size
         bin_ += run
-    tail_bytes = np.concatenate(tails).view(np.uint8).reshape(-1, 8)
-    codes = _cell_code(*(tail_bytes[:, 1::2].T - np.uint8(ord("0"))))
-    return codes, _render_rows(scratch, first_row + 1, codes).tobytes()
+    out = out[:rows]
+    np.multiply(work[:rows], _TAIL_WEIGHTS, out=work[:rows])
+    np.right_shift(work[:rows], np.uint64(56), out=out, casting="unsafe")
+    out -= np.uint8(7)  # wraps a non-canonical tail's code, which take clips
+    return rows, _render_rows(scratch, first_row + 1, out)
 
 
 def _guide_table(cumulative: np.ndarray) -> np.ndarray:

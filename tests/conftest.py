@@ -9,7 +9,12 @@ import pytest
 from pdcbell.bell import OPTIMAL_SETTINGS
 from pdcbell.errors import ModelError
 from pdcbell.fock import PHYSICS_TOL, STATION_LABELS, StateVector
-from pdcbell.measurement import classify_occupation, joint_distribution, outcome_occupation
+from pdcbell.measurement import (
+    FAVORABLE_MASK,
+    classify_occupation,
+    joint_distribution,
+    outcome_occupation,
+)
 from pdcbell.montecarlo import EventLog
 from pdcbell.optics import build_experiment_state
 
@@ -18,6 +23,15 @@ ALLOWED_OCCUPATIONS = [
     occ for occ in itertools.product(range(3), repeat=4) if sum(occ) <= 2 and max(occ) <= 2
 ]
 
+# Block structure of the legal outcome pairs for the experiment's states:
+# favorable (one photon each side), unfavorable (two photons one side,
+# vacuum at the other) and the both-vacuum cell.
+UNFAVORABLE_MASK = np.zeros((6, 6), dtype=bool)
+UNFAVORABLE_MASK[3:6, 2] = True
+UNFAVORABLE_MASK[2, 3:6] = True
+VACUUM_MASK = np.zeros((6, 6), dtype=bool)
+VACUUM_MASK[2, 2] = True
+LEGAL_MASK = FAVORABLE_MASK | UNFAVORABLE_MASK | VACUUM_MASK
 
 N_OUTCOMES = 6
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_station_state, states_equal_up_to_phase
+from conftest import LEGAL_MASK, random_station_state, states_equal_up_to_phase
 from pdcbell.bell import (
     ChshSettings,
     OPTIMAL_SETTINGS,
@@ -30,7 +30,6 @@ from pdcbell.lhv import (
 )
 from pdcbell.measurement import (
     FAVORABLE_MASK,
-    LEGAL_MASK,
     PolarizerAngle,
     joint_distribution,
     marginal,

@@ -612,6 +612,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, quantum_tables, c
     assert f"cannot write {what}{out}" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("T", [1e-6, 1e-4], ids=["at-close", "at-write"])
+def test_simulate_failed_write_exits_2(tmp_path, capsys, T):
+    """/dev/full opens, then refuses every write: at the close, or before it."""
+    config = tmp_path / "run.json"
+    _write_config(config, T=T)
+    assert run_cli("simulate", "--config", str(config), "--out", "/dev/full") == 2
+    assert "cannot write event log /dev/full: [Errno 28]" in capsys.readouterr().err
+
+
 def test_internal_invariant_maps_to_exit_4(monkeypatch, capsys):
     def boom(args):
         raise ModelError("synthetic failure")

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_station_state, states_equal_up_to_phase
+from conftest import LEGAL_MASK, random_station_state, states_equal_up_to_phase
 from pdcbell.errors import InputError, ModelError
 from pdcbell.fock import STATION_LABELS, basis_state, vacuum
 from pdcbell.measurement import (
     FAVORABLE_MASK,
-    LEGAL_MASK,
     JointDistribution,
     OutcomeClass,
     PolarizerAngle,

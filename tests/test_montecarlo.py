@@ -1,13 +1,15 @@
 import csv
 import hashlib
 import math
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import event_log, thinned_table
+from conftest import LEGAL_MASK, event_log, thinned_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,6 @@ from pdcbell import montecarlo
 from pdcbell.bell import ChshSettings, OPTIMAL_SETTINGS
 from pdcbell.errors import InputError
 from pdcbell.measurement import (
-    LEGAL_MASK,
     PolarizerAngle,
     classify_occupation,
     joint_distribution,
@@ -677,6 +678,112 @@ def test_event_log_csv_rejects_bad_header(tmp_path):
         EventLog.from_csv(path)
 
 
+def read_through_fifo(path, data: bytes):
+    """What ``read_outcome`` gives for ``data`` written by a thread into a FIFO at ``path``."""
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "wb") as handle:
+                handle.write(data)
+        except BrokenPipeError:  # the reader stopped at an error
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read_outcome(EventLog.from_csv, path)
+    finally:
+        writer.join()
+        path.unlink()
+
+
+def assert_fifo_reads_like_file(path, data: bytes):
+    """A pipe's length reads 0, so its codes start empty and grow block by block."""
+    path.write_bytes(data)
+    expected = read_outcome(EventLog.from_csv, path)
+    path.unlink()
+    assert read_through_fifo(path, data) == expected
+    return expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_event_log_csv_reads_a_fifo_like_a_file(tmp_path):
+    log = random_log(4 * montecarlo._WRITE_BLOCK + 1, seed=11)
+    path = tmp_path / "events.csv"
+    log.to_csv(path)
+    data = path.read_bytes()
+    path.unlink()
+    assert len(data) > montecarlo._READ_BLOCK  # two read blocks
+    lf = data.replace(b"\r\n", b"\n")
+    for variant in (data, lf, data[:-2], lf[:-1]):  # terminated, or the last row not
+        assert assert_fifo_reads_like_file(path, variant) == log
+    at = len(data) - 1000  # a malformed row in the last block
+    for variant in (data[:at] + b"x" + data[at + 1 :], data[:-4] + b"\r\n", data + b"\r\n"):
+        assert "malformed row" in assert_fifo_reads_like_file(path, variant)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_event_log_fifo_longer_than_a_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "MAX_BINS", 100)
+    path = tmp_path / "events.csv"
+    log = random_log(101, seed=12)
+    log.to_csv(path)
+    data = path.read_bytes()
+    path.unlink()
+    for variant in (data, data[:-2]):  # terminated, or the last row not
+        message = assert_fifo_reads_like_file(path, variant)
+        assert message == f"event log {path} line 102: more than 100 rows"
+    kept = data[: data.rindex(b"101,")]
+    assert assert_fifo_reads_like_file(path, kept) == EventLog(log.codes[:100])
+
+
+def test_event_log_csv_grows_past_the_estimate(tmp_path, monkeypatch):
+    """A regular file holding more rows than its length promised reads the same."""
+    log = random_log(3 * montecarlo._WRITE_BLOCK, seed=13)
+    path = tmp_path / "events.csv"
+    log.to_csv(path)
+    monkeypatch.setattr(montecarlo, "_max_rows", lambda size: 1)
+    assert EventLog.from_csv(path) == log
+
+
+@pytest.mark.parametrize("width", range(8, 20))
+def test_render_rows_at_every_prefix_length(width):
+    """Rows of ``width``-digit bins, ``width - _SPAN_DIGITS`` high digits, against an f-string.
+
+    The runs cross into the width, across a template span and up to the
+    last bin of the width; each reads back through the row check.
+    """
+    rng = np.random.default_rng(width)
+    span = 10**montecarlo._SPAN_DIGITS
+    n = 8
+    for first in (
+        10 ** (width - 1) - 3,
+        10 ** (width - 1) + int(rng.integers(1, 10**4)) * span - 3,
+        10**width - n,
+    ):
+        log = random_log(n, seed=first % 2**32)
+        columns = zip(log.setting1, log.setting2, log.outcome1, log.outcome2)
+        expected = b"".join(
+            f"{bin_},{s1},{s2},{o1},{o2}\r\n".encode()
+            for bin_, (s1, s2, o1, o2) in zip(range(first, first + n), columns)
+        )
+        out = np.empty(len(expected), dtype=np.uint8)
+        assert montecarlo._render_rows(out, first, log.codes).tobytes() == expected
+        # scratch and work as from_csv sizes them: twice the block's bytes
+        scratch = np.empty(2 * len(expected), dtype=np.uint8)
+        work = np.empty(len(scratch) // 8 + 1, dtype="<u8")
+        for block in (expected, expected.replace(b"\r\n", b"\n")):
+            codes = np.empty(len(block) // 10, dtype=np.uint8)
+            block = np.frombuffer(block, np.uint8)
+            assert montecarlo._read_rows(block, first - 1, "p", codes, scratch, work) == n
+            assert np.array_equal(codes[:n], log.codes)
+        bad = expected.index(f"{first + 3},".encode())  # the first high digit of row 4
+        block = np.frombuffer(expected[:bad] + b"0" + expected[bad + 1 :], np.uint8)
+        with pytest.raises(InputError, match=f"event log p line {first + 4}: malformed row"):
+            montecarlo._read_rows(block, first - 1, "p", codes, scratch, work)
+
+
 def test_event_log_validation():
     with pytest.raises(InputError):
         event_log([0], [0], [0], [3])  # outcome 0 out of range: code -4
@@ -930,7 +1037,7 @@ def test_run_memory_is_bounded():
 
 
 def test_csv_read_memory_is_bounded(tmp_path):
-    n = 10**6
+    n = 4 * 10**6
     path = tmp_path / "events.csv"
     run_experiment(make_config(total_time=n * 1e-8)).to_csv(path)
     EventLog.from_csv(path)  # lookups and templates outside the trace
@@ -940,8 +1047,9 @@ def test_csv_read_memory_is_bounded(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the blocks' codes and their concatenation, plus one read block and its temporaries
-    assert peak < 2 * n + 4 * 2**20
+    # the codes at the most rows the file's length allows, 17/16 of its 7-digit
+    # rows, plus the reused read block, render scratch and decode words
+    assert peak < n + n // 16 + 4 * 2**20
 
 
 def test_estimate_memory_is_bounded():
