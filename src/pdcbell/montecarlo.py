@@ -8,12 +8,12 @@ CHSH combinations; almost all bins contain no photons at all, and those
 count as outcome (3, 3) rather than being discarded.
 
 Reproducibility contract: the generator is numpy's PCG64, seeded with the
-config seed, consumed as one uniform stream in bin-major order with a fixed
-width per bin: slot 0 picks the setting pair, slot 1 decides pair emission,
-slot 2 picks the outcome cell.  With detector efficiency below 1 each bin
-consumes four further slots (station 1 photon slots A and B, then station
-2), whether or not photons are present.  A reference sequence for the
-generator ships with the test suite.
+config seed, consumed as one uniform stream in bin-major order with three
+slots per bin, whatever the config: slot 0 picks the setting pair, slot 1
+decides pair emission, slot 2 picks the outcome cell from the pair's
+detected law R P R^T.  P is the emitted 6x6 table and R the station response
+to detector loss (``_station_response``), the identity at efficiency 1.  A
+reference sequence for the generator ships with the test suite.
 
 The stream is drawn in sequential blocks of ``_CHUNK`` bins; consecutive
 draws from one generator continue the same stream, so a blocked run is
@@ -31,6 +31,7 @@ the line holding the first byte where the two differ.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -73,34 +74,12 @@ _N_CELLS = 36 * _N_SETTING_PAIRS
 #: Cell 6 * (o1 - 1) + o2 - 1 of the vacuum outcome (3, 3) within a setting pair.
 _VACUUM_CELL = 14
 
-#: Bins drawn per block of the random stream; a lossy block of uniforms,
-#: ``_CHUNK * 7 * 8`` bytes (0.9 MB), stays in L2.
+#: Bins drawn per block of the random stream; a block of uniforms,
+#: ``_CHUNK * 3 * 8`` bytes (0.4 MB), stays in L2.
 _CHUNK = 1 << 14
 #: Buckets per setting pair of ``_guide_table``: a power of two, so u * _GUIDE is exact.
 _GUIDE = 1 << 12
 _SPLIT = 255  # guide entry of a bucket that a cumulative value splits
-
-
-def _loss_table() -> np.ndarray:
-    """Detected cell at [cell, hit1a, hit1b, hit2a, hit2b] for a cell 6 * (o1 - 1) + o2 - 1.
-
-    At each station slot A covers the first photon in port order (D+ before
-    D-), slot B the second; a photon whose slot misses goes undetected.
-    """
-    station = np.empty((len(OutcomeClass), 2, 2), dtype=np.uint8)
-    for code in OutcomeClass:
-        n_plus, n_minus = outcome_occupation(code)
-        ports = [0] * n_plus + [1] * n_minus
-        for hits in np.ndindex(2, 2):
-            detected = [0, 0]
-            for port, hit in zip(ports, hits):
-                detected[port] += hit
-            station[(code - 1, *hits)] = classify_occupation(*detected) - 1
-    cells = 6 * station[:, None, :, :, None, None] + station[None, :, None, None, :, :]
-    return cells.reshape(36, 2, 2, 2, 2)
-
-
-_LOSS_TABLE = _loss_table()
 
 # The closed set of run-config JSON keys; "L" may be absent or null.
 _CONFIG_KEYS = ("T", "tau", "p_pair", "settings_rad", "seed", "L", "detector_efficiency")
@@ -284,17 +263,23 @@ class EventLog:
 
         Rows are rendered by ``_render_rows`` in blocks of at most
         ``_WRITE_BLOCK`` bins, so memory stays bounded whatever the log's length.
-        A file that fails to open, take a write or close raises InputError.
+        A file that fails to open, take a write or close raises InputError; a regular
+        one is removed first, as a log cut at a row boundary reads as a shorter run.
         """
         n = len(self)
         scratch = np.empty(min(n, _WRITE_BLOCK) * (len(str(n)) + 10), dtype=np.uint8)
+        regular = False
         try:
             with open(path, "wb") as handle:
+                regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
                 handle.write(_CSV_HEADER + b"\r\n")
                 for start in range(0, n, _WRITE_BLOCK):
                     codes = self.codes[start : start + _WRITE_BLOCK]
                     handle.write(_render_rows(scratch, start + 1, codes))
         except OSError as exc:
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
             raise InputError(f"cannot write event log {path}: {exc}") from exc
 
     @classmethod
@@ -537,12 +522,29 @@ def _lookup_cells(guide, cumulative, pairs, u) -> np.ndarray:
     return cells
 
 
+def _station_response(efficiency: float) -> np.ndarray:
+    """Column-stochastic R[detected - 1, emitted - 1] of one station's outcome classes.
+
+    Each emitted photon is seen independently with probability ``efficiency``
+    and the photons seen are classified again; R is the identity at efficiency 1.
+    """
+    response = np.zeros((len(OutcomeClass), len(OutcomeClass)))
+    for code in OutcomeClass:
+        occupation = outcome_occupation(code)
+        for seen in np.ndindex(*(n + 1 for n in occupation)):
+            weight = math.prod(
+                math.comb(n, k) * efficiency**k * (1 - efficiency) ** (n - k)
+                for n, k in zip(occupation, seen)
+            )
+            response[classify_occupation(*seen) - 1, code - 1] += weight
+    return response
+
+
 def run_experiment(config: RunConfig) -> EventLog:
     """Simulate one counting run; bit-identical for identical configs and seeds.
 
-    Vacuum bins get the cell of outcome (3, 3); outcome sampling and loss
-    thinning run on the emitted bins only (thinning maps a vacuum station to 3
-    anyway).
+    Three uniforms per bin: vacuum bins get the cell of outcome (3, 3), an emitted
+    bin's cell is drawn from its setting pair's law R P R^T, loss folded in.
     """
     if config.pair_probability > PAIR_PROBABILITY_WARN:
         warnings.warn(
@@ -552,20 +554,19 @@ def run_experiment(config: RunConfig) -> EventLog:
         )
 
     state = build_experiment_state()
+    response = _station_response(config.detector_efficiency)
     cumulative = np.stack(
         [
-            np.cumsum(joint_distribution(state, xi, eta).probs.reshape(-1))
+            np.cumsum(response @ joint_distribution(state, xi, eta).probs @ response.T)
             for xi, eta in config.settings.setting_pairs()
         ]
     )
 
     n = config.n_bins
-    ideal = config.detector_efficiency >= 1.0
-    width = 3 if ideal else 7
     guide = _guide_table(cumulative)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     codes = np.empty(n, dtype=np.uint8)
-    block = np.empty((min(_CHUNK, n), width))  # reused: no fresh pages per block
+    block = np.empty((min(_CHUNK, n), 3))  # reused: no fresh pages per block
     for start in range(0, n, _CHUNK):
         u = block[: min(_CHUNK, n - start)]
         rng.random(out=u)
@@ -573,15 +574,8 @@ def run_experiment(config: RunConfig) -> EventLog:
         codes[start : start + len(u)] = 36 * pair_index + _VACUUM_CELL
 
         emitted = np.flatnonzero(u[:, 1] < config.pair_probability)
-        rows = u.take(emitted, axis=0)
         pairs = pair_index.take(emitted)
-        cells = _lookup_cells(guide, cumulative, pairs, rows[:, 2])
-        if not ideal:
-            # flat index 16 * cell + 8 * h1a + 4 * h1b + 2 * h2a + h2b into _LOSS_TABLE
-            hits = (rows[:, 3:] < config.detector_efficiency).view(np.uint8)
-            bits = hits @ np.array([8, 4, 2, 1], dtype=np.uint8)
-            cells = _LOSS_TABLE.reshape(-1).take(16 * cells.astype(np.intp) + bits)
-        codes[start + emitted] = 36 * pairs + cells
+        codes[start + emitted] = 36 * pairs + _lookup_cells(guide, cumulative, pairs, u[emitted, 2])
 
     return EventLog(codes)
 
@@ -599,8 +593,13 @@ class EstimateReport:
 
     def __post_init__(self) -> None:
         arr = np.array(self.counts)
-        if arr.shape != (4, 6, 6) or arr.dtype.kind not in "iu" or (arr < 0).any():
-            raise InputError(f"counts must be non-negative (4, 6, 6) integers, not {arr.dtype}")
+        if arr.shape != (4, 6, 6):
+            raise InputError(f"counts must have shape (4, 6, 6), not {arr.shape}")
+        if arr.dtype.kind not in "iu":
+            raise InputError(f"counts must be integers, not {arr.dtype}")
+        if (arr < 0).any():
+            cell = tuple(int(i) for i in np.argwhere(arr < 0)[0])
+            raise InputError(f"counts must be non-negative, not {arr[cell]} at {cell}")
         if missing := [k for k in range(4) if arr[k].sum() == 0]:
             raise InputError(f"no events for setting pair(s) {missing}")
         arr.flags.writeable = False

@@ -496,7 +496,7 @@ def test_analyze_echoes_settings(tmp_path, capsys):
 #: ideal detectors and one at detector efficiency 0.8, frozen like GOLDEN_STDOUT.
 GOLDEN_ANALYZE = [
     ({}, "7fd016b3ccdbdedca97452021761517ce14f10c56e42506e6a15af52a29b9f2e"),
-    ({"detector_efficiency": 0.8}, "c2ef825fbb2f77a8e7b3f9e44562c5bcf7e2b7c849b89f6f6fb30d7c658180f4"),
+    ({"detector_efficiency": 0.8}, "84110926c98dd4786cf1e1c6077c2c306332cd8d53c65d07669845a31ac27a50"),
 ]
 
 
@@ -620,6 +620,27 @@ def test_simulate_failed_write_exits_2(tmp_path, capsys, T):
     _write_config(config, T=T)
     assert run_cli("simulate", "--config", str(config), "--out", "/dev/full") == 2
     assert "cannot write event log /dev/full: [Errno 28]" in capsys.readouterr().err
+
+
+#: Runs ``pdcbell.cli.main`` under a 64 KiB file-size limit (RLIMIT_FSIZE).
+_UNDER_FSIZE_LIMIT = """
+import resource, sys
+from pdcbell import cli
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no RLIMIT_FSIZE")
+def test_simulate_cut_by_the_file_size_limit_leaves_no_log(tmp_path):
+    """A log cut at a row boundary would read as a valid, shorter run: none is left."""
+    config = tmp_path / "run.json"
+    _write_config(config, T=1e-3)  # 10^5 rows, about 1.6 MB
+    events = tmp_path / "events.csv"
+    result = _run_fresh(_UNDER_FSIZE_LIMIT, "simulate", "--config", str(config), "--out", str(events))
+    assert result.returncode == 2, result.stderr
+    assert f"cannot write event log {events}: [Errno 27]" in result.stderr
+    assert not events.exists()
 
 
 def test_internal_invariant_maps_to_exit_4(monkeypatch, capsys):

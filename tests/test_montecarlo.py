@@ -224,15 +224,79 @@ def station_detects(code, hit_a, hit_b):
     return classify_occupation(kept.count("+"), kept.count("-"))
 
 
+LOSS_EFFICIENCIES = [0.3, 0.8, 0.85, 1.0]
+
+
+def emitted_tables() -> list[np.ndarray]:
+    """The p_pair 1 tables at the optimal and at three random settings."""
+    state = build_experiment_state()
+    settings = [OPTIMAL_SETTINGS] + [
+        ChshSettings.from_radians(*np.random.default_rng(seed).uniform(0, math.pi, 4))
+        for seed in range(3)
+    ]
+    pairs = [pair for chsh in settings for pair in chsh.setting_pairs()]
+    return [joint_distribution(state, xi, eta).probs for xi, eta in pairs]
+
+
+@pytest.mark.parametrize("eff", LOSS_EFFICIENCIES)
+def test_station_response_matches_the_thinning_oracle(eff):
+    """R P R^T is the binomial thinning of each port of each station; R = 1 without loss."""
+    response = montecarlo._station_response(eff)
+    assert np.array_equal(response, np.eye(6)) == (eff == 1.0)
+    for probs in emitted_tables():
+        detected = response @ probs @ response.T
+        np.testing.assert_allclose(detected, thinned_table(probs, eff), rtol=0, atol=2**-51)
+
+
 @pytest.mark.parametrize("code", range(1, 7))
 def test_thin_station_drops_each_missed_photon(code):
-    """The cell loss table thins station 1 at outcome ``code`` and station 2 at each outcome."""
-    table = montecarlo._LOSS_TABLE
-    assert table.dtype == np.uint8
-    for other in range(1, 7):
-        for hits in np.ndindex(2, 2, 2, 2):
-            o1, o2 = station_detects(code, *hits[:2]), station_detects(other, *hits[2:])
-            assert table[(6 * (code - 1) + other - 1, *hits)] == 6 * (o1 - 1) + o2 - 1
+    """Column ``code`` of R sums the hit patterns of slots A and B that detect each outcome."""
+    for eff in LOSS_EFFICIENCIES:
+        expected = np.zeros(6)
+        for hits in np.ndindex(2, 2):
+            weight = math.prod(eff if hit else 1 - eff for hit in hits)
+            expected[station_detects(code, *hits) - 1] += weight
+        column = montecarlo._station_response(eff)[:, code - 1]
+        np.testing.assert_allclose(column, expected, rtol=0, atol=2**-52)
+        np.testing.assert_allclose(column.sum(), 1.0, rtol=0, atol=2**-52)
+    # ideal detectors: R is the identity, so the emitted tables are sampled as they are
+    assert np.array_equal(montecarlo._station_response(1.0)[:, code - 1], np.eye(6)[code - 1])
+
+
+def test_lossy_counts_follow_the_detected_law():
+    """Per-cell z test of 200 seeded lossy runs against p R P R^T + (1 - p) vacuum.
+
+    Each cell's count, given its setting pair's bins, is binomial.  No
+    zero-probability cell is hit; every other cell's z score, pooled over the
+    seeds, stays within 5, and its mean z^2 over the seeds within 0.5 of 1.
+    An efficiency off by 0.01 in the run gives a pooled |z| above 7.
+    """
+    eff, p_pair, n_bins, seeds = 0.7, 0.5, 16000, 200
+    response = montecarlo._station_response(eff)
+    state = build_experiment_state()
+    law = np.stack(
+        [
+            p_pair * response @ joint_distribution(state, xi, eta).probs @ response.T
+            for xi, eta in OPTIMAL_SETTINGS.setting_pairs()
+        ]
+    ).reshape(4, 36)
+    law[:, montecarlo._VACUUM_CELL] += 1 - p_pair
+    counts = np.empty((seeds, 4, 36))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p_pair is above the warning level
+        for seed in range(seeds):
+            config = make_config(
+                total_time=n_bins * 1e-8, pair_probability=p_pair, detector_efficiency=eff, seed=seed
+            )
+            counts[seed] = estimate_correlators(run_experiment(config)).counts.reshape(4, 36)
+    live = law > 0
+    assert not counts[:, ~live].any()
+    expected = counts.sum(axis=2, keepdims=True) * law
+    variance = expected * (1 - law)
+    pooled = (counts - expected).sum(axis=0)[live] / np.sqrt(variance.sum(axis=0)[live])
+    assert np.abs(pooled).max() < 5
+    z = (counts - expected)[:, live] / np.sqrt(variance[:, live])
+    assert np.abs((z**2).mean(axis=0) - 1).max() < 0.5
 
 
 # -- estimation ---------------------------------------------------------------
@@ -293,6 +357,23 @@ def test_empty_setting_pair_rejected():
         estimate_correlators(log)
     with pytest.raises(InputError, match="no events for setting pair"):
         estimate_correlators(event_log([], [], [], []))
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (np.ones((4, 6, 5), dtype=np.int64), r"counts must have shape \(4, 6, 6\), not \(4, 6, 5\)"),
+        (np.ones((4, 6, 6)), "counts must be integers, not float64"),
+        (
+            np.where(np.arange(144).reshape(4, 6, 6) == 50, -1, 1),
+            r"counts must be non-negative, not -1 at \(1, 2, 2\)",
+        ),
+    ],
+    ids=["shape", "dtype", "negative"],
+)
+def test_report_names_the_check_that_fired(counts, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        montecarlo.EstimateReport(counts)
 
 
 def test_report_json_counts_shape():
@@ -869,43 +950,32 @@ def test_stream_layout_settings_then_emission_then_outcome():
 
 
 def reference_run_experiment(config: RunConfig) -> EventLog:
-    """Whole-stream run: one (n, width) draw, every bin sampled and thinned.
+    """Whole-stream run: one (n, 3) draw, every bin's cell by binary search.
 
-    The oracle for the block-wise ``run_experiment``; same stream layout.
+    The oracle for the block-wise ``run_experiment``: the same stream layout
+    and the same per-pair law R P R^T, which the station-response tests check.
     """
     state = build_experiment_state()
-    cumulative = np.stack(
-        [
-            np.cumsum(joint_distribution(state, xi, eta).probs.reshape(-1))
-            for xi, eta in config.settings.setting_pairs()
-        ]
-    )
+    response = montecarlo._station_response(config.detector_efficiency)
+    cumulative = [
+        np.cumsum(response @ joint_distribution(state, xi, eta).probs @ response.T)
+        for xi, eta in config.settings.setting_pairs()
+    ]
     n = config.n_bins
-    ideal = config.detector_efficiency >= 1.0
-    u = np.random.Generator(np.random.PCG64(config.seed)).random((n, 3 if ideal else 7))
+    u = np.random.Generator(np.random.PCG64(config.seed)).random((n, 3))
     pair_index = np.minimum((u[:, 0] * 4).astype(np.int64), 3)
     emitted = u[:, 1] < config.pair_probability
-    cells = np.zeros(n, dtype=np.int64)
+    cells = np.full(n, 14)  # the vacuum outcome (3, 3)
     for k in range(4):
         mask = emitted & (pair_index == k)
-        if mask.any():
-            cells[mask] = np.minimum(np.searchsorted(cumulative[k], u[mask, 2], side="right"), 35)
-    outcome1 = np.where(emitted, cells // 6 + 1, 3).astype(np.int8)
-    outcome2 = np.where(emitted, cells % 6 + 1, 3).astype(np.int8)
-    if not ideal:
-        station = np.zeros((6, 2, 2), dtype=np.int64)
-        for code, a, b in np.ndindex(6, 2, 2):
-            station[code, a, b] = station_detects(code + 1, a, b)
-        hits = (u[:, 3:] < config.detector_efficiency).astype(np.int64)
-        outcome1 = station[outcome1 - 1, hits[:, 0], hits[:, 1]]
-        outcome2 = station[outcome2 - 1, hits[:, 2], hits[:, 3]]
-    return event_log(pair_index // 2, pair_index % 2, outcome1, outcome2)
+        cells[mask] = np.minimum(np.searchsorted(cumulative[k], u[mask, 2], side="right"), 35)
+    return event_log(pair_index // 2, pair_index % 2, cells // 6 + 1, cells % 6 + 1)
 
 
 #: The small README run at p_pair 0.1 with detector efficiency 0.8; SHA-256 of
-#: its CSV log, frozen from the whole-stream run_experiment before blocks.
+#: its CSV log, frozen when detector loss was folded into the per-pair law.
 SMALL_LOSSY_CONFIG = dict(SMALL_README_CONFIG, p_pair=0.1, detector_efficiency=0.8)
-SMALL_LOSSY_LOG_SHA256 = "87b79917bf181bb8a20896b868181663e75121deb269983609a46702a40cefea"
+SMALL_LOSSY_LOG_SHA256 = "a5b266b1f834dcc7f3a26a22a49f6b5a030de5689a54e3beca4f8ecf5ad370f6"
 
 CHUNK_RUN_BINS = 3000
 
@@ -1032,7 +1102,7 @@ def test_run_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 1 B/bin log plus one 0.9 MB block of uniforms and its emitted rows
+    # the 1 B/bin log plus one 0.4 MB block of uniforms and its emitted cells
     assert peak < n + 2 * 2**20
 
 
