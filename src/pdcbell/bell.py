@@ -39,8 +39,10 @@ from .measurement import (
     JointDistribution,
     PolarizerAngle,
     axis_distance,
+    check_angles,
     classify_occupation,
     joint_distribution,
+    named,
     rotate_station_basis,
 )
 from .optics import split_by_locality
@@ -69,11 +71,20 @@ class ChshSettings:
     eta: PolarizerAngle
     eta_prime: PolarizerAngle
 
+    def __post_init__(self) -> None:
+        check_angles(self, "xi", "xi_prime", "eta", "eta_prime")
+
     @classmethod
     def from_radians(cls, xi: float, xi_prime: float, eta: float, eta_prime: float) -> "ChshSettings":
-        return cls(
-            PolarizerAngle(xi), PolarizerAngle(xi_prime), PolarizerAngle(eta), PolarizerAngle(eta_prime)
-        )
+        return cls(*map(PolarizerAngle, (xi, xi_prime, eta, eta_prime)))
+
+    @classmethod
+    def parse(cls, values, name: str, angle: Callable = PolarizerAngle) -> "ChshSettings":
+        """The one reader of four angles: ``angle`` of each of ``values``, a JSON array of
+        radians or the fields of ``--settings``.  InputError names ``name``, the key or flag."""
+        if not isinstance(values, (list, tuple)) or len(values) != 4:
+            raise InputError(f"{name} must list 4 angles, got {values!r:.60}")
+        return cls(*(named(name, angle, value) for value in values))
 
     @classmethod
     def from_tables(cls, tables: Sequence[JointDistribution]) -> "ChshSettings":

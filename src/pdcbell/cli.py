@@ -6,8 +6,10 @@ for lhv-check), 2 malformed input, 3 infeasible (lhv-check only), 4
 violated internal invariant.
 
 Angles always carry an explicit ``deg`` or ``rad`` suffix; bare numbers are
-rejected to prevent unit mistakes.  Relative ``--out`` paths resolve under
-``$PDCBELL_OUT_DIR`` when that variable is set.
+rejected to prevent unit mistakes.  Each input is checked by the value it
+builds (``PolarizerAngle``, ``ChshSettings.parse``, the JSON objects' closed
+keys).  Relative ``--out`` paths resolve under ``$PDCBELL_OUT_DIR`` when that
+variable is set.  A failed write, to ``--out`` or to stdout, exits 2.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ EXIT_INVARIANT = 4
 OUT_DIR_ENV = "PDCBELL_OUT_DIR"
 
 
-def parse_angle(text: str) -> float:
-    """An angle with a required deg/rad suffix, returned in radians."""
+def parse_angle(text: str) -> PolarizerAngle:
+    """An angle with a required deg/rad suffix."""
     text = text.strip().lower()
     for suffix, factor in (("deg", math.pi / 180.0), ("rad", 1.0)):
         if text.endswith(suffix):
@@ -46,18 +48,8 @@ def parse_angle(text: str) -> float:
                 value = float(text[: -len(suffix)]) * factor
             except ValueError as exc:
                 raise InputError(f"cannot parse angle {text!r}") from exc
-            if not math.isfinite(value):
-                raise InputError(f"angle {text!r} is not finite")
-            return value
+            return PolarizerAngle(value)
     raise InputError(f"angle {text!r} needs an explicit 'deg' or 'rad' suffix")
-
-
-def parse_settings(text: str) -> ChshSettings:
-    """Four comma-separated angles; an empty field is an error, not skipped."""
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise InputError(f"--settings needs 4 comma-separated angles, got {len(parts)}")
-    return ChshSettings.from_radians(*(parse_angle(p) for p in parts))
 
 
 def _checked_out(path: str | None, what: str = "") -> Path | None:
@@ -84,15 +76,21 @@ def _checked_out(path: str | None, what: str = "") -> Path | None:
     return out
 
 
-def _emit(payload: dict, out: Path | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out is None:
-        print(text)
-        return
+def _emit(payload: dict | str, out: Path | None = None) -> None:
+    """Write ``payload`` (a dict as JSON) to ``out`` or stdout; a failed write raises InputError.
+    A failed stdout goes to the null device, so the flush at exit does not fail again."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     try:
-        out.write_text(text + "\n")
+        if out is None:
+            print(text, flush=True)
+        else:
+            out.write_text(text + "\n")
     except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from exc
+        if out is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise InputError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -106,25 +104,24 @@ def _load_json(path: str) -> dict:
 
 
 def _prepared_state(p_pair: float) -> StateVector:
-    state = build_experiment_state()
-    if p_pair == 1.0:
-        return state
-    return attach_vacuum(state, PairAmplitude.from_pair_probability(p_pair))
+    """The experiment state with its vacuum term; at p_pair 1 that term has amplitude 0."""
+    return attach_vacuum(build_experiment_state(), PairAmplitude.from_pair_probability(p_pair))
 
 
 def cmd_state(args: argparse.Namespace) -> int:
     state = build_experiment_state()
     favorable, unfavorable = split_by_locality(state)
-    print("state at the detection stations (station 1 | station 2):")
+    lines = ["state at the detection stations (station 1 | station 2):"]
     for occ, amp in state.sorted_terms():
-        print(f"  {occupation_key(occ):<8} {amp.real:+.6f} {amp.imag:+.6f}j")
-    print(f"favorable weight:   {favorable.norm_squared():.6f}")
-    print(f"unfavorable weight: {unfavorable.norm_squared():.6f}")
+        lines.append(f"  {occupation_key(occ):<8} {amp.real:+.6f} {amp.imag:+.6f}j")
+    lines.append(f"favorable weight:   {favorable.norm_squared():.6f}")
+    lines.append(f"unfavorable weight: {unfavorable.norm_squared():.6f}")
+    _emit("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    xi, eta = PolarizerAngle(parse_angle(args.xi)), PolarizerAngle(parse_angle(args.eta))
+    xi, eta = parse_angle(args.xi), parse_angle(args.eta)
     state = _prepared_state(args.p_pair)
     out = _checked_out(args.out)
     dist = joint_distribution(state, xi, eta)
@@ -133,7 +130,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_chsh(args: argparse.Namespace) -> int:
-    settings = parse_settings(args.settings)
+    settings = ChshSettings.parse(args.settings.split(","), "--settings", parse_angle)
     state = _prepared_state(args.p_pair)
     out = _checked_out(args.out)
     result = chsh_decomposition(state, settings)
@@ -168,7 +165,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    settings = None if args.settings is None else parse_settings(args.settings)
+    settings = args.settings
+    if settings is not None:
+        settings = ChshSettings.parse(settings.split(","), "--settings", parse_angle)
     out = _checked_out(args.out)
     report = estimate_correlators(EventLog.from_csv(args.input))
     payload = report.to_json_dict()

@@ -104,9 +104,6 @@ class StateVector:
         object.__setattr__(self, "spatial", spatial)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    def amplitude(self, occupation: Occupation) -> complex:
-        return self.terms.get(tuple(occupation), 0j)
-
     def sorted_terms(self) -> list[tuple[Occupation, complex]]:
         """Terms in canonical (lexicographic occupation) order."""
         return sorted(self.terms.items())

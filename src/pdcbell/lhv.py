@@ -36,16 +36,15 @@ All inputs and outputs are immutable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
 from .errors import InputError, ModelError
-from .measurement import JointDistribution, axis_distance, finite_floats, json_floats
+from .measurement import JointDistribution, axis_distance, closed_object, finite_floats
 
 
 def linprog(*args, **kwargs):
@@ -205,20 +204,18 @@ def local_bound_by_enumeration(coefficients: np.ndarray) -> float:
     return float(_strategy_values(np.asarray(coefficients, dtype=float)).max())
 
 
-def _certificate(coefficients: np.ndarray, tables: Sequence[JointDistribution]) -> BellCertificate:
-    """The functional ``coefficients`` as a certificate: its value on the four ``tables``."""
-    stacked = np.stack([t.probs for t in tables])
+def _certificate(coefficients: np.ndarray, stacked: np.ndarray) -> BellCertificate:
+    """The functional ``coefficients`` as a certificate: its value on the ``stacked`` tables."""
     return BellCertificate(coefficients, float(np.sum(coefficients * stacked)))
 
 
 def chsh_certificate(tables: Sequence[JointDistribution]) -> BellCertificate:
     """The CHSH functional itself, packaged as a certificate against ``tables``."""
-    return _certificate(np.stack([s * SIGN_TABLE for s in CHSH_SIGNS]), tables)
+    stacked = np.stack([t.probs for t in tables])
+    return _certificate(np.stack([s * SIGN_TABLE for s in CHSH_SIGNS]), stacked)
 
 
-def _facet_verdict(
-    stacked: np.ndarray, normalized: np.ndarray, tables: Sequence[JointDistribution]
-) -> Infeasible | None:
+def _facet_verdict(stacked: np.ndarray, normalized: np.ndarray) -> Infeasible | None:
     """Infeasible when the best CHSH relabeling certifies it exactly, else None.
 
     Every local table set lies at least ``gap`` from ``stacked`` in summed
@@ -228,7 +225,7 @@ def _facet_verdict(
     """
     correlators = (stacked * SIGN_TABLE).sum(axis=(1, 2))
     pattern = _CHSH_PATTERNS[int(np.argmax(_CHSH_PATTERNS @ correlators))]
-    certificate = _certificate(pattern[:, None, None] * SIGN_TABLE, tables)
+    certificate = _certificate(pattern[:, None, None] * SIGN_TABLE, stacked)
     slack = float(np.abs(stacked - normalized).sum())
     if certificate.gap > slack + _FACET_GAP_TOL:
         return Infeasible(certificate)
@@ -285,7 +282,7 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     stacked = np.stack([t.probs for t in tables])
     clipped = np.clip(stacked, 0.0, None)
     normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
-    facet = _facet_verdict(stacked, normalized, tables)
+    facet = _facet_verdict(stacked, normalized)
     if facet is not None:
         return facet
     b_cells = normalized.reshape(-1)
@@ -301,7 +298,7 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     # Max-abs scaling to 1 also lands CHSH-shaped functionals on their
     # conventional local bound of 2; an all-zero dual separates nothing.
     for candidate in (dual, -dual) if scale > 0.0 else ():
-        certificate = _certificate((candidate / scale).reshape(4, N_OUTCOMES, N_OUTCOMES), tables)
+        certificate = _certificate((candidate / scale).reshape(4, N_OUTCOMES, N_OUTCOMES), stacked)
         if certificate.gap > 0.0:
             return Infeasible(certificate)
     raise ModelError("LP reported mismatch but no verifiable separating functional was found")
@@ -322,7 +319,7 @@ def verify_certificate(
     taken from an LP output, and its gap is its value on ``tables`` minus
     that bound.
     """
-    return _certificate(cert.coefficients, tables)
+    return _certificate(cert.coefficients, np.stack([t.probs for t in tables]))
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -338,29 +335,17 @@ def verdict_to_json_dict(verdict: Feasible | Infeasible) -> dict:
     return {"feasible": False, "certificate": verdict.certificate.to_json_dict()}
 
 
-def tables_from_json_dict(data: Mapping) -> list[JointDistribution]:
-    """Parse the CLI interchange format: four tables plus optional settings.
-
-    Expected shape: {"tables": [table, table, table, table]} with each table
-    in the measurement JSON format, ordered (xi,eta), (xi,eta'), (xi',eta),
-    (xi',eta'); an optional "settings_rad" entry is checked against the
-    settings the tables share.
-    """
-    try:
-        raw = data["tables"]
-    except (KeyError, TypeError) as exc:
-        raise InputError("tables JSON must contain a 'tables' array") from exc
-    if not isinstance(raw, Sequence) or len(raw) != 4:
-        raise InputError("'tables' must be an array of exactly 4 tables")
+def tables_from_json_dict(data) -> list[JointDistribution]:
+    """Parse the CLI interchange format, a closed object as each of its tables is:
+    {"tables": [t0, t1, t2, t3]} in (xi,eta), (xi,eta'), (xi',eta), (xi',eta') order, and an
+    optional "settings_rad", checked against the settings the tables share."""
+    data = closed_object(data, "lhv-check input", ("tables",), ("settings_rad",))
+    raw = data["tables"]
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise InputError(f"'tables' must be an array of 4 table objects, got {raw!r:.60}")
     tables = [JointDistribution.from_json_dict(t) for t in raw]
     if "settings_rad" in data:
-        try:
-            declared = json_floats(data, "settings_rad")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed 'settings_rad': {exc}") from exc
-        if len(declared) != 4 or not all(math.isfinite(a) for a in declared):
-            raise InputError("'settings_rad' must list 4 finite angles")
-        declared = ChshSettings.from_radians(*declared).as_radians()
+        declared = ChshSettings.parse(data["settings_rad"], "settings_rad").as_radians()
         derived = ChshSettings.from_tables(tables).as_radians()
         if max(axis_distance(a, b) for a, b in zip(declared, derived)) > 1e-9:
             raise InputError("'settings_rad' disagrees with the per-table angles")

@@ -35,7 +35,8 @@ CLAMP_TOL = 1e-14
 class PolarizerAngle:
     """Analyzer axis angle in radians, reduced mod pi (an axis is a line).
 
-    A bool, a string or any other non-number, NaN and infinite angles raise InputError.
+    The one check of an angle: a bool, a string or any other non-number, NaN,
+    infinite angles and integers beyond the float range raise InputError.
     """
 
     angle: float
@@ -43,7 +44,10 @@ class PolarizerAngle:
     def __post_init__(self) -> None:
         if not is_number(self.angle):
             raise InputError(f"analyzer angle must be a number, got {self.angle!r}")
-        angle = float(self.angle)
+        try:
+            angle = float(self.angle)
+        except OverflowError:  # an integer beyond the float range
+            angle = math.inf if self.angle > 0 else -math.inf
         if not math.isfinite(angle):
             raise InputError(f"analyzer angle {angle} is not finite")
         reduced = math.fmod(angle, math.pi)
@@ -110,6 +114,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        check_angles(self, "xi", "eta")
         arr = finite_floats(self.probs, "probability table")
         if arr.shape != (6, 6):
             raise InputError(f"probability table must be 6x6, got shape {arr.shape}")
@@ -130,20 +135,26 @@ class JointDistribution:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "JointDistribution":
-        try:
-            xi, eta = (PolarizerAngle(json_number(data, key)) for key in ("xi_rad", "eta_rad"))
-            probs = np.array(json_floats(data, "probs"))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed joint-distribution JSON: {exc}") from exc
-        if probs.size != 36:
-            raise InputError(f"probs must have 36 entries, got {probs.size}")
-        return cls(xi, eta, probs.reshape(6, 6))
+    def from_json_dict(cls, data) -> "JointDistribution":
+        """Parse one table object: exactly the keys of ``to_json_dict``."""
+        data = closed_object(data, "table", ("xi_rad", "eta_rad", "probs"))
+        probs = data["probs"]
+        if not isinstance(probs, list) or len(probs) != 36 or not all(map(is_number, probs)):
+            raise InputError(f"probs must be an array of 36 numbers, got {probs!r:.60}")
+        xi, eta = (named(key, PolarizerAngle, data[key]) for key in ("xi_rad", "eta_rad"))
+        return cls(xi, eta, np.reshape(probs, (6, 6)))
 
 
 def is_number(value) -> bool:
     """True for a real number, numpy's included; a bool or a string is none."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_angles(value, *fields: str) -> None:
+    """Raise InputError naming the first of ``value``'s ``fields`` that is no PolarizerAngle."""
+    for name in fields:
+        if not isinstance(angle := getattr(value, name), PolarizerAngle):
+            raise InputError(f"{name} must be a PolarizerAngle, got {angle!r}")
 
 
 def finite_floats(values, what: str) -> np.ndarray:
@@ -159,19 +170,26 @@ def finite_floats(values, what: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def json_number(data: Mapping, key: str):
-    """``data[key]`` if it is a number; anything else, a string or bool included, raises TypeError."""
-    if not is_number(value := data[key]):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    return value
+def closed_object(data, what: str, keys: tuple, optional: tuple = ()) -> Mapping:
+    """``data`` if it is a JSON object with all ``keys`` and no other key but ``optional``,
+    else InputError naming each missing or unknown key: the rule for every object read."""
+    if not isinstance(data, Mapping):
+        raise InputError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    unknown = sorted(str(key) for key in data if key not in keys + optional)
+    errors = [f"{kind} {what} key(s): {', '.join(names)}"
+              for kind, names in (("missing", missing), ("unknown", unknown)) if names]
+    if errors:
+        raise InputError("; ".join(errors))
+    return data
 
 
-def json_floats(data: Mapping, key: str) -> list[float]:
-    """``data[key]`` as floats; anything but an array of numbers raises TypeError."""
-    values = data[key]
-    if not isinstance(values, (list, tuple)) or not all(map(is_number, values)):
-        raise TypeError(f"{key} must be an array of numbers, got {values!r}")
-    return [float(v) for v in values]
+def named(name: str, parse, value):
+    """``parse(value)``, its InputError prefixed with ``name``, the key or flag of ``value``."""
+    try:
+        return parse(value)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from exc
 
 
 def rotate_station_basis(state: StateVector, station: str, xi: PolarizerAngle) -> StateVector:

@@ -39,7 +39,6 @@ import os
 import stat
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -48,9 +47,9 @@ from .errors import InputError
 from .measurement import (
     OutcomeClass,
     classify_occupation,
+    closed_object,
     is_number,
     joint_distribution,
-    json_floats,
     outcome_occupation,
 )
 from .optics import build_experiment_state
@@ -80,9 +79,6 @@ _CHUNK = 1 << 14
 #: Buckets per setting pair of ``_guide_table``: a power of two, so u * _GUIDE is exact.
 _GUIDE = 1 << 12
 _SPLIT = 255  # guide entry of a bucket that a cumulative value splits
-
-# The closed set of run-config JSON keys; "L" may be absent or null.
-_CONFIG_KEYS = ("T", "tau", "p_pair", "settings_rad", "seed", "L", "detector_efficiency")
 
 _CSV_HEADER = b"bin,setting1,setting2,outcome1,outcome2"
 # Rows rendered per write and bytes read per block by the CSV event-log I/O.
@@ -132,30 +128,21 @@ class RunConfig:
         return data
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "RunConfig":
-        """Parse the run-config JSON object; only the keys of ``to_json_dict``.
-
-        Values pass to the constructor as they are, never cast: unknown keys,
-        a number that is a string or a bool (``"1e-5"``, ``true``) and a seed
-        that is not an integer (``1.5``, ``true``, ``"7"``) raise InputError.
-        """
-        if not isinstance(data, Mapping):
-            raise InputError(f"run config must be a JSON object, got {type(data).__name__}")
-        unknown = sorted(str(key) for key in data if key not in _CONFIG_KEYS)
-        if unknown:
-            raise InputError(f"unknown run config key(s): {', '.join(unknown)}")
-        try:
-            return cls(
-                total_time=data["T"],
-                bin_width=data["tau"],
-                pair_probability=data["p_pair"],
-                settings=ChshSettings.from_radians(*json_floats(data, "settings_rad")),
-                seed=data["seed"],
-                station_separation=data.get("L"),
-                detector_efficiency=data.get("detector_efficiency", 1.0),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed run config: {exc}") from exc
+    def from_json_dict(cls, data) -> "RunConfig":
+        """Parse the run-config JSON object, closed to the keys of ``to_json_dict``.
+        Values pass as they are, never cast: a string or bool for a number (``"1e-5"``,
+        ``true``) and a seed that is no integer (``1.5``, ``true``, ``"7"``) raise InputError."""
+        keys = ("T", "tau", "p_pair", "settings_rad", "seed")
+        data = closed_object(data, "run config", keys, ("L", "detector_efficiency"))
+        return cls(
+            total_time=data["T"],
+            bin_width=data["tau"],
+            pair_probability=data["p_pair"],
+            settings=ChshSettings.parse(data["settings_rad"], "settings_rad"),
+            seed=data["seed"],
+            station_separation=data.get("L"),
+            detector_efficiency=data.get("detector_efficiency", 1.0),
+        )
 
 
 def _is_finite(value) -> bool:
@@ -184,6 +171,8 @@ def _config_errors(config: RunConfig) -> list[str]:
     errors = [f"{name} = {value!r} is not a number" for name, value in values if not is_number(value)]
     if isinstance(config.seed, bool) or not isinstance(config.seed, numbers.Integral):
         errors.append(f"seed must be an integer, got {config.seed!r}")
+    if not isinstance(config.settings, ChshSettings):
+        errors.append(f"settings must be a ChshSettings, got {config.settings!r}")
     if errors:
         return errors
     errors = [f"{name} = {value} is not finite" for name, value in values if not _is_finite(value)]

@@ -35,9 +35,9 @@ def test_module_entry_point():
 
 
 def test_parse_angle_suffixes():
-    assert cli.parse_angle("45deg") == pytest.approx(math.pi / 4)
-    assert cli.parse_angle("0.5rad") == pytest.approx(0.5)
-    assert cli.parse_angle(" 90DEG ") == pytest.approx(math.pi / 2)
+    assert cli.parse_angle("45deg").angle == pytest.approx(math.pi / 4)
+    assert cli.parse_angle("0.5rad").angle == pytest.approx(0.5)
+    assert cli.parse_angle(" 90DEG ").angle == pytest.approx(math.pi / 2)
     for bad in ("1.0", "45", "deg", "45degs", "nandeg", "infrad", "-infdeg", "1e400deg"):
         with pytest.raises(InputError):
             cli.parse_angle(bad)
@@ -333,6 +333,43 @@ def test_lhv_check_accepts_an_axis_given_mod_pi(tmp_path, capsys, quantum_tables
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize(
+    "rename, messages",
+    [
+        (("settings_rad", "setings_rad"), ["unknown lhv-check input key(s): setings_rad"]),
+        (("xi_rad", "xi_radians"), ["missing table key(s): xi_rad", "unknown table key(s): xi_radians"]),
+    ],
+    ids=["input", "table"],
+)
+def test_lhv_check_typoed_key_exits_2(tmp_path, capsys, quantum_tables, rename, messages):
+    # A typo'd settings_rad would otherwise skip the declared-settings check.
+    data = tables_to_json_dict(quantum_tables)
+    old, new = rename
+    target = data if old in data else data["tables"][1]
+    target[new] = target.pop(old)
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("lhv-check", "--input", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(message in captured.err for message in messages)
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        ("abcd", "'tables' must be an array of 4 table objects, got 'abcd'"),
+        ([1, 2, 3, 4], "table must be a JSON object, got int"),
+    ],
+    ids=["string", "numbers"],
+)
+def test_lhv_check_tables_must_be_objects(tmp_path, capsys, tables, message):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"tables": tables}))
+    assert run_cli("lhv-check", "--input", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _write_config(path, **overrides):
     payload = {
         "T": 1e-5,
@@ -388,9 +425,11 @@ def test_simulate_non_finite_config_exits_2(tmp_path, capsys, overrides):
     _write_config(config, **overrides)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
     [(key, value)] = overrides.items()
-    if key == "settings_rad":
+    if key == "settings_rad" and isinstance(value, str):
         # a string is no array of four angles, though it iterates as one number per digit
-        message = "settings_rad must be an array of numbers"
+        message = "settings_rad must list 4 angles, got '0123'"
+    elif key == "settings_rad":
+        message = "settings_rad: analyzer angle must be a number, got '0'"
     elif isinstance(value, float):
         message = f"{key} = {value} is not finite"
     else:
@@ -449,6 +488,29 @@ def test_simulate_unknown_config_key_exits_2(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert "unknown run config key" in err
     assert all(key in err for key in extra)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda config: config.pop("T"), "missing run config key(s): T"),
+        (
+            lambda config: config.update(settings_rad=config["settings_rad"][:3]),
+            "settings_rad must list 4 angles, got [0.0, 0.7853981633974483, 1.9634954084936207]",
+        ),
+    ],
+    ids=["missing-T", "three-angles"],
+)
+def test_simulate_missing_key_or_angle_exits_2(tmp_path, capsys, edit, message):
+    config = tmp_path / "run.json"
+    _write_config(config)
+    payload = json.loads(config.read_text())
+    edit(payload)
+    config.write_text(json.dumps(payload))
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"  # no Python signature or KeyError text
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_package_exports_no_modules_or_removed_names():
@@ -622,6 +684,56 @@ def test_simulate_failed_write_exits_2(tmp_path, capsys, T):
     assert "cannot write event log /dev/full: [Errno 28]" in capsys.readouterr().err
 
 
+#: Runs ``pdcbell.cli.main`` as the console script does.
+_RUN_MAIN = "import sys; from pdcbell import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+#: Every command that writes to stdout, with its arguments.
+_STDOUT_COMMANDS = {
+    "state": (),
+    "table": ("--xi", "0deg", "--eta", "0deg"),
+    "chsh": ("--settings", OPTIMAL_FLAG),
+    "optimize": (),
+    "lhv-check": ("--input", "tables.json"),
+    "analyze": ("--input", "events.csv"),
+}
+
+
+def _stdout_command(tmp_path, quantum_tables, command):
+    """``command``'s argv, with its input file written under ``tmp_path``."""
+    (tmp_path / "tables.json").write_text(json.dumps(tables_to_json_dict(quantum_tables)))
+    _write_config(tmp_path / "run.json")
+    assert run_cli("simulate", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "events.csv")) == 0
+    args = _STDOUT_COMMANDS[command]
+    return [command, *(str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in args)]
+
+
+def _assert_one_error_line(result, message):
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: cannot write stdout: {message}")
+    assert result.stderr.count("\n") == 1, result.stderr  # no Traceback, no "Exception ignored"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", list(_STDOUT_COMMANDS))
+def test_failed_write_to_stdout_exits_2(tmp_path, quantum_tables, command):
+    argv = _stdout_command(tmp_path, quantum_tables, command)
+    with open("/dev/full", "w") as full:
+        result = _run_fresh(_RUN_MAIN, *argv, stdout=full)
+    _assert_one_error_line(result, "[Errno 28]")
+
+
+@pytest.mark.parametrize("command", ["state", "table"])
+def test_stdout_to_a_closed_pipe_exits_2(tmp_path, quantum_tables, command):
+    argv = _stdout_command(tmp_path, quantum_tables, command)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_fresh(_RUN_MAIN, *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(result, "[Errno 32] Broken pipe")
+
+
 #: Runs ``pdcbell.cli.main`` under a 64 KiB file-size limit (RLIMIT_FSIZE).
 _UNDER_FSIZE_LIMIT = """
 import resource, sys
@@ -657,12 +769,13 @@ def test_internal_invariant_maps_to_exit_4(monkeypatch, capsys):
     assert "synthetic failure" in capsys.readouterr().err
 
 
-def _run_fresh(script, *args):
-    """Run ``script`` in a fresh interpreter that imports this pdcbell."""
+def _run_fresh(script, *args, stdout=subprocess.PIPE):
+    """Run ``script`` in a fresh interpreter that imports this pdcbell; stderr is captured."""
     src = str(Path(pdcbell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script, *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
     )
 
 

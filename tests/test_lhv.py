@@ -410,7 +410,7 @@ def test_lp_certifies_tables_the_facet_step_passes_on(quantum_tables):
     assert chsh_certificate(swapped).quantum_value == pytest.approx(1.0, abs=1e-12)
     stacked = stacked_probs(swapped)
     normalized = stacked / stacked.sum(axis=(1, 2), keepdims=True)
-    assert lhv._facet_verdict(stacked, normalized, swapped) is None
+    assert lhv._facet_verdict(stacked, normalized) is None
     verdict = lhv_feasible(swapped)
     assert isinstance(verdict, Infeasible)
     certificate = verdict.certificate
@@ -426,6 +426,21 @@ def test_lp_certifies_tables_the_facet_step_passes_on(quantum_tables):
 def diluted_tables(psi, p_pair):
     state = attach_vacuum(psi, PairAmplitude.from_pair_probability(p_pair))
     return [joint_distribution(state, xi, eta) for xi, eta in OPTIMAL_SETTINGS.setting_pairs()]
+
+
+@pytest.mark.parametrize(
+    "p_pair",
+    [1e-5, pytest.param(1e-6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 14"))],
+)
+def test_swapped_diluted_tables_keep_their_gap(psi, p_pair):
+    # The outcome-swapped tables, diluted: nonlocal with gap (sqrt 2 - 1) p_pair
+    # at every p_pair, but only the LP can say so.  At 1e-6 its per-cell
+    # tolerance fits a local model to them and the verdict is wrong.
+    tables = outcome_swapped(diluted_tables(psi, p_pair))
+    verdict = lhv_feasible(tables)
+    assert isinstance(verdict, Infeasible)
+    report = verify_certificate(verdict.certificate, tables)
+    assert report.gap / p_pair == pytest.approx(SQRT2 - 1, abs=1e-9)
 
 
 @pytest.mark.parametrize("p_pair", [10.0**-k for k in range(1, 9)])
@@ -669,7 +684,7 @@ def test_pruned_lp_agrees_with_the_unpruned_oracle(psi, quantum_tables, kind, su
 def test_diluted_below_the_facet_floor_matches_lp_only_oracle(psi):
     tables = diluted_tables(psi, 1e-12)
     stacked = stacked_probs(tables)
-    assert lhv._facet_verdict(stacked, stacked / stacked.sum(axis=(1, 2), keepdims=True), tables) is None
+    assert lhv._facet_verdict(stacked, stacked / stacked.sum(axis=(1, 2), keepdims=True)) is None
     verdict = verdict_to_json_dict(lhv_feasible(tables))
     assert json.dumps(verdict) == json.dumps(verdict_to_json_dict(reference_lhv_feasible(tables)))
 
@@ -703,7 +718,8 @@ def test_relabelled_optimal_tables_keep_their_gap(psi, quantum_tables, p_pair, p
     # the enumerated gap (sqrt 2 - 1) p_pair stay.  Tables whose relabelling
     # breaks the paper's grouping reach the LP: a restricted miss over their
     # zero cells, then the full solve.  At p_pair 1e-6 and below the LP's
-    # tolerance calls them local, a known defect, so that range is left out.
+    # tolerance calls them local, a known defect that
+    # test_swapped_diluted_tables_keep_their_gap pins.
     tables = quantum_tables if p_pair == 1.0 else diluted_tables(psi, p_pair)
     tables = relabelled(tables, permutations, swap)
     verdict = lhv_feasible(tables)

@@ -135,7 +135,7 @@ def test_config_json_round_trip():
     back = RunConfig.from_json_dict(config.to_json_dict())
     assert back == config
     assert RunConfig.from_json_dict(make_config().to_json_dict()) == make_config()
-    with pytest.raises(InputError, match="malformed run config"):
+    with pytest.raises(InputError, match="missing run config key\\(s\\): tau, p_pair, settings_rad, seed$"):
         RunConfig.from_json_dict({"T": 1.0})
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from pdcbell.bell import OPTIMAL_SETTINGS, chsh_decomposition
+from pdcbell.bell import OPTIMAL_SETTINGS, ChshSettings, chsh_decomposition
 from pdcbell.errors import InputError
 from pdcbell.lhv import N_STRATEGIES, BellCertificate, LhvModel
 from pdcbell.measurement import JointDistribution, PolarizerAngle, joint_distribution
@@ -91,3 +91,27 @@ def test_array_fields_hold_only_finite_numbers(field, corrupt):
     make(valid)
     with pytest.raises(InputError):
         make(corrupt(valid))
+
+
+#: Values built with a plain number or tuple in a typed field, and the message naming that field.
+UNTYPED = {
+    "JointDistribution": (
+        lambda: JointDistribution(PolarizerAngle(0.0), 0.0, np.full((6, 6), 1.0 / 36)),
+        "eta must be a PolarizerAngle, got 0.0",
+    ),
+    "ChshSettings": (
+        lambda: ChshSettings(PolarizerAngle(0.0), 1.0, 2.0, 3.0),
+        "xi_prime must be a PolarizerAngle, got 1.0",
+    ),
+    "RunConfig": (
+        lambda: dataclasses.replace(_run_config(), settings=(0, 1, 2, 3)),
+        "settings must be a ChshSettings, got (0, 1, 2, 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, message", UNTYPED.values(), ids=UNTYPED.keys())
+def test_typed_fields_are_checked_when_built(make, message):
+    with pytest.raises(InputError) as caught:
+        make()
+    assert str(caught.value) == message
