@@ -49,14 +49,12 @@ from .measurement import (
     rotate_station_basis,
 )
 from .montecarlo import (
-    CascadeProbabilities,
     EstimateReport,
     EventLog,
     RunConfig,
-    cascade_misclassification,
     estimate_correlators,
     run_experiment,
-    sample_cascade,
+    station_response,
 )
 from .optics import (
     PairAmplitude,

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
+from .bell import SIGN_TABLE, ChshSettings
 from .errors import InputError, ModelError
 from .measurement import JointDistribution, axis_distance, closed_object, finite_floats
 
@@ -207,12 +207,6 @@ def local_bound_by_enumeration(coefficients: np.ndarray) -> float:
 def _certificate(coefficients: np.ndarray, stacked: np.ndarray) -> BellCertificate:
     """The functional ``coefficients`` as a certificate: its value on the ``stacked`` tables."""
     return BellCertificate(coefficients, float(np.sum(coefficients * stacked)))
-
-
-def chsh_certificate(tables: Sequence[JointDistribution]) -> BellCertificate:
-    """The CHSH functional itself, packaged as a certificate against ``tables``."""
-    stacked = np.stack([t.probs for t in tables])
-    return _certificate(np.stack([s * SIGN_TABLE for s in CHSH_SIGNS]), stacked)
 
 
 def _facet_verdict(stacked: np.ndarray, normalized: np.ndarray) -> Infeasible | None:

@@ -8,10 +8,10 @@ two photon-number-resolving detectors on the parallel (D+) and perpendicular
     2: one photon in D+, none in D-        5: two photons in D+
     3: no photons                          6: two photons in D-
 
-Detectors here are ideal; the cascade realization of number resolution and
-its failure modes live in the montecarlo module.  Probabilities below 1e-14
-are clamped to zero so the block-structure checks are exact.  Everything is
-immutable and pure.
+Detectors here are ideal; loss, and the cascade realization of number
+resolution, enter as the station response of the montecarlo module.
+Probabilities below 1e-14 are clamped to zero so the block-structure checks
+are exact.  Everything is immutable and pure.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Time-binned counting protocol and the cascade photon-number detector.
+"""Time-binned counting protocol, and the station response to detector loss.
 
 The run is divided into bins of width tau, chosen below the light-travel
 time between the stations so a bin's analyzer choices cannot influence each
@@ -12,8 +12,9 @@ config seed, consumed as one uniform stream in bin-major order with three
 slots per bin, whatever the config: slot 0 picks the setting pair, slot 1
 decides pair emission, slot 2 picks the outcome cell from the pair's
 detected law R P R^T.  P is the emitted 6x6 table and R the station response
-to detector loss (``_station_response``), the identity at efficiency 1.  A
-reference sequence for the generator ships with the test suite.
+to detector loss (``station_response``), the identity at efficiency 1.  The
+same builder composes a cascade of click detectors behind each port into R.
+A reference sequence for the generator ships with the test suite.
 
 The stream is drawn in sequential blocks of ``_CHUNK`` bins; consecutive
 draws from one generator continue the same stream, so a blocked run is
@@ -511,12 +512,25 @@ def _lookup_cells(guide, cumulative, pairs, u) -> np.ndarray:
     return cells
 
 
-def _station_response(efficiency: float) -> np.ndarray:
+def station_response(efficiency: float = 1.0, fanout: int | None = None) -> np.ndarray:
     """Column-stochastic R[detected - 1, emitted - 1] of one station's outcome classes.
 
     Each emitted photon is seen independently with probability ``efficiency``
     and the photons seen are classified again; R is the identity at efficiency 1.
+    With a cascade of ``fanout`` click detectors behind each port, a pair seen
+    in one port reaches one arm, and reads as one photon, with probability
+    1/fanout: R is that merge times the loss response, loss first.  The fan-out
+    is an integer >= 2 within the float range; anything else, and an
+    efficiency outside (0, 1], raises InputError.
     """
+    if not is_number(efficiency) or not 0.0 < efficiency <= 1.0:
+        raise InputError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+    if fanout is not None:
+        if isinstance(fanout, bool) or not isinstance(fanout, numbers.Integral) or fanout < 2:
+            raise InputError(f"cascade fan-out must be an integer >= 2, got {fanout!r}")
+        if not _is_finite(fanout):
+            bits = fanout.bit_length()
+            raise InputError(f"cascade fan-out of {bits} bits is beyond the float range")
     response = np.zeros((len(OutcomeClass), len(OutcomeClass)))
     for code in OutcomeClass:
         occupation = outcome_occupation(code)
@@ -526,6 +540,12 @@ def _station_response(efficiency: float) -> np.ndarray:
                 for n, k in zip(occupation, seen)
             )
             response[classify_occupation(*seen) - 1, code - 1] += weight
+    if fanout is not None:
+        same_arm = 1 / fanout
+        pairs = [OutcomeClass.DOUBLE_PARA - 1, OutcomeClass.DOUBLE_PERP - 1]
+        ones = [OutcomeClass.SINGLE_PARA - 1, OutcomeClass.SINGLE_PERP - 1]
+        response[ones] += same_arm * response[pairs]
+        response[pairs] *= 1 - same_arm
     return response
 
 
@@ -543,7 +563,7 @@ def run_experiment(config: RunConfig) -> EventLog:
         )
 
     state = build_experiment_state()
-    response = _station_response(config.detector_efficiency)
+    response = station_response(config.detector_efficiency)
     cumulative = np.stack(
         [
             np.cumsum(response @ joint_distribution(state, xi, eta).probs @ response.T)
@@ -629,97 +649,3 @@ def estimate_correlators(log: EventLog) -> EstimateReport:
     for start in range(0, len(log), _CHUNK):
         counts += np.bincount(log.codes[start : start + _CHUNK], minlength=_N_CELLS)
     return EstimateReport(counts.reshape(4, 6, 6))
-
-
-# -- cascade photon-number detector ------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CascadeProbabilities:
-    """Outcome probabilities of an n-arm cascade fed with click detectors.
-
-    ``same_arm`` and ``distinct_arms`` describe where a two-photon input
-    ends up; the ``*_fire`` fields fold in detector efficiency.
-    ``single_photon_fires`` is the one-photon detection probability.
-    """
-
-    fanout: int
-    efficiency: float
-    same_arm: float
-    distinct_arms: float
-    two_detectors_fire: float
-    one_detector_fires: float
-    no_detector_fires: float
-    single_photon_fires: float
-
-
-def _check_cascade_args(n: int, efficiency: float, trials: int = 1, seed: int = 0) -> None:
-    """InputError unless fan-out, trials and seed are integers (a bool is none) at or above
-    2, 1 and 0, and efficiency is a number in (0, 1], as RunConfig checks its own."""
-    for name, value, low in (("cascade fan-out", n, 2), ("trials", trials, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
-    if not is_number(efficiency) or not 0.0 < efficiency <= 1.0:
-        raise InputError(f"efficiency must lie in (0, 1], got {efficiency!r}")
-
-
-def cascade_misclassification(n: int, efficiency: float = 1.0) -> CascadeProbabilities:
-    """Analytic cascade statistics for two-photon and one-photon inputs.
-
-    A balanced splitter sends each input photon into one of n arms with
-    amplitude 1/sqrt(n); for a two-photon same-mode input the bosonic
-    cross terms give both photons the same arm with probability exactly
-    1/n, which vanishes as n grows.
-    """
-    _check_cascade_args(n, efficiency)
-    same = 1.0 / n
-    distinct = (n - 1.0) / n
-    miss = 1.0 - efficiency
-    two_fire = distinct * efficiency**2
-    one_fire = same * (1.0 - miss**2) + distinct * 2.0 * efficiency * miss
-    no_fire = miss**2
-    return CascadeProbabilities(
-        fanout=int(n),
-        efficiency=efficiency,
-        same_arm=same,
-        distinct_arms=distinct,
-        two_detectors_fire=two_fire,
-        one_detector_fires=one_fire,
-        no_detector_fires=no_fire,
-        single_photon_fires=efficiency,
-    )
-
-
-def sample_cascade(
-    n: int, efficiency: float = 1.0, trials: int = 100_000, seed: int = 0
-) -> CascadeProbabilities:
-    """Monte Carlo estimate of the same quantities, as empirical frequencies.
-
-    For a balanced cascade the bosonic two-photon arm distribution matches
-    independent uniform arm choices (the interference terms reproduce the
-    classical weights), so the sampler draws each photon's arm uniformly
-    and thins detections at the given efficiency.
-    """
-    _check_cascade_args(n, efficiency, trials, seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    arms = rng.integers(0, n, size=(trials, 2))
-    detected = rng.random((trials, 2)) < efficiency
-    same = arms[:, 0] == arms[:, 1]
-    fired = np.where(
-        same[:, None],
-        # same arm: one detector, it fires if either photon is seen
-        np.column_stack([detected.any(axis=1), np.zeros(trials, dtype=bool)]),
-        detected,
-    )
-    n_fired = fired.sum(axis=1)
-    single = rng.random(trials) < efficiency
-    return CascadeProbabilities(
-        fanout=int(n),
-        efficiency=efficiency,
-        same_arm=float(same.mean()),
-        distinct_arms=float(1.0 - same.mean()),
-        two_detectors_fire=float((n_fired == 2).mean()),
-        one_detector_fires=float((n_fired == 1).mean()),
-        no_detector_fires=float((n_fired == 0).mean()),
-        single_photon_fires=float(single.mean()),
-    )

@@ -6,11 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pdcbell.bell import OPTIMAL_SETTINGS
+from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE
 from pdcbell.errors import ModelError
 from pdcbell.fock import PHYSICS_TOL, STATION_LABELS, StateVector
+from pdcbell.lhv import BellCertificate
 from pdcbell.measurement import (
     FAVORABLE_MASK,
+    OutcomeClass,
     classify_occupation,
     joint_distribution,
     outcome_occupation,
@@ -89,6 +91,35 @@ def thinned_table(probs: np.ndarray, eff: float) -> np.ndarray:
                 for dj, wj in station_demotions(j).items():
                     thinned[di - 1, dj - 1] += probs[i - 1, j - 1] * wi * wj
     return thinned
+
+
+def sample_cascade(n: int, efficiency: float, trials: int, seed: int) -> np.ndarray:
+    """Monte Carlo oracle: detected-class frequencies of a pair in one port with an n-arm cascade.
+
+    For a balanced cascade the bosonic two-photon arm distribution matches
+    independent uniform arm choices (the interference terms reproduce the
+    classical weights), so each photon takes an arm uniformly and is seen with
+    probability ``efficiency``; an arm fires when it sees a photon.  Two arms
+    firing read as DOUBLE_PARA, one as SINGLE_PARA and none as NO_PHOTON, so the
+    result estimates column DOUBLE_PARA of ``station_response(efficiency, n)``.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arms = rng.integers(0, n, size=(trials, 2))
+    detected = rng.random((trials, 2)) < efficiency
+    same = arms[:, 0] == arms[:, 1]
+    # same arm: one detector, it fires if either photon is seen
+    n_fired = np.where(same, detected.any(axis=1), detected.sum(axis=1))
+    column = np.zeros(len(OutcomeClass))
+    read_as = [OutcomeClass.NO_PHOTON, OutcomeClass.SINGLE_PARA, OutcomeClass.DOUBLE_PARA]
+    column[np.array(read_as) - 1] = np.bincount(n_fired, minlength=3) / trials
+    return column
+
+
+def chsh_certificate(tables) -> BellCertificate:
+    """The CHSH functional itself, packaged as a certificate against ``tables``."""
+    coefficients = np.stack([s * SIGN_TABLE for s in CHSH_SIGNS])
+    stacked = np.stack([t.probs for t in tables])
+    return BellCertificate(coefficients, float(np.sum(coefficients * stacked)))
 
 
 def event_log(setting1, setting2, outcome1, outcome2) -> EventLog:

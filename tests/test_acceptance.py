@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import LEGAL_MASK, random_station_state, states_equal_up_to_phase
+from conftest import LEGAL_MASK, random_station_state, sample_cascade, states_equal_up_to_phase
 from pdcbell.bell import (
     ChshSettings,
     OPTIMAL_SETTINGS,
@@ -30,16 +30,16 @@ from pdcbell.lhv import (
 )
 from pdcbell.measurement import (
     FAVORABLE_MASK,
+    OutcomeClass,
     PolarizerAngle,
     joint_distribution,
     marginal,
 )
 from pdcbell.montecarlo import (
     RunConfig,
-    cascade_misclassification,
     estimate_correlators,
     run_experiment,
-    sample_cascade,
+    station_response,
 )
 from pdcbell.optics import build_experiment_state
 
@@ -181,14 +181,15 @@ def test_criterion_6_cascade_detector():
     start = time.time()
     ok = True
     details = []
+    one, pair = OutcomeClass.SINGLE_PARA - 1, OutcomeClass.DOUBLE_PARA - 1
     for n in (2, 4, 8, 16):
-        analytic = cascade_misclassification(n)
-        exact = analytic.same_arm == 1.0 / n
-        sampled = sample_cascade(n, efficiency=1.0, trials=100_000, seed=100 + n)
+        same_arm = station_response(1.0, n)[one, pair]  # a same-port pair read as one photon
+        exact = same_arm == 1.0 / n
+        sampled = sample_cascade(n, efficiency=1.0, trials=100_000, seed=100 + n)[one]
         sigma = math.sqrt((1.0 / n) * (1 - 1.0 / n) / 100_000)
-        within = abs(sampled.same_arm - analytic.same_arm) <= 3 * sigma
+        within = abs(sampled - same_arm) <= 3 * sigma
         ok = ok and exact and within
-        details.append(f"n={n}: {sampled.same_arm:.5f} vs 1/{n}")
+        details.append(f"n={n}: {sampled:.5f} vs 1/{n}")
     elapsed = time.time() - start
     ok = ok and elapsed < 10.0
     report("criterion 6: cascade same-arm statistics", ok, "; ".join(details))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import chsh_certificate
 
 import pdcbell
 from pdcbell import cli, lhv, montecarlo
@@ -525,6 +526,9 @@ def test_package_exports_no_modules_or_removed_names():
         "DeterministicStrategy",
         "enumerate_strategies",
         "correlator",
+        "CascadeProbabilities",
+        "cascade_misclassification",
+        "sample_cascade",
     }
     for name in pdcbell.__all__:
         assert not isinstance(getattr(pdcbell, name), types.ModuleType), name
@@ -827,7 +831,7 @@ def test_lhv_check_nonlocal_tables_leave_scipy_out(tmp_path, quantum_tables):
     certificate = json.loads(result.stdout)["certificate"]
     assert certificate["local_bound"] == 2.0
     assert certificate["coefficients"] == [
-        float(c) for c in lhv.chsh_certificate(quantum_tables).coefficients.reshape(-1)
+        float(c) for c in chsh_certificate(quantum_tables).coefficients.reshape(-1)
     ]
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import enumerate_strategies, thinned_table
+from conftest import chsh_certificate, enumerate_strategies, thinned_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from pdcbell.lhv import (
     Infeasible,
     LhvModel,
     N_STRATEGIES,
-    chsh_certificate,
     lhv_feasible,
     local_bound_by_enumeration,
     synthesize_tables,

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import LEGAL_MASK, event_log, thinned_table
+from conftest import LEGAL_MASK, event_log, sample_cascade, thinned_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from pdcbell import montecarlo
 from pdcbell.bell import ChshSettings, OPTIMAL_SETTINGS
 from pdcbell.errors import InputError
 from pdcbell.measurement import (
+    OutcomeClass,
     PolarizerAngle,
     classify_occupation,
     joint_distribution,
@@ -25,10 +26,9 @@ from pdcbell.measurement import (
 from pdcbell.montecarlo import (
     EventLog,
     RunConfig,
-    cascade_misclassification,
     estimate_correlators,
     run_experiment,
-    sample_cascade,
+    station_response,
 )
 from pdcbell.optics import build_experiment_state
 
@@ -241,7 +241,7 @@ def emitted_tables() -> list[np.ndarray]:
 @pytest.mark.parametrize("eff", LOSS_EFFICIENCIES)
 def test_station_response_matches_the_thinning_oracle(eff):
     """R P R^T is the binomial thinning of each port of each station; R = 1 without loss."""
-    response = montecarlo._station_response(eff)
+    response = station_response(eff)
     assert np.array_equal(response, np.eye(6)) == (eff == 1.0)
     for probs in emitted_tables():
         detected = response @ probs @ response.T
@@ -256,11 +256,11 @@ def test_thin_station_drops_each_missed_photon(code):
         for hits in np.ndindex(2, 2):
             weight = math.prod(eff if hit else 1 - eff for hit in hits)
             expected[station_detects(code, *hits) - 1] += weight
-        column = montecarlo._station_response(eff)[:, code - 1]
+        column = station_response(eff)[:, code - 1]
         np.testing.assert_allclose(column, expected, rtol=0, atol=2**-52)
         np.testing.assert_allclose(column.sum(), 1.0, rtol=0, atol=2**-52)
     # ideal detectors: R is the identity, so the emitted tables are sampled as they are
-    assert np.array_equal(montecarlo._station_response(1.0)[:, code - 1], np.eye(6)[code - 1])
+    assert np.array_equal(station_response(1.0)[:, code - 1], np.eye(6)[code - 1])
 
 
 def test_lossy_counts_follow_the_detected_law():
@@ -272,7 +272,7 @@ def test_lossy_counts_follow_the_detected_law():
     An efficiency off by 0.01 in the run gives a pooled |z| above 7.
     """
     eff, p_pair, n_bins, seeds = 0.7, 0.5, 16000, 200
-    response = montecarlo._station_response(eff)
+    response = station_response(eff)
     state = build_experiment_state()
     law = np.stack(
         [
@@ -956,7 +956,7 @@ def reference_run_experiment(config: RunConfig) -> EventLog:
     and the same per-pair law R P R^T, which the station-response tests check.
     """
     state = build_experiment_state()
-    response = montecarlo._station_response(config.detector_efficiency)
+    response = station_response(config.detector_efficiency)
     cumulative = [
         np.cumsum(response @ joint_distribution(state, xi, eta).probs @ response.T)
         for xi, eta in config.settings.setting_pairs()
@@ -1170,88 +1170,75 @@ def test_estimate_counts_extreme_cells():
 
 # -- cascade detector ---------------------------------------------------------
 
+PARA, PERP = OutcomeClass.DOUBLE_PARA - 1, OutcomeClass.DOUBLE_PERP - 1
+ONE_PARA, ONE_PERP = OutcomeClass.SINGLE_PARA - 1, OutcomeClass.SINGLE_PERP - 1
+NONE = OutcomeClass.NO_PHOTON - 1
+
 
 def test_cascade_same_arm_probability():
+    """At efficiency 1 a same-port pair reads as one photon exactly when both take one arm."""
     for n in (2, 4, 8, 16, 64):
-        report = cascade_misclassification(n)
-        assert report.same_arm == pytest.approx(1.0 / n, abs=0)
-        assert report.two_detectors_fire == pytest.approx((n - 1) / n, abs=1e-12)
-    values = [cascade_misclassification(n).same_arm for n in (2, 4, 8, 16, 32, 64, 128)]
+        response = station_response(1.0, n)
+        assert response[ONE_PARA, PARA] == response[ONE_PERP, PERP] == 1.0 / n
+        assert response[PARA, PARA] == pytest.approx((n - 1) / n, abs=1e-12)
+    values = [station_response(1.0, n)[ONE_PARA, PARA] for n in (2, 4, 8, 16, 32, 64, 128)]
     assert all(later < earlier for earlier, later in zip(values, values[1:]))
 
 
 def test_cascade_probabilities_partition():
+    """The cascade's closed forms are columns of R; the other columns are the loss response's."""
     for n in (2, 3, 5, 8):
         for eff in (1.0, 0.7, 0.25):
-            report = cascade_misclassification(n, eff)
-            total = (
-                report.two_detectors_fire
-                + report.one_detector_fires
-                + report.no_detector_fires
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
-            assert report.same_arm + report.distinct_arms == pytest.approx(1.0, abs=1e-12)
-            assert report.single_photon_fires == eff
-    perfect = cascade_misclassification(4, 1.0)
-    assert perfect.no_detector_fires == 0.0
+            response = station_response(eff, n)
+            two, one, none = (1 - 1 / n) * eff**2, 2 * eff * (1 - eff) + eff**2 / n, (1 - eff) ** 2
+            for pair, single in ((PARA, ONE_PARA), (PERP, ONE_PERP)):
+                expected = np.zeros(6)
+                expected[[pair, single, NONE]] = two, one, none
+                np.testing.assert_allclose(response[:, pair], expected, rtol=0, atol=1e-15)
+            others = [k for k in range(6) if k not in (PARA, PERP)]
+            assert np.array_equal(response[:, others], station_response(eff)[:, others])
+            np.testing.assert_allclose(response.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+    assert station_response(1.0, 4)[NONE, PARA] == 0.0
 
 
 def test_cascade_sampler_agrees_with_analytic():
     trials = 100_000
     for n in (2, 4, 8, 16):
-        analytic = cascade_misclassification(n, 0.75)
+        analytic = station_response(0.75, n)[:, PARA]
         sampled = sample_cascade(n, 0.75, trials=trials, seed=n)
-        for fieldname in (
-            "same_arm",
-            "two_detectors_fire",
-            "one_detector_fires",
-            "no_detector_fires",
-            "single_photon_fires",
-        ):
-            truth = getattr(analytic, fieldname)
-            estimate = getattr(sampled, fieldname)
-            sigma = math.sqrt(max(truth * (1 - truth), 1e-12) / trials)
-            assert abs(estimate - truth) <= 4 * sigma, (fieldname, n)
+        sigma = np.sqrt(np.maximum(analytic * (1 - analytic), 1e-12) / trials)
+        assert (np.abs(sampled - analytic) <= 4 * sigma).all(), n
 
 
 @pytest.mark.parametrize(
-    "function, args, kwargs, message",
+    "args, message",
     [
-        (cascade_misclassification, (math.inf,), {}, "fan-out must be an integer >= 2, got inf"),
-        (cascade_misclassification, (math.nan,), {}, "fan-out must be an integer >= 2, got nan"),
-        (cascade_misclassification, (4.0,), {}, "fan-out must be an integer >= 2, got 4.0"),
-        (cascade_misclassification, (4, "0.5"), {}, "efficiency must lie in (0, 1], got '0.5'"),
-        (cascade_misclassification, (4, True), {}, "efficiency must lie in (0, 1], got True"),
-        (cascade_misclassification, (4, math.nan), {}, "efficiency must lie in (0, 1], got nan"),
-        (sample_cascade, (3,), {"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
-        (sample_cascade, (3,), {"trials": True}, "trials must be an integer >= 1, got True"),
-        (sample_cascade, (3,), {"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
-        (sample_cascade, (3,), {"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ((1.0, math.inf), "fan-out must be an integer >= 2, got inf"),
+        ((1.0, math.nan), "fan-out must be an integer >= 2, got nan"),
+        ((1.0, 4.0), "fan-out must be an integer >= 2, got 4.0"),
+        ((1.0, True), "fan-out must be an integer >= 2, got True"),
+        ((1.0, 10**400), "fan-out of 1329 bits is beyond the float range"),
+        (("0.5", 4), "efficiency must lie in (0, 1], got '0.5'"),
+        ((True, 4), "efficiency must lie in (0, 1], got True"),
+        ((math.nan, 4), "efficiency must lie in (0, 1], got nan"),
     ],
     ids=[
         "fan-out-inf",
         "fan-out-nan",
         "fan-out-float",
+        "fan-out-bool",
+        "fan-out-beyond-float-range",
         "efficiency-string",
         "efficiency-bool",
         "efficiency-nan",
-        "trials-float",
-        "trials-bool",
-        "seed-float",
-        "seed-negative",
     ],
 )
-def test_cascade_rejects_non_numbers_bools_and_non_integers(function, args, kwargs, message):
+def test_cascade_rejects_non_numbers_bools_and_non_integers(args, message):
     with pytest.raises(InputError, match=re.escape(message)):
-        function(*args, **kwargs)
+        station_response(*args)
 
 
 def test_cascade_invalid_parameters():
-    with pytest.raises(InputError):
-        cascade_misclassification(1)
-    with pytest.raises(InputError):
-        cascade_misclassification(4, 0.0)
-    with pytest.raises(InputError):
-        cascade_misclassification(4, 1.5)
-    with pytest.raises(InputError):
-        sample_cascade(4, 1.0, trials=0)
+    for args in ((1.0, 1), (0.0, 4), (1.5, 4), (0.0,)):
+        with pytest.raises(InputError):
+            station_response(*args)
