@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, shown
 from .fock import PHYSICS_TOL, StateVector, inner_product
 from .measurement import (
     FAVORABLE_MASK,
@@ -83,7 +83,7 @@ class ChshSettings:
         """The one reader of four angles: ``angle`` of each of ``values``, a JSON array of
         radians or the fields of ``--settings``.  InputError names ``name``, the key or flag."""
         if not isinstance(values, (list, tuple)) or len(values) != 4:
-            raise InputError(f"{name} must list 4 angles, got {values!r:.60}")
+            raise InputError(f"{name} must list 4 angles, got {shown(values)}")
         return cls(*(named(name, angle, value) for value in values))
 
     @classmethod

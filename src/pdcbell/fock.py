@@ -21,12 +21,14 @@ everything in this module is safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, shown
 
 ARM_LABELS = ("a", "b")
 STATION_LABELS = ("1", "2")
@@ -57,7 +59,7 @@ class ModeId:
 
     def __post_init__(self) -> None:
         if self.polarization not in (0, 1):
-            raise ModelError(f"polarization index must be 0 or 1, got {self.polarization}")
+            raise ModelError(f"polarization index must be 0 or 1, got {shown(self.polarization)}")
 
 
 def mode_index(spatial_labels: tuple[str, str], mode: ModeId) -> int:
@@ -82,6 +84,8 @@ class StateVector:
 
     ``terms`` maps occupation 4-tuples to complex amplitudes; ``spatial``
     records which spatial frame the state lives in.  Instances are immutable.
+    A term maps four integers >= 0 (0.5 is refused, not truncated) to a finite
+    amplitude, else InputError; C-level checks, as every ``apply_mode_unitary`` builds a state.
     """
 
     terms: Mapping[Occupation, complex]
@@ -90,14 +94,18 @@ class StateVector:
     def __post_init__(self) -> None:
         spatial = tuple(self.spatial)
         if len(spatial) != 2 or spatial[0] == spatial[1]:
-            raise InputError(f"need two distinct spatial labels, got {spatial}")
+            raise InputError(f"need two distinct spatial labels, got {shown(spatial)}")
         clean: dict[Occupation, complex] = {}
         for occ, amp in self.terms.items():
-            occ = tuple(int(n) for n in occ)
-            if len(occ) != 4 or any(n < 0 for n in occ):
-                raise InputError(f"bad occupation vector {occ}")
+            try:
+                occ = tuple(map(operator.index, occ))
+                good = len(occ) == 4 and min(occ) >= 0 and cmath.isfinite(amp)
+            except (TypeError, OverflowError):
+                good = False
+            if not good:
+                raise InputError(f"bad term {shown(occ)}: {shown(amp)} (need 4 ints >= 0, finite)")
             if max(occ) > MAX_PHOTONS or sum(occ) > MAX_PHOTONS:
-                raise ModelError(f"occupation {occ} exceeds the {MAX_PHOTONS}-photon cap")
+                raise ModelError(f"occupation {shown(occ)} exceeds the {MAX_PHOTONS}-photon cap")
             amp = complex(amp)
             if amp != 0:
                 clean[occ] = clean.get(occ, 0j) + amp

@@ -43,8 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .bell import SIGN_TABLE, ChshSettings
-from .errors import InputError, ModelError
-from .measurement import JointDistribution, axis_distance, closed_object, finite_floats
+from .errors import InputError, ModelError, shown
+from .measurement import JointDistribution, axis_distance, closed_object, finite_floats, number
 
 
 def linprog(*args, **kwargs):
@@ -125,14 +125,12 @@ def _phase_one_csc(strategies: np.ndarray, rows: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class LhvModel:
-    """Probability weights over the 1296 deterministic strategies."""
+    """Probability weights over the 1296 deterministic strategies, finite numbers summing to 1."""
 
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = finite_floats(self.weights, "strategy weights")
-        if arr.shape != (N_STRATEGIES,):
-            raise InputError(f"weights must have length {N_STRATEGIES}, got {arr.shape}")
+        arr = finite_floats(self.weights, "strategy weights", (N_STRATEGIES,))
         if arr.min() < -BOUND_TOL:
             raise InputError(f"negative strategy weight {arr.min()}")
         if abs(arr.sum() - 1.0) > BOUND_TOL:
@@ -148,8 +146,8 @@ class BellCertificate:
 
     ``coefficients`` has shape (4, 6, 6): one weight per (setting pair,
     outcome i, outcome j) cell, and ``quantum_value`` is the functional's
-    value on the separated tables.  ``local_bound``, its maximum over all
-    deterministic strategies, is enumerated on construction.
+    value on the separated tables, each a finite number.  ``local_bound``, its
+    maximum over all deterministic strategies, is enumerated on construction.
     """
 
     coefficients: np.ndarray
@@ -157,9 +155,8 @@ class BellCertificate:
     local_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = finite_floats(self.coefficients, "certificate coefficients")
-        if arr.shape != (4, N_OUTCOMES, N_OUTCOMES):
-            raise InputError(f"coefficients must have shape (4, 6, 6), got {arr.shape}")
+        arr = finite_floats(self.coefficients, "coefficients", (4, N_OUTCOMES, N_OUTCOMES))
+        number(self.quantum_value, "quantum value")
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
         object.__setattr__(self, "local_bound", local_bound_by_enumeration(arr))
@@ -336,7 +333,7 @@ def tables_from_json_dict(data) -> list[JointDistribution]:
     data = closed_object(data, "lhv-check input", ("tables",), ("settings_rad",))
     raw = data["tables"]
     if not isinstance(raw, list) or len(raw) != 4:
-        raise InputError(f"'tables' must be an array of 4 table objects, got {raw!r:.60}")
+        raise InputError(f"'tables' must be an array of 4 table objects, got {shown(raw)}")
     tables = [JointDistribution.from_json_dict(t) for t in raw]
     if "settings_rad" in data:
         declared = ChshSettings.parse(data["settings_rad"], "settings_rad").as_radians()

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, shown
 from .fock import PHYSICS_TOL, ModeId, StateVector, apply_mode_unitary
 
 #: Joint probabilities below this are clamped to exactly zero.
@@ -35,22 +35,14 @@ CLAMP_TOL = 1e-14
 class PolarizerAngle:
     """Analyzer axis angle in radians, reduced mod pi (an axis is a line).
 
-    The one check of an angle: a bool, a string or any other non-number, NaN,
-    infinite angles and integers beyond the float range raise InputError.
+    The angle passes the number rule (``number``): a bool, a string or any
+    other non-number, NaN, inf and an int beyond the float range raise InputError.
     """
 
     angle: float
 
     def __post_init__(self) -> None:
-        if not is_number(self.angle):
-            raise InputError(f"analyzer angle must be a number, got {self.angle!r}")
-        try:
-            angle = float(self.angle)
-        except OverflowError:  # an integer beyond the float range
-            angle = math.inf if self.angle > 0 else -math.inf
-        if not math.isfinite(angle):
-            raise InputError(f"analyzer angle {angle} is not finite")
-        reduced = math.fmod(angle, math.pi)
+        reduced = math.fmod(float(number(self.angle, "analyzer angle")), math.pi)
         if reduced < 0.0:
             reduced += math.pi
         if reduced in (0.0, math.pi):  # -0.0, and a tiny negative angle rounded up to pi
@@ -107,7 +99,7 @@ FAVORABLE_MASK[0:2, 0:2] = True
 
 @dataclass(frozen=True, slots=True, eq=False)
 class JointDistribution:
-    """6x6 outcome-pair probabilities for one analyzer setting pair."""
+    """6x6 outcome-pair probabilities for one analyzer setting pair (see ``finite_floats``)."""
 
     xi: PolarizerAngle
     eta: PolarizerAngle
@@ -115,9 +107,7 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         check_angles(self, "xi", "eta")
-        arr = finite_floats(self.probs, "probability table")
-        if arr.shape != (6, 6):
-            raise InputError(f"probability table must be 6x6, got shape {arr.shape}")
+        arr = finite_floats(self.probs, "probability table", (6, 6))
         if arr.min() < -PHYSICS_TOL:
             raise InputError(f"negative probability {arr.min()} in table")
         arr[np.abs(arr) < CLAMP_TOL] = 0.0
@@ -138,35 +128,54 @@ class JointDistribution:
     def from_json_dict(cls, data) -> "JointDistribution":
         """Parse one table object: exactly the keys of ``to_json_dict``."""
         data = closed_object(data, "table", ("xi_rad", "eta_rad", "probs"))
-        probs = data["probs"]
-        if not isinstance(probs, list) or len(probs) != 36 or not all(map(is_number, probs)):
-            raise InputError(f"probs must be an array of 36 numbers, got {probs!r:.60}")
+        probs = finite_floats(data["probs"], "probs", (36,)).reshape(6, 6)
         xi, eta = (named(key, PolarizerAngle, data[key]) for key in ("xi_rad", "eta_rad"))
-        return cls(xi, eta, np.reshape(probs, (6, 6)))
+        return cls(xi, eta, probs)
 
 
-def is_number(value) -> bool:
-    """True for a real number, numpy's included; a bool or a string is none."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def number(value, name: str, interval: str = "(-inf, inf)", integer: bool = False):
+    """The number rule, the one check of a scalar input: ``value`` as it is, if it is a real
+    number (an integer, with ``integer``), finite and in ``interval``, such as "(0, 1]".
+    Else InputError "<name> = <value> is not a number" (or "an integer"), "is not finite" or
+    "outside <interval>".  A bool or a string is no number; an int beyond the float range
+    is not finite."""
+    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"{name} = {shown(value)} is not {noun}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise InputError(f"{name} = {shown(value)} is not finite")
+    lo, hi = map(float, interval[1:-1].split(","))
+    if x < lo or x > hi or x == lo and interval[0] == "(" or x == hi and interval[-1] == ")":
+        raise InputError(f"{name} = {shown(value)} outside {interval}")
+    return value
 
 
 def check_angles(value, *fields: str) -> None:
     """Raise InputError naming the first of ``value``'s ``fields`` that is no PolarizerAngle."""
     for name in fields:
         if not isinstance(angle := getattr(value, name), PolarizerAngle):
-            raise InputError(f"{name} must be a PolarizerAngle, got {angle!r}")
+            raise InputError(f"{name} must be a PolarizerAngle, got {shown(angle)}")
 
 
-def finite_floats(values, what: str) -> np.ndarray:
-    """A float copy of an array of real numbers; anything else, NaN or inf raises InputError."""
+def finite_floats(values, what: str, shape: tuple) -> np.ndarray:
+    """A float copy of ``values``, an array of ``shape`` holding finite real numbers, else
+    InputError.  An array must hold ints or floats; each entry of a list passes the number
+    rule, so a bool there is refused, not read as 0 or 1.  A bad entry is named by its index."""
+    if isinstance(values, np.ndarray) and values.dtype.kind not in "iuf":
+        raise InputError(f"{what} must be an array of real numbers, not {values.dtype}")
     try:
-        arr = np.asarray(values)
-    except ValueError as exc:  # a ragged nesting
+        arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    except (TypeError, ValueError) as exc:  # nested arrays of clashing shapes
         raise InputError(f"{what} must be an array of numbers: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
-        raise InputError(f"{what} must be an array of real numbers, not {arr.dtype}")
-    if not np.isfinite(arr).all():
-        raise InputError(f"{what} contains NaN or infinite entries")
+    if arr.shape != shape:
+        raise InputError(f"{what} must have shape {shape}, got {arr.shape}")
+    if arr.dtype == object or not np.isfinite(arr).all():
+        for index, value in zip(np.ndindex(shape), arr.ravel().tolist()):
+            number(value, f"{what}{list(index)}")
     return arr.astype(float)
 
 
@@ -176,7 +185,7 @@ def closed_object(data, what: str, keys: tuple, optional: tuple = ()) -> Mapping
     if not isinstance(data, Mapping):
         raise InputError(f"{what} must be a JSON object, got {type(data).__name__}")
     missing = [key for key in keys if key not in data]
-    unknown = sorted(str(key) for key in data if key not in keys + optional)
+    unknown = sorted(k if isinstance(k, str) else shown(k) for k in data if k not in keys + optional)
     errors = [f"{kind} {what} key(s): {', '.join(names)}"
               for kind, names in (("missing", missing), ("unknown", unknown)) if names]
     if errors:
@@ -223,8 +232,4 @@ def joint_distribution(
 
 def marginal(dist: JointDistribution, station: int) -> np.ndarray:
     """Single-station outcome probabilities: row sums (station 1) or column sums (2)."""
-    if station == 1:
-        return dist.probs.sum(axis=1)
-    if station == 2:
-        return dist.probs.sum(axis=0)
-    raise InputError(f"station must be 1 or 2, got {station}")
+    return dist.probs.sum(axis=2 - number(station, "station", "[1, 2]", integer=True))

@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import numbers
 import os
 import stat
 import warnings
@@ -44,13 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
-from .errors import InputError
+from .errors import InputError, shown
 from .measurement import (
     OutcomeClass,
     classify_occupation,
     closed_object,
-    is_number,
     joint_distribution,
+    number,
     outcome_occupation,
 )
 from .optics import build_experiment_state
@@ -107,7 +106,39 @@ class RunConfig:
     detector_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        errors = _config_errors(self)
+        """Every field passes the number rule, and every bad one is reported at once,
+        before any arithmetic on them; then the bin count T/tau must be an integer
+        in [1, ``MAX_BINS``], so no run is sized from an unchecked count, and tau < L/c."""
+        errors = []
+        for name, value, interval in (
+            ("T", self.total_time, "(0, inf)"),
+            ("tau", self.bin_width, "(0, inf)"),
+            ("p_pair", self.pair_probability, "[0, 1]"),
+            ("L", self.station_separation, "(0, inf)"),
+            ("detector_efficiency", self.detector_efficiency, "(0, 1]"),
+            ("seed", self.seed, "[0, inf)"),
+        ):
+            try:
+                if name != "L" or value is not None:
+                    number(value, name, interval, integer=name == "seed")
+            except InputError as exc:
+                errors.append(str(exc))
+        if not isinstance(self.settings, ChshSettings):
+            errors.append(f"settings must be a ChshSettings, got {shown(self.settings)}")
+        if not errors:
+            ratio = float(self.total_time) / float(self.bin_width)  # no numpy overflow warning
+            if not math.isfinite(ratio):
+                errors.append(f"T/tau = {ratio} is not finite")
+            elif ratio > MAX_BINS + 0.5:
+                errors.append(f"T/tau = {ratio:.6g} bins exceeds the limit of {MAX_BINS}")
+            elif abs(ratio - round(ratio)) > _RATIO_ULPS * max(1.0, ratio) or round(ratio) < 1:
+                errors.append(f"T/tau = {ratio} is not a positive integer bin count")
+            limit = (self.station_separation or math.inf) / SPEED_OF_LIGHT  # no L, no limit
+            if self.bin_width >= limit:
+                errors.append(
+                    f"tau = {self.bin_width}s must be below L/c = {limit:.3e}s "
+                    f"for L = {self.station_separation}m"
+                )
         if errors:
             raise InputError("; ".join(errors))
 
@@ -131,8 +162,8 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, data) -> "RunConfig":
         """Parse the run-config JSON object, closed to the keys of ``to_json_dict``.
-        Values pass as they are, never cast: a string or bool for a number (``"1e-5"``,
-        ``true``) and a seed that is no integer (``1.5``, ``true``, ``"7"``) raise InputError."""
+        Values pass the number rule as they are, never cast: a string or bool for a number
+        (``"1e-5"``, ``true``) and a seed that is no integer (``1.5``, ``"7"``) raise InputError."""
         keys = ("T", "tau", "p_pair", "settings_rad", "seed")
         data = closed_object(data, "run config", keys, ("L", "detector_efficiency"))
         return cls(
@@ -144,67 +175,6 @@ class RunConfig:
             station_separation=data.get("L"),
             detector_efficiency=data.get("detector_efficiency", 1.0),
         )
-
-
-def _is_finite(value) -> bool:
-    """math.isfinite, but False for an int beyond the float range, where it raises."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _config_errors(config: RunConfig) -> list[str]:
-    """Every violated RunConfig invariant, as messages naming the JSON keys.
-
-    Non-numbers, then non-finite values, are reported alone, before any
-    arithmetic on them.  The bin count T/tau must be a finite integer
-    between 1 and ``MAX_BINS``, so no run is sized from an unchecked count.
-    """
-    values = [
-        ("T", config.total_time),
-        ("tau", config.bin_width),
-        ("p_pair", config.pair_probability),
-        ("L", config.station_separation),
-        ("detector_efficiency", config.detector_efficiency),
-    ]
-    values = [(name, value) for name, value in values if name != "L" or value is not None]
-    errors = [f"{name} = {value!r} is not a number" for name, value in values if not is_number(value)]
-    if isinstance(config.seed, bool) or not isinstance(config.seed, numbers.Integral):
-        errors.append(f"seed must be an integer, got {config.seed!r}")
-    if not isinstance(config.settings, ChshSettings):
-        errors.append(f"settings must be a ChshSettings, got {config.settings!r}")
-    if errors:
-        return errors
-    errors = [f"{name} = {value} is not finite" for name, value in values if not _is_finite(value)]
-    if errors:
-        return errors
-    if config.total_time <= 0 or config.bin_width <= 0:
-        errors.append(
-            f"T and tau must be positive, got T={config.total_time}, tau={config.bin_width}"
-        )
-    else:
-        ratio = config.total_time / config.bin_width
-        if not math.isfinite(ratio):
-            errors.append(f"T/tau = {ratio} is not finite")
-        elif ratio > MAX_BINS + 0.5:
-            errors.append(f"T/tau = {ratio:.6g} bins exceeds the limit of {MAX_BINS}")
-        elif abs(ratio - round(ratio)) > _RATIO_ULPS * max(1.0, ratio) or round(ratio) < 1:
-            errors.append(f"T/tau = {ratio} is not a positive integer bin count")
-    if not 0.0 <= config.pair_probability <= 1.0:
-        errors.append(f"p_pair = {config.pair_probability} outside [0, 1]")
-    if config.station_separation is not None:
-        limit = config.station_separation / SPEED_OF_LIGHT
-        if config.bin_width >= limit:
-            errors.append(
-                f"tau = {config.bin_width}s must be below L/c = {limit:.3e}s "
-                f"for L = {config.station_separation}m"
-            )
-    if not 0.0 < config.detector_efficiency <= 1.0:
-        errors.append(f"detector_efficiency = {config.detector_efficiency} outside (0, 1]")
-    if config.seed < 0:
-        errors.append(f"seed = {config.seed} must be non-negative")
-    return errors
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,6 +228,7 @@ class EventLog:
         """
         n = len(self)
         scratch = np.empty(min(n, _WRITE_BLOCK) * (len(str(n)) + 10), dtype=np.uint8)
+        tails = np.empty(min(n, _WRITE_BLOCK), dtype="<u8")
         regular = False
         try:
             with open(path, "wb") as handle:
@@ -265,7 +236,7 @@ class EventLog:
                 handle.write(_CSV_HEADER + b"\r\n")
                 for start in range(0, n, _WRITE_BLOCK):
                     codes = self.codes[start : start + _WRITE_BLOCK]
-                    handle.write(_render_rows(scratch, start + 1, codes))
+                    handle.write(_render_rows(scratch, start + 1, codes, tails))
         except OSError as exc:
             if regular:
                 with contextlib.suppress(OSError):
@@ -374,17 +345,20 @@ def _row_template(width: int) -> np.ndarray:
     return rows
 
 
-def _render_rows(out: np.ndarray, first: int, codes: np.ndarray) -> np.ndarray:
+def _render_rows(out: np.ndarray, first: int, codes: np.ndarray, tails: np.ndarray) -> np.ndarray:
     """Render the canonical CSV rows of bins ``first``, ``first + 1``, ... into ``out``.
 
     The only code that knows the row bytes ``<bin>,<s1>,<s2>,<o1>,<o2>\\r\\n``.
-    ``codes`` holds each row's ``_cell_code``; ``out`` is a uint8 scratch
-    buffer long enough for the rows.  Each run of rows in one span copies
-    the span's template, sets its constant high digits and stores each
-    row's tail as one 8-byte word.  Returns the rendered prefix of ``out``.
+    ``codes`` holds each row's ``_cell_code``; ``out`` (uint8) and ``tails`` (uint64, a
+    word per row) are scratch buffers long enough for the rows.  Each run of rows in one
+    span copies the span's template, sets its constant high digits and stores each row's
+    tail word, gathered into ``tails``.  Returns the rendered prefix of ``out``.
     """
-    # clip: a code decoded from non-canonical bytes may exceed the table
-    tails = _tail_table().take(codes, mode="clip")
+    # widened in place, the codes need no index copy, nor a contiguous out a write-back
+    # one; clip: a code decoded from non-canonical bytes may exceed the table
+    tails = tails[: len(codes)]
+    np.copyto(tails.view(np.int64), codes)
+    np.take(_tail_table(), tails.view(np.int64), mode="clip", out=tails)
     pos = done = 0
     bin_ = first
     while done < len(codes):
@@ -473,8 +447,8 @@ def _render_back(block, first_row: int, out, scratch, work) -> tuple[int, np.nda
 
     The row count follows from the length of ``block``, width by width; a
     remainder too short for a whole row is left out.  Each row's 8-byte
-    tail word decodes with one mask, multiply and shift in ``work``; a
-    non-canonical tail decodes to a wrong code, which the rendering shows.
+    tail word decodes with one mask, multiply and shift in ``work`` (reused by
+    the rendering); a non-canonical tail decodes to a wrong code, which it shows.
     """
     rows, pos, bin_ = 0, 0, first_row + 1
     while pos + len(str(bin_)) + 10 <= len(block):
@@ -490,7 +464,7 @@ def _render_back(block, first_row: int, out, scratch, work) -> tuple[int, np.nda
     np.multiply(work[:rows], _TAIL_WEIGHTS, out=work[:rows])
     np.right_shift(work[:rows], np.uint64(56), out=out, casting="unsafe")
     out -= np.uint8(7)  # wraps a non-canonical tail's code, which take clips
-    return rows, _render_rows(scratch, first_row + 1, out)
+    return rows, _render_rows(scratch, first_row + 1, out, work)
 
 
 def _guide_table(cumulative: np.ndarray) -> np.ndarray:
@@ -519,18 +493,13 @@ def station_response(efficiency: float = 1.0, fanout: int | None = None) -> np.n
     and the photons seen are classified again; R is the identity at efficiency 1.
     With a cascade of ``fanout`` click detectors behind each port, a pair seen
     in one port reaches one arm, and reads as one photon, with probability
-    1/fanout: R is that merge times the loss response, loss first.  The fan-out
-    is an integer >= 2 within the float range; anything else, and an
-    efficiency outside (0, 1], raises InputError.
+    1/fanout: R is that merge times the loss response, loss first.  Both pass
+    the number rule: an efficiency outside (0, 1], or a fan-out that is no
+    integer in [2, inf), raises InputError.
     """
-    if not is_number(efficiency) or not 0.0 < efficiency <= 1.0:
-        raise InputError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+    number(efficiency, "efficiency", "(0, 1]")
     if fanout is not None:
-        if isinstance(fanout, bool) or not isinstance(fanout, numbers.Integral) or fanout < 2:
-            raise InputError(f"cascade fan-out must be an integer >= 2, got {fanout!r}")
-        if not _is_finite(fanout):
-            bits = fanout.bit_length()
-            raise InputError(f"cascade fan-out of {bits} bits is beyond the float range")
+        number(fanout, "cascade fan-out", "[2, inf)", integer=True)
     response = np.zeros((len(OutcomeClass), len(OutcomeClass)))
     for code in OutcomeClass:
         occupation = outcome_occupation(code)

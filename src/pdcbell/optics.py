@@ -37,6 +37,7 @@ from .fock import (
     station_totals,
     vacuum,
 )
+from .measurement import number
 
 #: Symmetric 50-50 beamsplitter amplitudes, polarization independent.
 _TRANSMISSION = 1.0 / math.sqrt(2.0)
@@ -45,20 +46,20 @@ _REFLECTION = 1j * _TRANSMISSION
 
 @dataclass(frozen=True)
 class PairAmplitude:
-    """Vacuum amplitude alpha and pair amplitude beta of the emitted state."""
+    """Vacuum amplitude alpha and pair amplitude beta of the emitted state; finite, normalized."""
 
     alpha: complex
     beta: complex
 
     def __post_init__(self) -> None:
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > ALGEBRA_TOL:
+        emitted = StateVector({(0, 0, 0, 0): self.alpha, (1, 0, 1, 0): self.beta})
+        if abs(emitted.norm_squared() - 1.0) > ALGEBRA_TOL:
             raise InputError("pair amplitude must satisfy |alpha|^2 + |beta|^2 = 1")
 
     @classmethod
     def from_pair_probability(cls, p_pair: float) -> "PairAmplitude":
-        """Real positive beta = sqrt(p_pair); the relative phase is unobservable."""
-        if not 0.0 <= p_pair <= 1.0:
-            raise InputError(f"pair probability must lie in [0, 1], got {p_pair}")
+        """Real beta = sqrt(p_pair) >= 0, p_pair in [0, 1]; the relative phase is unobservable."""
+        number(p_pair, "pair probability", "[0, 1]")
         return cls(alpha=math.sqrt(1.0 - p_pair), beta=math.sqrt(p_pair))
 
 

@@ -94,7 +94,8 @@ def test_non_finite_angle_exits_2(capsys, argv):
 )
 def test_p_pair_out_of_range_exits_2(capsys, argv, p_pair):
     assert run_cli(*argv, "--p-pair", p_pair) == 2
-    assert "pair probability must lie in [0, 1]" in capsys.readouterr().err
+    expected = "nan is not finite" if p_pair == "nan" else f"{float(p_pair)} outside [0, 1]"
+    assert f"pair probability = {expected}" in capsys.readouterr().err
 
 
 def test_chsh_command_optimal(capsys):
@@ -271,7 +272,7 @@ def test_lhv_check_nan_cell_exits_2(tmp_path, capsys, quantum_tables):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(data))
     assert run_cli("lhv-check", "--input", str(path)) == 2
-    assert "NaN" in capsys.readouterr().err
+    assert "probs[7] = nan is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["xi_rad", "eta_rad"])
@@ -430,7 +431,7 @@ def test_simulate_non_finite_config_exits_2(tmp_path, capsys, overrides):
         # a string is no array of four angles, though it iterates as one number per digit
         message = "settings_rad must list 4 angles, got '0123'"
     elif key == "settings_rad":
-        message = "settings_rad: analyzer angle must be a number, got '0'"
+        message = "settings_rad: analyzer angle = '0' is not a number"
     elif isinstance(value, float):
         message = f"{key} = {value} is not finite"
     else:
@@ -461,14 +462,14 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     config = tmp_path / "run.json"
     _write_config(config, seed=-1)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
-    assert "seed = -1 must be non-negative" in capsys.readouterr().err
+    assert "seed = -1 outside [0, inf)" in capsys.readouterr().err
     _write_config(config)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"), "--seed", "-1") == 2
-    assert "seed = -1 must be non-negative" in capsys.readouterr().err
+    assert "seed = -1 outside [0, inf)" in capsys.readouterr().err
     # the file's own seed is checked even when --seed replaces it
     _write_config(config, seed=-1)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"), "--seed", "5") == 2
-    assert "seed = -1 must be non-negative" in capsys.readouterr().err
+    assert "seed = -1 outside [0, inf)" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -477,7 +478,7 @@ def test_simulate_non_integer_seed_exits_2(tmp_path, capsys, seed):
     config = tmp_path / "run.json"
     _write_config(config, seed=seed)
     assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")) == 2
-    assert f"seed must be an integer, got {seed!r}" in capsys.readouterr().err
+    assert f"seed = {seed!r} is not an integer" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -10,7 +10,7 @@ from conftest import (
     random_unitary,
     states_equal_up_to_phase,
 )
-from pdcbell.errors import ModelError
+from pdcbell.errors import InputError, ModelError
 from pdcbell.fock import (
     ARM_LABELS,
     STATION_LABELS,
@@ -194,3 +194,14 @@ def test_state_rejects_overflowing_occupations():
         StateVector({(2, 1, 0, 0): 1.0})
     with pytest.raises(ModelError, match="photon cap"):
         StateVector({(3, 0, 0, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(0.5, 0, 0, 1): 1.0}, {(1, 0, 0, 0): math.nan}, {("x", 0, 0, 0): 1.0}],
+    ids=["float-occupation", "nan-amplitude", "string-occupation"],
+)
+def test_state_rejects_bad_occupations_and_amplitudes(terms):
+    """An occupation of 0.5 is refused, not truncated to 0; NaN and a string raise InputError."""
+    with pytest.raises(InputError, match="bad term"):
+        StateVector(terms)

@@ -153,3 +153,9 @@ def test_pair_amplitude_validation():
         PairAmplitude(1.0, 1.0)
     with pytest.raises(InputError):
         PairAmplitude.from_pair_probability(1.5)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), ("a", 1)], ids=["nan", "string"])
+def test_pair_amplitude_rejects_non_numbers(alpha, beta):
+    with pytest.raises(InputError, match="bad term"):
+        PairAmplitude(alpha, beta)
