@@ -179,7 +179,10 @@ def _check_labels(s1: StateVector, s2: StateVector) -> None:
 
 
 def _check_unitary(u) -> tuple[tuple[complex, ...], ...]:
-    rows = tuple(tuple(complex(x) for x in row) for row in u)
+    try:
+        rows = tuple(tuple(complex(x) for x in row) for row in u)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"mode transformation must hold numbers, got {shown(u)}") from exc
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ModelError("mode transformation must be a 2x2 matrix")
     # u @ u^dagger == I within ALGEBRA_TOL

@@ -16,22 +16,24 @@ but slightly unnormalized input carries) by more than the rounding
 allowance _FACET_GAP_TOL.  The optimal tables and their vacuum-diluted
 versions, whose gap is (sqrt 2 - 1) p_pair, are settled here down to
 p_pair of about 2.5e-12, where that gap meets the allowance.  Below this
-floor the LP decides, and its per-cell tolerance returns Feasible for them.
+floor the fit below decides, and finds an exact local model for them.
 
-Everything else goes to a phase-one linear program: minimize the L1
-mismatch between a strategy mixture and the clipped, renormalized tables.
-Zero mismatch is an explicit model; positive mismatch means separation, and
-the LP dual is the separating Bell functional.  A strategy of weight w adds
-w to each of its four cells, so an exact model weighs only strategies whose
-cells are all non-zero in the targets (27 of 1296 on the optimal tables, 37
-diluted, 119 under per-photon loss).  The LP runs over those first, through
-milp, on the non-zero cells alone (a zero cell's row would only zero its
-slacks): a model there is a full one, but one exact mixture, not a canonical
-one.  A miss reruns the LP over all 1296 strategies and 144 cells through
-linprog, whose duals alone yield certificates.  Each solve's matrix, the
-reconstruction check and synthesized tables come from one description of
-the polytope, the four cells each strategy hits.  Only the LP imports scipy.
-All inputs and outputs are immutable.
+Everything else is fitted by a strategy mixture of the clipped,
+renormalized tables.  A strategy of weight w adds w to each of its four
+cells, so an exact model weighs only strategies whose cells are all
+non-zero in the targets (27 of 1296 on the optimal tables, 37 diluted, 119
+under per-photon loss).  The exact step fits those first by non-negative
+least squares (Lawson & Hanson, Solving Least Squares Problems, 1974) on
+the non-zero cells and the sum row, and accepts the fit only at rounding
+level per cell: a model there is a full one, but one exact mixture, not a
+canonical one.  A miss goes to a phase-one linear program over all 1296
+strategies and 144 cells, through linprog: minimize the L1 mismatch.  Zero
+mismatch is an explicit model; positive mismatch means separation, and the
+LP dual is the separating Bell functional, so only this solve yields
+certificates.  Each matrix, the reconstruction check and synthesized
+tables come from one description of the polytope, the four cells each
+strategy hits.  Only these two solves import scipy.  All inputs and
+outputs are immutable.
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def milp(*args, **kwargs):
-    """scipy.optimize.milp, imported on first use as linprog is; it solves the restricted LP."""
-    from scipy.optimize import milp as scipy_milp
+def nnls(*args, **kwargs):
+    """scipy.optimize.nnls, imported on first use as linprog is; it fits the supported strategies."""
+    from scipy.optimize import nnls as scipy_nnls
 
-    return scipy_milp(*args, **kwargs)
+    return scipy_nnls(*args, **kwargs)
 
 
 N_OUTCOMES = 6
@@ -73,6 +75,12 @@ RECONSTRUCTION_TOL = 1e-7
 
 #: Tolerance on a model's weights: their sign and their sum to 1.
 BOUND_TOL = 1e-9
+
+#: A fit over the supported strategies is accepted only at rounding level per
+#: cell.  Least squares spreads its residual over the cells: on nonlocal tables
+#: diluted to p_pair 2e-6 its per-cell miss (0.0298 p on the outcome-swapped
+#: ones) falls below RECONSTRUCTION_TOL, which would call them local.
+_EXACT_FIT_TOL = 1e-12
 
 #: Rounding allowance on a facet gap.  The CHSH value is a sum of 144
 #: products of +-1 with probabilities adding up to 4, so its rounding error
@@ -108,15 +116,13 @@ def _cell_probs(weights: np.ndarray) -> np.ndarray:
     )
 
 
-def _phase_one_csc(strategies: np.ndarray, rows: np.ndarray):
-    """Phase-one equality CSC: each strategy's four cells, all in the sorted ``rows``
-    and renumbered among them, and the sum row; then slack +1 and -1 per row."""
+def _phase_one_csc():
+    """Phase-one equality CSC: each strategy's four cells and the sum row, then
+    slack +1 and -1 per cell."""
     from scipy.sparse import csc_array
 
-    n, m = len(strategies), len(rows)
-    renumbered = np.zeros(4 * N_OUTCOMES**2, dtype=np.int32)
-    renumbered[rows] = np.arange(m)
-    cells = np.vstack([renumbered[_strategy_cells()[:, strategies]], np.full((1, n), m, np.int32)])
+    n, m = N_STRATEGIES, 4 * N_OUTCOMES**2
+    cells = np.vstack([_strategy_cells(), np.full((1, n), m)]).astype(np.int32)
     indices = np.concatenate([cells.T.reshape(-1), np.tile(np.arange(m, dtype=np.int32), 2)])
     starts = np.append(np.arange(0, 5 * n, 5), np.arange(5 * n, 5 * n + 2 * m + 1)).astype(np.int32)
     data = np.append(np.ones(5 * n + m), np.full(m, -1.0))
@@ -197,8 +203,9 @@ def _strategy_values(coefficients: np.ndarray) -> np.ndarray:
 
 
 def local_bound_by_enumeration(coefficients: np.ndarray) -> float:
-    """Exact maximum of a Bell functional over all 1296 strategies."""
-    return float(_strategy_values(np.asarray(coefficients, dtype=float)).max())
+    """Exact maximum over all 1296 strategies of a Bell functional, (4, 6, 6) finite numbers."""
+    arr = finite_floats(coefficients, "coefficients", (4, N_OUTCOMES, N_OUTCOMES))
+    return float(_strategy_values(arr).max())
 
 
 def _certificate(coefficients: np.ndarray, stacked: np.ndarray) -> BellCertificate:
@@ -223,30 +230,48 @@ def _facet_verdict(stacked: np.ndarray, normalized: np.ndarray) -> Infeasible | 
     return None
 
 
-def _phase_one(b_cells: np.ndarray, strategies: np.ndarray):
-    """The phase-one LP: linprog over all 1296 strategies, else milp on the non-zero cells.
+def _mixture(weights: np.ndarray, b_cells: np.ndarray) -> tuple[np.ndarray, float]:
+    """``weights`` clipped and renormalized, and their largest per-cell miss of ``b_cells``."""
+    weights = np.clip(weights, 0.0, None)
+    weights /= weights.sum()
+    return weights, float(np.abs(_cell_probs(weights) - b_cells).max())
 
-    Its matrix is built per solve from the cells each strategy hits; no
-    supported strategy touches a zero cell, whose row 0 = s+ - s- only zeroes
-    its slacks.  Returns the result, the clipped, renormalized weights over
-    all 1296 strategies and their largest per-cell miss of ``b_cells``.
+
+def _supported_fit(b_cells: np.ndarray, strategies: np.ndarray) -> Feasible | None:
+    """An exact mixture of the supported ``strategies``, else None.
+
+    NNLS solves [cells; 1] w = [b; 1], w >= 0, on the dense 0/1 matrix of
+    the non-zero cells' rows and the sum row; no supported strategy touches
+    a zero cell.  The fit counts only when it misses no cell by more than
+    _EXACT_FIT_TOL; an NNLS stopped at its iteration limit is a miss.
     """
-    full = len(strategies) == N_STRATEGIES
-    rows = np.arange(len(b_cells)) if full else np.flatnonzero(b_cells)
-    cost = np.concatenate([np.zeros(len(strategies)), np.ones(2 * len(rows))])
-    a = _phase_one_csc(strategies, rows)
-    b = np.append(b_cells[rows], 1.0)
-    if full:
-        result = linprog(cost, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-    else:
-        result = milp(cost, constraints=(a, b, b))
+    rows = np.flatnonzero(b_cells)
+    a = np.zeros((len(rows) + 1, len(strategies)))
+    a[np.searchsorted(rows, _strategy_cells()[:, strategies]), np.arange(len(strategies))] = 1.0
+    a[-1] = 1.0
+    try:
+        x, _ = nnls(a, np.append(b_cells[rows], 1.0))
+    except RuntimeError:  # iteration limit
+        return None
+    weights = np.zeros(N_STRATEGIES)
+    weights[strategies] = x
+    weights, error = _mixture(weights, b_cells)
+    return Feasible(LhvModel(weights), error) if error <= _EXACT_FIT_TOL else None
+
+
+def _phase_one(b_cells: np.ndarray):
+    """The phase-one LP over all 1296 strategies and 144 cells, through linprog.
+
+    Its matrix is built per solve from the cells each strategy hits.
+    Returns the result, the clipped, renormalized weights and their largest
+    per-cell miss of ``b_cells``.
+    """
+    cost = np.concatenate([np.zeros(N_STRATEGIES), np.ones(2 * len(b_cells))])
+    b = np.append(b_cells, 1.0)
+    result = linprog(cost, A_eq=_phase_one_csc(), b_eq=b, bounds=(0, None), method="highs")
     if not result.success:  # pragma: no cover - phase-one LP is always feasible
         raise ModelError(f"LP solver failed: {result.message}")
-
-    weights = np.zeros(N_STRATEGIES)
-    weights[strategies] = np.clip(result.x[: len(strategies)], 0.0, None)
-    weights /= weights.sum()
-    return result, weights, float(np.abs(_cell_probs(weights) - b_cells).max())
+    return (result, *_mixture(result.x[:N_STRATEGIES], b_cells))
 
 
 def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
@@ -255,15 +280,16 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     The facet step runs first: when the best of the eight CHSH relabelings
     exceeds its enumerated local bound (2) by more than the tables' L1
     normalization slack plus _FACET_GAP_TOL, the verdict is Infeasible with
-    that CHSH certificate, and no LP is built.  Otherwise the LP decides:
+    that CHSH certificate, and nothing is fitted.  Otherwise the fit decides:
     for local tables, and for CHSH-violating tables too close to the facet,
     such as the optimal tables diluted below p_pair 2.5e-12 (see the
     module docstring).
 
-    The LP fits the clipped, renormalized tables, since a strategy mixture
-    sums to 1 on every table: milp over the supported strategies and the
-    non-zero cells, then linprog over everything if that misses.  Feasible returns
-    one exact mixture, not a canonical one, reproducing the targets to
+    The fit is to the clipped, renormalized tables, since a strategy mixture
+    sums to 1 on every table: NNLS over the supported strategies and the
+    non-zero cells, accepted at rounding level per cell, then the phase-one
+    LP over everything through linprog if that misses.  Feasible returns one
+    exact mixture, not a canonical one, reproducing the targets to
     RECONSTRUCTION_TOL per cell.  Infeasible from the LP returns a Bell
     functional with a strictly positive, enumeration-verified gap on the
     tables as given, scaled to max-abs coefficient 1.  Tables off the (xi,eta),
@@ -278,11 +304,12 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
         return facet
     b_cells = normalized.reshape(-1)
     supported = np.flatnonzero((b_cells[_strategy_cells()] > 0).all(axis=0))
-    everything = np.arange(N_STRATEGIES)
-    for strategies in [supported, everything] if 0 < len(supported) < N_STRATEGIES else [everything]:
-        result, weights, error = _phase_one(b_cells, strategies)
-        if error <= RECONSTRUCTION_TOL:
-            return Feasible(LhvModel(weights), error)
+    fit = _supported_fit(b_cells, supported) if 0 < len(supported) < N_STRATEGIES else None
+    if fit is not None:
+        return fit
+    result, weights, error = _phase_one(b_cells)
+    if error <= RECONSTRUCTION_TOL:
+        return Feasible(LhvModel(weights), error)
 
     dual = np.asarray(result.eqlin.marginals[:-1], dtype=float)
     scale = np.abs(dual).max()

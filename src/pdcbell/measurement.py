@@ -20,6 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -133,23 +134,32 @@ class JointDistribution:
         return cls(xi, eta, probs)
 
 
+@lru_cache(maxsize=32)  # the library states seven intervals
+def _interval(interval: str) -> tuple[float, float, bool, bool]:
+    """An interval such as "(0, 1]", parsed once: its ends and whether each is open."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return lo, hi, interval[0] == "(", interval[-1] == ")"
+
+
 def number(value, name: str, interval: str = "(-inf, inf)", integer: bool = False):
     """The number rule, the one check of a scalar input: ``value`` as it is, if it is a real
     number (an integer, with ``integer``), finite and in ``interval``, such as "(0, 1]".
     Else InputError "<name> = <value> is not a number" (or "an integer"), "is not finite" or
     "outside <interval>".  A bool or a string is no number; an int beyond the float range
     is not finite."""
-    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InputError(f"{name} = {shown(value)} is not {noun}")
+    kind = type(value)
+    if kind is not int and (kind is not float or integer):  # a plain int or float skips the ABCs
+        abc, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+        if kind is bool or not isinstance(value, abc):
+            raise InputError(f"{name} = {shown(value)} is not {noun}")
     try:
         x = float(value)
     except OverflowError:  # an int beyond the float range
         x = math.inf
     if not math.isfinite(x):
         raise InputError(f"{name} = {shown(value)} is not finite")
-    lo, hi = map(float, interval[1:-1].split(","))
-    if x < lo or x > hi or x == lo and interval[0] == "(" or x == hi and interval[-1] == ")":
+    lo, hi, open_lo, open_hi = _interval(interval)
+    if x < lo or x > hi or x == lo and open_lo or x == hi and open_hi:
         raise InputError(f"{name} = {shown(value)} outside {interval}")
     return value
 

@@ -72,6 +72,7 @@ def apply_waveplate(state: StateVector, arm: str, angle: float) -> StateVector:
     """Rotate the polarization of one arm by ``angle`` radians (the experiment uses pi/2)."""
     if arm not in state.spatial:
         raise ModelError(f"unknown arm {arm!r}; state labels are {state.spatial}")
+    number(angle, "waveplate angle")
     c, s = math.cos(angle), math.sin(angle)
     u = ((c, -s), (s, c))
     return apply_mode_unitary(state, (ModeId(arm, 0), ModeId(arm, 1)), u)

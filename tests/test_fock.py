@@ -59,6 +59,11 @@ def test_non_unitary_rejected():
         apply_mode_unitary(vacuum(), (MODE_A0, MODE_A1), ((1, 0), (0, 2)))
 
 
+def test_mode_unitary_with_a_string_entry_raises_input_error():
+    with pytest.raises(InputError, match=r"must hold numbers, got \(\('x', 0\), \(0, 1\)\)"):
+        apply_mode_unitary(vacuum(), (MODE_A0, MODE_A1), (("x", 0), (0, 1)))
+
+
 def _dense_oracle(u: np.ndarray, state: StateVector) -> dict:
     """Independent path: exponentiate the quadratic generator on a dense basis.
 

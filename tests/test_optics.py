@@ -38,6 +38,16 @@ def test_waveplate_rotates_arm_a_to_y():
     assert len(rotated.terms) == 1
 
 
+@pytest.mark.parametrize(
+    "angle, message",
+    [("x", "= 'x' is not a number"), (10**5000, "= <int of 16610 bits> is not finite")],
+    ids=["string", "huge-int"],
+)
+def test_waveplate_angle_follows_the_number_rule(angle, message):
+    with pytest.raises(InputError, match=f"waveplate angle {message}"):
+        apply_waveplate(source_state(), "a", angle)
+
+
 def test_waveplate_zero_angle_is_identity():
     out = apply_waveplate(source_state(), "a", 0.0)
     assert out == source_state()
