@@ -15,6 +15,7 @@ from types import ModuleType as _ModuleType
 
 from .bell import (
     CHSH_SIGNS,
+    Behavior,
     ChshResult,
     ChshSettings,
     OPTIMAL_SETTINGS,

@@ -9,10 +9,11 @@ combination E(xi,eta) + E(xi,eta') + E(xi',eta) - E(xi',eta') is bounded
 by 2 for every local hidden variable model while the full experiment state
 reaches 1 + sqrt(2).
 
-Two independent computation paths are provided on purpose: from joint
-probability tables (chsh_from_tables) and from operator expectations taken
-directly in Fock space (chsh_operator_expectation).  They must agree to
-1e-12, which the test suite checks.
+The four tables of a pattern travel as one value, a Behavior (Behavior.at
+builds it from a state).  Two independent computation paths are provided on
+purpose: from a Behavior (chsh_from_tables) and from operator expectations
+taken directly in Fock space (chsh_operator_expectation).  They must agree
+to 1e-12, which the test suite checks.
 
 Pure functions throughout.  The angle optimizer exploits the harmonic
 structure of the correlator: under the two-photon cap each outcome
@@ -27,8 +28,8 @@ whole search runs on that polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,28 +87,6 @@ class ChshSettings:
             raise InputError(f"{name} must list 4 angles, got {shown(values)}")
         return cls(*(named(name, angle, value) for value in values))
 
-    @classmethod
-    def from_tables(cls, tables: Sequence[JointDistribution]) -> "ChshSettings":
-        """The angles of four tables in ``setting_pairs`` order.
-
-        Raises InputError unless there are exactly four tables sharing the
-        (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern.
-        """
-        if len(tables) != 4:
-            raise InputError(f"need exactly 4 tables, got {len(tables)}")
-        t = tables
-        checks = (
-            axis_distance(t[0].xi.angle, t[1].xi.angle),
-            axis_distance(t[2].xi.angle, t[3].xi.angle),
-            axis_distance(t[0].eta.angle, t[2].eta.angle),
-            axis_distance(t[1].eta.angle, t[3].eta.angle),
-        )
-        if max(checks) > 1e-12:
-            raise InputError(
-                "tables do not share the (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern"
-            )
-        return cls(t[0].xi, t[2].xi, t[0].eta, t[1].eta)
-
     def setting_pairs(self) -> tuple[tuple[PolarizerAngle, PolarizerAngle], ...]:
         """The four (station-1, station-2) angle pairs in CHSH order."""
         return (
@@ -124,6 +103,60 @@ class ChshSettings:
 #: Angles at which the experiment state attains its maximal CHSH value.
 #: Any rigid rotation of these works equally well; the value is what matters.
 OPTIMAL_SETTINGS = ChshSettings.from_radians(0.0, math.pi / 4, 5 * math.pi / 8, 3 * math.pi / 8)
+
+
+@dataclass(frozen=True, eq=False)
+class Behavior(Sequence):
+    """Four tables at (xi,eta), (xi,eta'), (xi',eta), (xi',eta'): a behavior, a Sequence of them.
+
+    Built from any iterable, checked once: anything but four JointDistributions on that
+    pattern raises InputError.  ``settings`` and ``probs``, the tables stacked into a
+    read-only (4, 6, 6) array, are derived when it is built.
+    """
+
+    tables: tuple[JointDistribution, ...]
+    settings: ChshSettings = field(init=False)
+    probs: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        try:
+            tables = iter(self.tables)
+        except TypeError:
+            raise InputError(f"need 4 tables, got {shown(self.tables)}") from None
+        t = tuple(tables)
+        if len(t) != 4:
+            raise InputError(f"need exactly 4 tables, got {len(t)}")
+        for index, table in enumerate(t):
+            if not isinstance(table, JointDistribution):
+                raise InputError(f"table {index} must be a JointDistribution, got {shown(table)}")
+        settings = ChshSettings(t[0].xi, t[2].xi, t[0].eta, t[1].eta)
+        pattern = [angle.angle for pair in settings.setting_pairs() for angle in pair]
+        given = [angle.angle for table in t for angle in (table.xi, table.eta)]
+        if max(map(axis_distance, pattern, given)) > 1e-12:
+            raise InputError(
+                "tables do not share the (xi,eta), (xi,eta'), (xi',eta), (xi',eta') pattern"
+            )
+        probs = np.stack([table.probs for table in t])
+        probs.flags.writeable = False
+        object.__setattr__(self, "tables", t)
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def of(cls, tables) -> "Behavior":
+        """``tables`` if it is a Behavior, else the Behavior of these four tables."""
+        return tables if isinstance(tables, cls) else cls(tables)
+
+    @classmethod
+    def at(cls, state: StateVector, settings: ChshSettings) -> "Behavior":
+        """The four tables of ``state`` at ``settings``: their one builder from a state."""
+        return cls(joint_distribution(state, xi, eta) for xi, eta in settings.setting_pairs())
+
+    def __getitem__(self, index):
+        return self.tables[index]
+
+    def __len__(self) -> int:
+        return len(self.tables)
 
 
 @dataclass(frozen=True)
@@ -156,17 +189,17 @@ class ChshResult:
 
 
 def chsh_from_tables(tables: Sequence[JointDistribution]) -> ChshResult:
-    """CHSH value and block decomposition from four joint distributions."""
-    settings = ChshSettings.from_tables(tables)
-    weighted = [SIGN_TABLE * t.probs for t in tables]
+    """CHSH value and block decomposition of a Behavior, or of four tables (``Behavior.of``)."""
+    behavior = Behavior.of(tables)
+    weighted = SIGN_TABLE * behavior.probs
     correlators = tuple(float(np.sum(w)) for w in weighted)
 
-    fav_mass = float(np.mean([t.probs[FAVORABLE_MASK].sum() for t in tables]))
+    fav_mass = float(np.mean([p[FAVORABLE_MASK].sum() for p in behavior.probs]))
     fav_combo = sum(s * float(np.sum(w[FAVORABLE_MASK])) for s, w in zip(CHSH_SIGNS, weighted))
     rest_combo = sum(s * float(np.sum(w[~FAVORABLE_MASK])) for s, w in zip(CHSH_SIGNS, weighted))
     favorable_part = fav_combo / fav_mass if fav_mass > _EMPTY_BLOCK_TOL else 0.0
     unfavorable_part = rest_combo / (1.0 - fav_mass) if 1.0 - fav_mass > _EMPTY_BLOCK_TOL else 0.0
-    return ChshResult(favorable_part, unfavorable_part, correlators, settings, fav_mass)
+    return ChshResult(favorable_part, unfavorable_part, correlators, behavior.settings, fav_mass)
 
 
 def _value_sign(occ: tuple[int, int, int, int]) -> float:
@@ -223,14 +256,6 @@ def chsh_decomposition(state: StateVector, settings: ChshSettings) -> ChshResult
     )
     correlators = tuple(pair_operator_expectation(state, x, e) for x, e in settings.setting_pairs())
     return ChshResult(favorable_part, unfavorable_part, correlators, settings, w_fav)
-
-
-def _chsh_value(state: StateVector, angles: Sequence[float]) -> float:
-    tables = [
-        joint_distribution(state, x, e)
-        for x, e in ChshSettings.from_radians(*angles).setting_pairs()
-    ]
-    return chsh_from_tables(tables).total
 
 
 def _golden_section_max(g: Callable[[float], float], lo: float, hi: float, tol: float):
@@ -347,4 +372,4 @@ def optimize_angles(state: StateVector) -> tuple[ChshSettings, float]:
             break
 
     settings = ChshSettings.from_radians(*angles)
-    return settings, _chsh_value(state, angles)
+    return settings, chsh_from_tables(Behavior.at(state, settings)).total

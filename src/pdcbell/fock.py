@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -42,6 +43,8 @@ ALGEBRA_TOL = 1e-12
 PHYSICS_TOL = 1e-9
 #: Amplitudes below this magnitude may be pruned.
 PRUNE_TOL = 1e-14
+#: Types of a mode transformation's entries taken without a closer look.
+_PLAIN_NUMBERS = frozenset((float, complex, int))
 
 #: Letters used for polarization indices in occupation-string keys.  The
 #: letters always name the axes of the state's *current* polarization frame.
@@ -179,20 +182,29 @@ def _check_labels(s1: StateVector, s2: StateVector) -> None:
 
 
 def _check_unitary(u) -> tuple[tuple[complex, ...], ...]:
+    """``u`` as rows of complex numbers, if it is a 2x2 unitary of numbers.  A bool or a string
+    is refused, though ``complex`` takes both; types are looked at only when the fast test fails."""
     try:
-        rows = tuple(tuple(complex(x) for x in row) for row in u)
-    except (TypeError, ValueError) as exc:
+        rows = tuple(map(tuple, u))
+    except TypeError as exc:
         raise InputError(f"mode transformation must hold numbers, got {shown(u)}") from exc
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ModelError("mode transformation must be a 2x2 matrix")
-    # u @ u^dagger == I within ALGEBRA_TOL
-    for i in range(2):
-        for j in range(2):
-            entry = sum(rows[i][k] * rows[j][k].conjugate() for k in range(2))
-            target = 1.0 if i == j else 0.0
-            if abs(entry - target) > ALGEBRA_TOL:
-                raise ModelError(f"matrix is not unitary within {ALGEBRA_TOL}")
-    return rows
+    (a, b), (c, d) = rows
+    if not {type(a), type(b), type(c), type(d)} <= _PLAIN_NUMBERS and not all(
+        isinstance(x, numbers.Number) and not isinstance(x, bool) for x in (a, b, c, d)
+    ):
+        raise InputError(f"mode transformation must hold numbers, got {shown(u)}")
+    a, b, c, d = map(complex, (a, b, c, d))
+    # u @ u^dagger == I within ALGEBRA_TOL; its (1, 0) entry is the conjugate of (0, 1)
+    gram = (
+        a * a.conjugate() + b * b.conjugate() - 1.0,
+        c * c.conjugate() + d * d.conjugate() - 1.0,
+        a * c.conjugate() + b * d.conjugate(),
+    )
+    if any(abs(entry) > ALGEBRA_TOL for entry in gram):
+        raise ModelError(f"matrix is not unitary within {ALGEBRA_TOL}")
+    return (a, b), (c, d)
 
 
 def apply_mode_unitary(state: StateVector, modes: tuple[ModeId, ModeId], u) -> StateVector:

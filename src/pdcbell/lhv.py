@@ -3,10 +3,10 @@
 A local model assigns each hidden variable value a deterministic outcome
 per station per setting; the achievable correlation patterns form the
 convex hull of the 6^2 * 6^2 = 1296 deterministic strategies.  Membership
-in that polytope of four observed tables, taken in the (xi,eta), (xi,eta'),
-(xi',eta), (xi',eta') pattern, is decided in two steps, and an infeasibility
-verdict never rests on solver internals: a BellCertificate enumerates its
-own local bound over all 1296 strategies when it is built.
+in that polytope of a Behavior, four observed tables in the (xi,eta),
+(xi,eta'), (xi',eta), (xi',eta') pattern, is decided in two steps, and an
+infeasibility verdict never rests on solver internals: a BellCertificate
+enumerates its own local bound over all 1296 strategies when it is built.
 
 First the facet step: the best of the eight CHSH relabelings (the minus
 sign on each setting pair, times an overall sign) is evaluated on them.  It
@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import SIGN_TABLE, ChshSettings
+from .bell import SIGN_TABLE, Behavior, ChshSettings
 from .errors import InputError, ModelError, shown
 from .measurement import JointDistribution, axis_distance, closed_object, finite_floats, number
 
@@ -292,11 +292,10 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     exact mixture, not a canonical one, reproducing the targets to
     RECONSTRUCTION_TOL per cell.  Infeasible from the LP returns a Bell
     functional with a strictly positive, enumeration-verified gap on the
-    tables as given, scaled to max-abs coefficient 1.  Tables off the (xi,eta),
-    (xi,eta'), (xi',eta), (xi',eta') pattern raise InputError.
+    tables as given, scaled to max-abs coefficient 1.  ``tables`` is a Behavior,
+    or four tables made one by ``Behavior.of``, which refuses them off its pattern.
     """
-    ChshSettings.from_tables(tables)
-    stacked = np.stack([t.probs for t in tables])
+    stacked = Behavior.of(tables).probs
     clipped = np.clip(stacked, 0.0, None)
     normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
     facet = _facet_verdict(stacked, normalized)
@@ -322,10 +321,11 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     raise ModelError("LP reported mismatch but no verifiable separating functional was found")
 
 
-def synthesize_tables(model: LhvModel, settings: ChshSettings) -> list[JointDistribution]:
-    """The four joint tables a strategy mixture produces."""
+def synthesize_tables(model: LhvModel, settings: ChshSettings) -> Behavior:
+    """The Behavior a strategy mixture produces at ``settings``."""
     tables = _cell_probs(model.weights).reshape(4, N_OUTCOMES, N_OUTCOMES)
-    return [JointDistribution(xi, eta, t) for (xi, eta), t in zip(settings.setting_pairs(), tables)]
+    pairs = zip(settings.setting_pairs(), tables)
+    return Behavior(JointDistribution(xi, eta, t) for (xi, eta), t in pairs)
 
 
 def verify_certificate(
@@ -333,11 +333,12 @@ def verify_certificate(
 ) -> BellCertificate:
     """``cert``'s functional contracted with ``tables``, as a new certificate.
 
+    ``tables`` is a Behavior, or four tables on its pattern (``Behavior.of``).
     Its local bound is enumerated afresh over the 1296 strategies, never
     taken from an LP output, and its gap is its value on ``tables`` minus
     that bound.
     """
-    return _certificate(cert.coefficients, np.stack([t.probs for t in tables]))
+    return _certificate(cert.coefficients, Behavior.of(tables).probs)
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -353,26 +354,26 @@ def verdict_to_json_dict(verdict: Feasible | Infeasible) -> dict:
     return {"feasible": False, "certificate": verdict.certificate.to_json_dict()}
 
 
-def tables_from_json_dict(data) -> list[JointDistribution]:
+def tables_from_json_dict(data) -> Behavior:
     """Parse the CLI interchange format, a closed object as each of its tables is:
     {"tables": [t0, t1, t2, t3]} in (xi,eta), (xi,eta'), (xi',eta), (xi',eta') order, and an
-    optional "settings_rad", checked against the settings the tables share."""
+    optional "settings_rad", checked against the settings of the Behavior the tables make."""
     data = closed_object(data, "lhv-check input", ("tables",), ("settings_rad",))
     raw = data["tables"]
     if not isinstance(raw, list) or len(raw) != 4:
         raise InputError(f"'tables' must be an array of 4 table objects, got {shown(raw)}")
-    tables = [JointDistribution.from_json_dict(t) for t in raw]
+    behavior = Behavior(JointDistribution.from_json_dict(t) for t in raw)
     if "settings_rad" in data:
         declared = ChshSettings.parse(data["settings_rad"], "settings_rad").as_radians()
-        derived = ChshSettings.from_tables(tables).as_radians()
-        if max(axis_distance(a, b) for a, b in zip(declared, derived)) > 1e-9:
+        if max(map(axis_distance, declared, behavior.settings.as_radians())) > 1e-9:
             raise InputError("'settings_rad' disagrees with the per-table angles")
-    return tables
+    return behavior
 
 
 def tables_to_json_dict(tables: Sequence[JointDistribution]) -> dict:
-    """The ``tables_from_json_dict`` format; tables off the CHSH pattern raise."""
+    """The ``tables_from_json_dict`` format of a Behavior (or of four tables, ``Behavior.of``)."""
+    behavior = Behavior.of(tables)
     return {
-        "settings_rad": list(ChshSettings.from_tables(tables).as_radians()),
-        "tables": [t.to_json_dict() for t in tables],
+        "settings_rad": list(behavior.settings.as_radians()),
+        "tables": [t.to_json_dict() for t in behavior],
     }

@@ -11,9 +11,10 @@ Reproducibility contract: the generator is numpy's PCG64, seeded with the
 config seed, consumed as one uniform stream in bin-major order with three
 slots per bin, whatever the config: slot 0 picks the setting pair, slot 1
 decides pair emission, slot 2 picks the outcome cell from the pair's
-detected law R P R^T.  P is the emitted 6x6 table and R the station response
-to detector loss (``station_response``), the identity at efficiency 1.  The
-same builder composes a cascade of click detectors behind each port into R.
+detected law R P R^T.  P is the pair's table in the state's Behavior at the
+run's settings, R the station response to detector loss (``station_response``),
+the identity at efficiency 1.  The same builder composes a cascade of click
+detectors behind each port into R.
 A reference sequence for the generator ships with the test suite.
 
 The stream is drawn in sequential blocks of ``_CHUNK`` bins; consecutive
@@ -42,13 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import CHSH_SIGNS, SIGN_TABLE, ChshSettings
+from .bell import CHSH_SIGNS, SIGN_TABLE, Behavior, ChshSettings
 from .errors import InputError, shown
 from .measurement import (
     OutcomeClass,
     classify_occupation,
     closed_object,
-    joint_distribution,
     number,
     outcome_occupation,
 )
@@ -531,14 +531,9 @@ def run_experiment(config: RunConfig) -> EventLog:
             stacklevel=2,
         )
 
-    state = build_experiment_state()
+    probs = Behavior.at(build_experiment_state(), config.settings).probs
     response = station_response(config.detector_efficiency)
-    cumulative = np.stack(
-        [
-            np.cumsum(response @ joint_distribution(state, xi, eta).probs @ response.T)
-            for xi, eta in config.settings.setting_pairs()
-        ]
-    )
+    cumulative = np.cumsum((response @ probs @ response.T).reshape(_N_SETTING_PAIRS, -1), axis=1)
 
     n = config.n_bins
     guide = _guide_table(cumulative)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE
+from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE, Behavior
 from pdcbell.errors import ModelError
 from pdcbell.fock import PHYSICS_TOL, STATION_LABELS, StateVector
 from pdcbell.lhv import BellCertificate
@@ -14,7 +14,6 @@ from pdcbell.measurement import (
     FAVORABLE_MASK,
     OutcomeClass,
     classify_occupation,
-    joint_distribution,
     outcome_occupation,
 )
 from pdcbell.montecarlo import EventLog
@@ -173,4 +172,4 @@ def psi() -> StateVector:
 
 @pytest.fixture(scope="session")
 def quantum_tables(psi):
-    return [joint_distribution(psi, xi, eta) for xi, eta in OPTIMAL_SETTINGS.setting_pairs()]
+    return Behavior.at(psi, OPTIMAL_SETTINGS)

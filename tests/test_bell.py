@@ -6,6 +6,7 @@ import pytest
 from conftest import random_station_state
 from pdcbell.bell import (
     GRID_POINTS,
+    Behavior,
     ChshSettings,
     OPTIMAL_SETTINGS,
     OUTCOME_VALUES,
@@ -39,10 +40,6 @@ def diluted_chsh(p_vacuum: float, undiluted: float) -> float:
     linearly toward 2; it stays above 2 exactly when the undiluted value is.
     """
     return 2.0 * p_vacuum + (1.0 - p_vacuum) * undiluted
-
-
-def tables_at(state, settings):
-    return [joint_distribution(state, xi, eta) for xi, eta in settings.setting_pairs()]
 
 
 def test_sign_table_is_read_only():
@@ -82,7 +79,7 @@ def test_correlator_closed_form(psi):
 
 def test_chsh_equal_settings_is_zero(psi):
     settings = ChshSettings.from_radians(0.3, 0.3, 0.3, 0.3)
-    result = chsh_from_tables(tables_at(psi, settings))
+    result = chsh_from_tables(Behavior.at(psi, settings))
     assert result.total == pytest.approx(0.0, abs=1e-12)
 
 
@@ -96,14 +93,27 @@ def test_chsh_optimal_settings(psi, quantum_tables):
 
 def test_chsh_pure_vacuum_tables():
     settings = OPTIMAL_SETTINGS
-    result = chsh_from_tables(tables_at(vacuum(STATION_LABELS), settings))
+    result = chsh_from_tables(Behavior.at(vacuum(STATION_LABELS), settings))
     assert result.total == pytest.approx(2.0, abs=1e-12)
     assert result.unfavorable_part == pytest.approx(2.0, abs=1e-12)
     assert result.favorable_part == 0.0
 
 
+def test_behavior_at_is_the_per_pair_tables(psi):
+    settings = ChshSettings.from_radians(0.3, 1.1, 2.0, 2.9)
+    behavior = Behavior.at(psi, settings)
+    per_pair = [joint_distribution(psi, xi, eta) for xi, eta in settings.setting_pairs()]
+    assert behavior.settings == settings and len(behavior) == 4
+    for table, probs, expected in zip(behavior, behavior.probs, per_pair, strict=True):
+        assert (table.xi, table.eta) == (expected.xi, expected.eta)
+        assert table.probs.tobytes() == probs.tobytes() == expected.probs.tobytes()
+    assert not behavior.probs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        behavior.probs[0, 0, 0] = 1.0
+
+
 def test_chsh_inconsistent_settings(psi):
-    tables = tables_at(psi, OPTIMAL_SETTINGS)
+    tables = Behavior.at(psi, OPTIMAL_SETTINGS)
     broken = [tables[0], tables[2], tables[1], tables[3]]
     with pytest.raises(InputError, match="pattern"):
         chsh_from_tables(broken)
@@ -116,7 +126,7 @@ def test_operator_and_table_paths_agree():
     for _ in range(100):
         state = random_station_state(rng)
         settings = ChshSettings.from_radians(*(rng.random(4) * math.pi))
-        by_tables = chsh_from_tables(tables_at(state, settings)).total
+        by_tables = chsh_from_tables(Behavior.at(state, settings)).total
         by_operators = chsh_operator_expectation(state, settings)
         assert by_operators == pytest.approx(by_tables, abs=1e-12)
 
@@ -167,7 +177,7 @@ def test_decomposition_of_diluted_state(psi):
     assert result.favorable_part == pytest.approx(2 * SQRT2, abs=1e-9)
     assert result.unfavorable_part == pytest.approx(2.0, abs=1e-12)
     # table path gives the same split
-    by_tables = chsh_from_tables(tables_at(half, OPTIMAL_SETTINGS))
+    by_tables = chsh_from_tables(Behavior.at(half, OPTIMAL_SETTINGS))
     assert by_tables.total == pytest.approx(result.total, abs=1e-12)
     assert by_tables.favorable_part == pytest.approx(result.favorable_part, abs=1e-9)
 
@@ -252,7 +262,7 @@ def test_optimize_angles_experiment_state(psi):
     settings, value = optimize_angles(psi)
     assert settings == OPTIMAL_SETTINGS
     assert value == pytest.approx(1 + SQRT2, abs=1e-12)
-    check = chsh_from_tables(tables_at(psi, settings)).total
+    check = chsh_from_tables(Behavior.at(psi, settings)).total
     assert check == value
 
 
@@ -279,7 +289,7 @@ def test_refinement_finds_the_optimum_between_grid_points(state):
     ).max(axis=2)
     settings, value = optimize_angles(state)
     assert value > pair_best.max() + 1e-5
-    assert value == chsh_from_tables(tables_at(state, settings)).total
+    assert value == chsh_from_tables(Behavior.at(state, settings)).total
     angles = settings.as_radians()
     for k in range(4):
         for step in (-1e-4, 1e-4):

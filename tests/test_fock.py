@@ -60,8 +60,14 @@ def test_non_unitary_rejected():
 
 
 def test_mode_unitary_with_a_string_entry_raises_input_error():
+    """complex() takes "1" and True, but a string or a bool, numpy's too, is no number."""
     with pytest.raises(InputError, match=r"must hold numbers, got \(\('x', 0\), \(0, 1\)\)"):
         apply_mode_unitary(vacuum(), (MODE_A0, MODE_A1), (("x", 0), (0, 1)))
+    with pytest.raises(InputError, match=r"must hold numbers, got \(\('1', 0\), \(0, True\)\)"):
+        apply_mode_unitary(basis_state((1, 0, 0, 0)), (MODE_A0, MODE_A1), (("1", 0), (0, True)))
+    for u in (((np.float64(1.0), 0), (0, np.bool_(True))), ((1.0, 0), (0, np.str_("1")))):
+        with pytest.raises(InputError, match="must hold numbers"):
+            apply_mode_unitary(basis_state((1, 0, 0, 0)), (MODE_A0, MODE_A1), u)
 
 
 def _dense_oracle(u: np.ndarray, state: StateVector) -> dict:

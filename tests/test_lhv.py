@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcbell import lhv
-from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE, ChshSettings
+from pdcbell.bell import (
+    CHSH_SIGNS,
+    OPTIMAL_SETTINGS,
+    SIGN_TABLE,
+    Behavior,
+    ChshSettings,
+    chsh_from_tables,
+)
 from pdcbell.errors import InputError, ModelError
 from pdcbell.lhv import (
     BellCertificate,
@@ -276,6 +283,32 @@ def test_tables_json_writer_rejects_off_pattern_tables(quantum_tables):
         tables_to_json_dict(swapped)
     with pytest.raises(InputError, match="exactly 4"):
         tables_to_json_dict(quantum_tables[:3])
+
+
+@pytest.mark.parametrize(
+    "consumer", ["lhv_feasible", "chsh_from_tables", "verify_certificate", "tables_to_json_dict"]
+)
+def test_every_table_consumer_checks_its_input_as_a_behavior(psi, quantum_tables, consumer):
+    """Each function that takes a Behavior takes any iterable of four tables on its pattern,
+    and refuses three tables, four off the pattern and an entry that is no table."""
+    certificate = chsh_certificate(quantum_tables)
+    call = {
+        "lhv_feasible": lhv_feasible,
+        "chsh_from_tables": chsh_from_tables,
+        "verify_certificate": functools.partial(verify_certificate, certificate),
+        "tables_to_json_dict": tables_to_json_dict,
+    }[consumer]
+    call(table for table in quantum_tables)
+    off = [*quantum_tables[:3], joint_distribution(psi, PolarizerAngle(1.0), PolarizerAngle(0.3))]
+    for tables, message in (
+        (quantum_tables[:3], "need exactly 4 tables, got 3"),
+        (off, "pattern"),
+        ([{}] * 4, r"table 0 must be a JointDistribution, got \{\}"),
+        ([*quantum_tables[:2], np.eye(6) / 6, None], "table 2 must be a JointDistribution"),
+        (None, "need 4 tables, got None"),
+    ):
+        with pytest.raises(InputError, match=message):
+            call(tables)
 
 
 def test_off_pattern_tables_get_no_verdict(psi, quantum_tables):
@@ -686,7 +719,7 @@ def test_pruned_lp_agrees_with_the_unpruned_oracle(psi, quantum_tables, kind, su
     if not verdict.feasible:
         assert json.dumps(verdict_to_json_dict(verdict)) == json.dumps(verdict_to_json_dict(oracle))
         return
-    rebuilt = synthesize_tables(verdict.model, ChshSettings.from_tables(tables))
+    rebuilt = synthesize_tables(verdict.model, Behavior.of(tables).settings)
     error = max(float(np.abs(a.probs - b.probs).max()) for a, b in zip(rebuilt, tables))
     assert error <= lhv.RECONSTRUCTION_TOL
     pruned = np.setdiff1d(np.arange(N_STRATEGIES), supported_strategies(tables))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcbell.bell import OPTIMAL_SETTINGS, ChshSettings
+from pdcbell.bell import OPTIMAL_SETTINGS, Behavior, ChshSettings
 from pdcbell.errors import InputError, shown
 from pdcbell.lhv import (
     N_STRATEGIES,
@@ -126,6 +126,9 @@ CALLS = {
         {"xi_rad": d.draw(field(0.0)), "eta_rad": d.draw(field(0.5)), "probs": patched(d, PROBS)}
     ),
     "tables_from_json_dict": lambda d: tables_from_json_dict(tables_json(d)),
+    "Behavior": lambda d: Behavior(
+        d.draw(st.lists(st.sampled_from(TABLES) | NUMBERS, max_size=5) | NUMBERS)
+    ),
     "LhvModel": lambda d: LhvModel(patched(d, [1.0 / N_STRATEGIES] * N_STRATEGIES)),
     "BellCertificate": lambda d: BellCertificate(
         patched(d, [0.0] * 144, (4, 6, 6)), d.draw(field(2.5))
