@@ -258,35 +258,14 @@ def chsh_decomposition(state: StateVector, settings: ChshSettings) -> ChshResult
     return ChshResult(favorable_part, unfavorable_part, correlators, settings, w_fav)
 
 
-def _golden_section_max(g: Callable[[float], float], lo: float, hi: float, tol: float):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > tol:
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    x = 0.5 * (a + b)
-    return x, g(x)
-
-
 #: The coarse search grid has this many angles per analyzer, pi/GRID_POINTS apart.
 GRID_POINTS = 72
-
-#: Angular resolution of the golden-section refinement, in radians.
-REFINE_TOL = 1e-6
 
 #: Analyzer angles k*pi/5 at which the correlator is sampled to fit C.
 _SAMPLE_ANGLES = np.arange(5) * (math.pi / 5)
 
 #: CHSH values closer than this count as equal: grid points this close to
-#: the maximum are tied, and a refinement step must gain more than this, so
+#: the maximum are tied, and a seesaw half-step must gain more than this, so
 #: rounding noise never moves the settings.
 _VALUE_TOL = 1e-12
 
@@ -297,6 +276,23 @@ def _harmonics(angles) -> np.ndarray:
     return np.stack(
         [np.ones_like(x), np.cos(2 * x), np.sin(2 * x), np.cos(4 * x), np.sin(4 * x)], axis=-1
     )
+
+
+def _best_angle(v: np.ndarray) -> float:
+    """The angle t maximizing b(t) @ v, exactly.
+
+    z**2 d/dt (b(t) @ v) is lead z**4 + mid z**3 + conj(mid) z + conj(lead) in z = exp(2it);
+    lead times its companion matrix has eigenvalues lead * z, so no division can overflow.
+    Where the 4t part is under ~1e-20 of the 2t part they drown, and atan2(s2, c2) / 2, the 2t
+    part's maximum, is that close.  The best of these candidates and 0 (a constant keeps 0) wins.
+    """
+    _, c2, s2, c4, s4 = v
+    lead, mid = complex(2 * s4, 2 * c4), complex(s2, c2)
+    companion = np.diag([lead] * 3, -1)
+    companion[0] = -mid, 0, -mid.conjugate(), -lead.conjugate()
+    roots = np.angle(np.linalg.eigvals(companion)) - np.angle(lead)
+    candidates = np.concatenate([[0.0, math.atan2(s2, c2)], roots]) / 2
+    return float(candidates[np.argmax(_harmonics(candidates) @ v)])
 
 
 def _correlator_coefficients(state: StateVector) -> np.ndarray:
@@ -339,14 +335,14 @@ def optimize_angles(state: StateVector) -> tuple[ChshSettings, float]:
     Coarse stage: all angle combinations on a pi/GRID_POINTS grid, from the
     correlator grid B C B^T of the harmonic form.  Among grid points whose
     value lies within 1e-12 of the maximum, the lexicographically smallest
-    (xi, xi', eta, eta') index tuple wins.  Fine stage: coordinate ascent
-    with golden-section line search on the same polynomial down to
-    REFINE_TOL angular resolution, accepting a step only when it gains more
-    than 1e-12.  The returned value comes from the joint-distribution
-    tables at the final settings.
+    (xi, xi', eta, eta') index tuple wins.  Fine stage: a seesaw on the same
+    polynomial.  At fixed eta, eta' the CHSH value is b(xi) @ C (b(eta) +
+    b(eta')) + b(xi') @ C (b(eta) - b(eta')), so each half-step sets both
+    angles of one station to their exact best responses (_best_angle), and
+    is taken only when it gains more than 1e-12.  The returned value comes
+    from the joint-distribution tables at the final settings.
     """
-    step = math.pi / GRID_POINTS
-    grid = np.arange(GRID_POINTS) * step
+    grid = np.arange(GRID_POINTS) * (math.pi / GRID_POINTS)
     coeffs = _correlator_coefficients(state)
     basis = _harmonics(grid)
     angles = [grid[k] for k in _best_grid_indices(basis @ coeffs @ basis.T)]
@@ -358,16 +354,13 @@ def optimize_angles(state: StateVector) -> tuple[ChshSettings, float]:
     best = chsh_poly(angles)
     for _ in range(50):
         improved = best
-        for k in range(4):
-            def g(t: float, k: int = k) -> float:
-                trial = list(angles)
-                trial[k] = t
-                return chsh_poly(trial)
-
-            x, v = _golden_section_max(g, angles[k] - step, angles[k] + step, REFINE_TOL)
-            if v > best + _VALUE_TOL:
-                best = v
-                angles[k] = x
+        for k, matrix in ((0, coeffs), (2, coeffs.T)):
+            b1, b2 = _harmonics(angles[2 - k : 4 - k])
+            trial = list(angles)
+            trial[k : k + 2] = map(_best_angle, (matrix @ (b1 + b2), matrix @ (b1 - b2)))
+            value = chsh_poly(trial)
+            if value > best + _VALUE_TOL:
+                best, angles = value, trial
         if best - improved < _VALUE_TOL:
             break
 

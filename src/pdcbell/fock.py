@@ -202,7 +202,10 @@ def _check_unitary(u) -> tuple[tuple[complex, ...], ...]:
         c * c.conjugate() + d * d.conjugate() - 1.0,
         a * c.conjugate() + b * d.conjugate(),
     )
-    if any(abs(entry) > ALGEBRA_TOL for entry in gram):
+    # "not <=" fails NaN too; a NaN or inf entry makes its row norm so, and only then is sought
+    if not all(abs(entry) <= ALGEBRA_TOL for entry in gram):
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise InputError(f"mode transformation must hold finite numbers, got {shown(u)}")
         raise ModelError(f"matrix is not unitary within {ALGEBRA_TOL}")
     return (a, b), (c, d)
 

@@ -1,7 +1,10 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_station_state
 from pdcbell.bell import (
@@ -15,6 +18,7 @@ from pdcbell.bell import (
     chsh_from_tables,
     chsh_operator_expectation,
     optimize_angles,
+    _best_angle,
     _correlator_coefficients,
     _harmonics,
     _value_sign,
@@ -308,3 +312,57 @@ def test_optimize_angles_vacuum():
     settings, value = optimize_angles(vacuum(STATION_LABELS))
     assert value == 2.0
     assert settings.as_radians() == (0.0, 0.0, 0.0, 0.0)
+
+
+@cache
+def _dense_harmonics() -> np.ndarray:
+    """b(t) on 2*10^5 equally spaced angles of one period [0, pi)."""
+    return _harmonics(np.arange(200_000) * (math.pi / 200_000))
+
+
+_HARMONIC_COEFFICIENT = st.just(0.0) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    direction=st.tuples(*[_HARMONIC_COEFFICIENT] * 5),
+    scale=st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]),
+)
+@example(direction=(0.0, 0.0, 0.0, 0.0, 0.0), scale=1.0)
+@example(direction=(0.7, 0.0, 0.0, 0.0, 0.0), scale=1.0)
+@example(direction=(0.0, 1.0, 0.0, 0.0, 0.0), scale=1.0)
+@example(direction=(0.0, 0.0, -1.0, 0.0, 0.0), scale=1.0)
+@example(direction=(0.0, 0.0, 0.0, -1.0, 0.0), scale=1.0)
+@example(direction=(0.0, 0.0, 0.0, 0.0, 1.0), scale=1.0)
+@example(direction=(0.3, -0.6, 0.2, 0.5, -0.4), scale=1e-300)
+@example(direction=(0.3, -0.6, 0.2, 0.5, -0.4), scale=1e300)
+# a 4t part so far below the 2t part that the quartic's eigenvalues drown, or its companion's
+# first row would overflow after division by the leading coefficient
+@example(direction=(0.0, 0.0, 1.0, 0.0, 1.3544904463534418e-255), scale=1e-8)
+@example(direction=(0.0, 1.0, 0.3, 5e-324, 0.0), scale=1e300)
+def test_best_angle_is_the_exact_maximum_of_one_harmonic_form(direction, scale):
+    v = np.array(direction) * scale
+    t = _best_angle(v)
+    best = float(_harmonics(t) @ v)
+    sampled = float((_dense_harmonics() @ v).max())
+    # where v is subnormal, b(t) @ v is rounded to units of the smallest subnormal, not relatively
+    assert best >= sampled - 1e-12 * float(np.abs(v).max()) - 10 * math.ulp(0.0)
+    if not np.any(v[1:]):
+        assert t == 0.0
+
+
+@pytest.mark.parametrize("state", _oracle_cases())
+def test_no_single_angle_gains_at_the_returned_settings(state):
+    """Each angle's exact best response, the other three held, gains at most 1e-12."""
+    coeffs = _correlator_coefficients(state)
+    chosen, _ = optimize_angles(state)
+    b_xi, b_xip, b_eta, b_etap = _harmonics(chosen.as_radians())
+    forms = (
+        coeffs @ (b_eta + b_etap),
+        coeffs @ (b_eta - b_etap),
+        coeffs.T @ (b_xi + b_xip),
+        coeffs.T @ (b_xi - b_xip),
+    )
+    for angle, v in zip(chosen.as_radians(), forms):
+        gain = float(_harmonics(_best_angle(v)) @ v) - float(_harmonics(angle) @ v)
+        assert gain <= 1e-12

@@ -70,6 +70,24 @@ def test_mode_unitary_with_a_string_entry_raises_input_error():
             apply_mode_unitary(basis_state((1, 0, 0, 0)), (MODE_A0, MODE_A1), u)
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        ((math.nan, 0), (0, 1)),
+        ((1, 0), (0, complex(math.nan, 0))),
+        ((math.inf, 0), (0, 1)),
+        ((1, 0), (0, np.float64(-math.inf))),
+        ((np.nan, 0.0), (0.0, 1.0)),
+    ],
+    ids=["nan", "complex-nan", "inf", "numpy-inf", "float-nan"],
+)
+def test_mode_unitary_with_a_non_finite_entry_raises_input_error(u):
+    """A NaN compares false with the tolerance, so the unitarity test alone let it through."""
+    for state in (vacuum(), basis_state((1, 0, 0, 0))):
+        with pytest.raises(InputError, match=r"must hold finite numbers, got \(\("):
+            apply_mode_unitary(state, (MODE_A0, MODE_A1), u)
+
+
 def _dense_oracle(u: np.ndarray, state: StateVector) -> dict:
     """Independent path: exponentiate the quadratic generator on a dense basis.
 
