@@ -4,9 +4,10 @@ The package builds the two-photon state behind a waveplate-plus-beamsplitter
 layout, computes the full six-outcome joint statistics at both detection
 stations (keeping the bins where both photons end up on one side, and the
 empty bins), evaluates the modified CHSH functional over that full pattern,
-decides by linear programming whether the pattern admits any local hidden
-variable model, and simulates the time-binned counting protocol that makes
-the whole scheme work without an event-ready source.
+decides by CHSH liftings and non-negative least squares whether the pattern
+admits any local hidden variable model, and simulates the time-binned
+counting protocol that makes the whole scheme work without an event-ready
+source.
 """
 
 __version__ = "0.1.0"

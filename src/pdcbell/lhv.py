@@ -4,36 +4,37 @@ A local model assigns each hidden variable value a deterministic outcome
 per station per setting; the achievable correlation patterns form the
 convex hull of the 6^2 * 6^2 = 1296 deterministic strategies.  Membership
 in that polytope of a Behavior, four observed tables in the (xi,eta),
-(xi,eta'), (xi',eta), (xi',eta') pattern, is decided in two steps, and an
-infeasibility verdict never rests on solver internals: a BellCertificate
-enumerates its own local bound over all 1296 strategies when it is built.
+(xi,eta'), (xi',eta), (xi',eta') pattern, is decided in four exact steps,
+and an infeasibility verdict never rests on solver internals: a
+BellCertificate enumerates its own local bound over all 1296 strategies
+when it is built.
 
-First the facet step: the best of the eight CHSH relabelings (the minus
-sign on each setting pair, times an overall sign) is evaluated on them.  It
-settles the tables as infeasible when its gap exceeds the L1 distance of
-the tables from their clipped, renormalized version (the slack a validated
-but slightly unnormalized input carries) by more than the rounding
-allowance _FACET_GAP_TOL.  The optimal tables and their vacuum-diluted
-versions, whose gap is (sqrt 2 - 1) p_pair, are settled here down to
-p_pair of about 2.5e-12, where that gap meets the allowance.  Below this
-floor the fit below decides, and finds an exact local model for them.
+1. The best of the eight CHSH relabelings (the minus sign on each setting
+   pair, times an overall sign).  It settles the tables as infeasible when
+   its gap exceeds the L1 distance of the tables from their clipped,
+   renormalized version (the slack a validated but slightly unnormalized
+   input carries) by more than the rounding allowance _FACET_GAP_TOL.  The
+   optimal tables diluted to p_pair, gap (sqrt 2 - 1) p_pair, are settled
+   here down to p_pair of about 2.5e-12, where that gap meets the allowance.
+2. Non-negative least squares (NNLS; Lawson & Hanson, Solving Least Squares
+   Problems, 1974) of the clipped, renormalized tables.  A strategy of
+   weight w adds w to each of its four cells, so an exact model weighs only
+   strategies whose cells are all non-zero (27 of 1296 on the optimal
+   tables, 37 diluted, 119 under per-photon loss).  NNLS over those, on the
+   non-zero cells and the sum row, is accepted only at rounding level per cell.
+3. The best CHSH lifting, CHSH on any +-1 grouping of the six outcomes per
+   station and setting, with local bound 2 (Pironio, J. Math. Phys. 46,
+   062112 (2005)), under step 1's rule.  Its maximum does not change when a
+   station's outcomes are relabelled, so relabelled tables keep their gap.
+4. NNLS over all 1296 strategies and 144 cells.  A fit within
+   RECONSTRUCTION_TOL per cell is a model; otherwise its residual is a
+   separating functional, by the KKT conditions.  A verified certificate
+   from step 3 thus outranks that tolerance.
 
-Everything else is fitted by a strategy mixture of the clipped,
-renormalized tables.  A strategy of weight w adds w to each of its four
-cells, so an exact model weighs only strategies whose cells are all
-non-zero in the targets (27 of 1296 on the optimal tables, 37 diluted, 119
-under per-photon loss).  The exact step fits those first by non-negative
-least squares (Lawson & Hanson, Solving Least Squares Problems, 1974) on
-the non-zero cells and the sum row, and accepts the fit only at rounding
-level per cell: a model there is a full one, but one exact mixture, not a
-canonical one.  A miss goes to a phase-one linear program over all 1296
-strategies and 144 cells, through linprog: minimize the L1 mismatch.  Zero
-mismatch is an explicit model; positive mismatch means separation, and the
-LP dual is the separating Bell functional, so only this solve yields
-certificates.  Each matrix, the reconstruction check and synthesized
-tables come from one description of the polytope, the four cells each
-strategy hits.  Only these two solves import scipy.  All inputs and
-outputs are immutable.
+A model is one exact mixture, not a canonical one.  Each matrix, the
+reconstruction check and synthesized tables come from one description of
+the polytope, the four cells each strategy hits.  Only the fits import
+scipy.  All inputs and outputs are immutable.
 """
 
 from __future__ import annotations
@@ -44,24 +45,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import SIGN_TABLE, Behavior, ChshSettings
+from .bell import CHSH_SIGNS, SIGN_TABLE, Behavior, ChshSettings
 from .errors import InputError, ModelError, shown
 from .measurement import JointDistribution, axis_distance, closed_object, finite_floats, number
 
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use.
-
-    scipy.optimize takes most of the package's import time, and only the
-    LP needs it, so commands that never decide feasibility do not pay it.
-    """
+    """scipy.optimize.linprog, imported on first use.  No verdict calls it: it stays because
+    the tests' LP oracle calls it and ``perfbench/workloads.py::_patch_program`` reads
+    ``vars(lhv)["linprog"]``."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
 
 
 def nnls(*args, **kwargs):
-    """scipy.optimize.nnls, imported on first use as linprog is; it fits the supported strategies."""
+    """scipy.optimize.nnls, imported on first use: scipy.optimize takes most of the
+    package's import time, so commands that never fit tables do not pay it."""
     from scipy.optimize import nnls as scipy_nnls
 
     return scipy_nnls(*args, **kwargs)
@@ -114,19 +114,6 @@ def _cell_probs(weights: np.ndarray) -> np.ndarray:
     return np.bincount(
         _strategy_cells().reshape(-1), weights=np.tile(weights, 4), minlength=4 * N_OUTCOMES**2
     )
-
-
-def _phase_one_csc():
-    """Phase-one equality CSC: each strategy's four cells and the sum row, then
-    slack +1 and -1 per cell."""
-    from scipy.sparse import csc_array
-
-    n, m = N_STRATEGIES, 4 * N_OUTCOMES**2
-    cells = np.vstack([_strategy_cells(), np.full((1, n), m)]).astype(np.int32)
-    indices = np.concatenate([cells.T.reshape(-1), np.tile(np.arange(m, dtype=np.int32), 2)])
-    starts = np.append(np.arange(0, 5 * n, 5), np.arange(5 * n, 5 * n + 2 * m + 1)).astype(np.int32)
-    data = np.append(np.ones(5 * n + m), np.full(m, -1.0))
-    return csc_array((data, indices, starts), shape=(m + 1, n + 2 * m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,87 +200,92 @@ def _certificate(coefficients: np.ndarray, stacked: np.ndarray) -> BellCertifica
     return BellCertificate(coefficients, float(np.sum(coefficients * stacked)))
 
 
-def _facet_verdict(stacked: np.ndarray, normalized: np.ndarray) -> Infeasible | None:
-    """Infeasible when the best CHSH relabeling certifies it exactly, else None.
-
-    Every local table set lies at least ``gap`` from ``stacked`` in summed
-    L1 distance (the coefficients are +-1), so a gap above the slack of
-    the clipped, renormalized tables plus _FACET_GAP_TOL cannot come from a
-    local model that is off only by the normalization a JointDistribution admits.
-    """
+def _best_relabeling(stacked: np.ndarray) -> np.ndarray:
+    """The coefficients of the CHSH relabeling with the largest value on ``stacked``."""
     correlators = (stacked * SIGN_TABLE).sum(axis=(1, 2))
     pattern = _CHSH_PATTERNS[int(np.argmax(_CHSH_PATTERNS @ correlators))]
-    certificate = _certificate(pattern[:, None, None] * SIGN_TABLE, stacked)
+    return pattern[:, None, None] * SIGN_TABLE
+
+
+def _best_lifting(stacked: np.ndarray) -> np.ndarray:
+    """The coefficients of the CHSH lifting with the largest value on ``stacked``.
+
+    A lifting is CHSH_SIGNS on a +-1 grouping of the six outcomes per
+    station and setting; regrouping moves the minus sign too, so this one
+    sign pattern covers the eight relabelings.  Bob's 64 x 64 groupings are
+    enumerated, and Alice's best grouping per setting is then the sign of a
+    6-vector, +1 where it is 0.
+    """
+    groupings = 1.0 - 2.0 * np.indices((2,) * N_OUTCOMES).reshape(N_OUTCOMES, -1)
+    signs = np.array(CHSH_SIGNS)[:, None, None]
+    contracted = signs * (stacked @ groupings)
+    # [setting x, outcome i, eta grouping, eta' grouping]
+    alice = contracted[0::2, :, :, None] + contracted[1::2, :, None, :]
+    best = list(np.unravel_index(np.argmax(np.abs(alice).sum(axis=(0, 1))), alice.shape[2:]))
+    a = np.where(alice[:, :, best[0], best[1]] >= 0.0, 1.0, -1.0)
+    b = groupings[:, best].T
+    return signs * (a[:, None, :, None] * b[None, :, None, :]).reshape(4, N_OUTCOMES, N_OUTCOMES)
+
+
+def _facet_verdict(
+    stacked: np.ndarray, normalized: np.ndarray, best=_best_relabeling
+) -> Infeasible | None:
+    """Infeasible when the ``best`` CHSH lifting certifies it exactly, else None.
+
+    Every lifting has local bound 2 (Pironio, J. Math. Phys. 46, 062112
+    (2005)), and every local table set lies at least ``gap`` from
+    ``stacked`` in summed L1 distance (the coefficients are +-1), so a gap
+    above the slack of the clipped, renormalized tables plus _FACET_GAP_TOL
+    cannot come from a local model that is off only by the normalization a
+    JointDistribution admits.
+    """
+    certificate = _certificate(best(stacked), stacked)
     slack = float(np.abs(stacked - normalized).sum())
     if certificate.gap > slack + _FACET_GAP_TOL:
         return Infeasible(certificate)
     return None
 
 
-def _mixture(weights: np.ndarray, b_cells: np.ndarray) -> tuple[np.ndarray, float]:
-    """``weights`` clipped and renormalized, and their largest per-cell miss of ``b_cells``."""
-    weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    return weights, float(np.abs(_cell_probs(weights) - b_cells).max())
+def _fit(
+    b_cells: np.ndarray, rows: np.ndarray, strategies: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """NNLS of [cells; 1] w = [b; 1], w >= 0, over ``strategies`` on the ``rows`` cells.
 
-
-def _supported_fit(b_cells: np.ndarray, strategies: np.ndarray) -> Feasible | None:
-    """An exact mixture of the supported ``strategies``, else None.
-
-    NNLS solves [cells; 1] w = [b; 1], w >= 0, on the dense 0/1 matrix of
-    the non-zero cells' rows and the sum row; no supported strategy touches
-    a zero cell.  The fit counts only when it misses no cell by more than
-    _EXACT_FIT_TOL; an NNLS stopped at its iteration limit is a miss.
+    The matrix is dense 0/1, the rows of those cells and the sum row; no
+    strategy given may hit a cell outside ``rows``.  Returns the weights
+    clipped and renormalized, their largest per-cell miss of ``b_cells``, and
+    the residual [b; 1] - [cells; 1] w; None when NNLS stops at its
+    iteration limit.
     """
-    rows = np.flatnonzero(b_cells)
     a = np.zeros((len(rows) + 1, len(strategies)))
     a[np.searchsorted(rows, _strategy_cells()[:, strategies]), np.arange(len(strategies))] = 1.0
     a[-1] = 1.0
+    target = np.append(b_cells[rows], 1.0)
     try:
-        x, _ = nnls(a, np.append(b_cells[rows], 1.0))
+        x, _ = nnls(a, target)
     except RuntimeError:  # iteration limit
         return None
     weights = np.zeros(N_STRATEGIES)
-    weights[strategies] = x
-    weights, error = _mixture(weights, b_cells)
-    return Feasible(LhvModel(weights), error) if error <= _EXACT_FIT_TOL else None
-
-
-def _phase_one(b_cells: np.ndarray):
-    """The phase-one LP over all 1296 strategies and 144 cells, through linprog.
-
-    Its matrix is built per solve from the cells each strategy hits.
-    Returns the result, the clipped, renormalized weights and their largest
-    per-cell miss of ``b_cells``.
-    """
-    cost = np.concatenate([np.zeros(N_STRATEGIES), np.ones(2 * len(b_cells))])
-    b = np.append(b_cells, 1.0)
-    result = linprog(cost, A_eq=_phase_one_csc(), b_eq=b, bounds=(0, None), method="highs")
-    if not result.success:  # pragma: no cover - phase-one LP is always feasible
-        raise ModelError(f"LP solver failed: {result.message}")
-    return (result, *_mixture(result.x[:N_STRATEGIES], b_cells))
+    weights[strategies] = np.clip(x, 0.0, None)
+    weights /= weights.sum()
+    return weights, float(np.abs(_cell_probs(weights) - b_cells).max()), target - a @ x
 
 
 def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     """Decide whether four tables admit any local-hidden-variable model.
 
-    The facet step runs first: when the best of the eight CHSH relabelings
-    exceeds its enumerated local bound (2) by more than the tables' L1
-    normalization slack plus _FACET_GAP_TOL, the verdict is Infeasible with
-    that CHSH certificate, and nothing is fitted.  Otherwise the fit decides:
-    for local tables, and for CHSH-violating tables too close to the facet,
-    such as the optimal tables diluted below p_pair 2.5e-12 (see the
-    module docstring).
-
-    The fit is to the clipped, renormalized tables, since a strategy mixture
-    sums to 1 on every table: NNLS over the supported strategies and the
-    non-zero cells, accepted at rounding level per cell, then the phase-one
-    LP over everything through linprog if that misses.  Feasible returns one
-    exact mixture, not a canonical one, reproducing the targets to
-    RECONSTRUCTION_TOL per cell.  Infeasible from the LP returns a Bell
-    functional with a strictly positive, enumeration-verified gap on the
-    tables as given, scaled to max-abs coefficient 1.  ``tables`` is a Behavior,
-    or four tables made one by ``Behavior.of``, which refuses them off its pattern.
+    The four steps of the module docstring run in turn, and the first that
+    decides returns.  The relabelings and the liftings call the tables
+    Infeasible when their gap exceeds the L1 normalization slack plus
+    _FACET_GAP_TOL.  The fits are to the clipped, renormalized tables,
+    since a strategy mixture sums to 1 on every table.  Feasible returns one
+    exact mixture, reproducing the targets to _EXACT_FIT_TOL per cell from
+    the supported fit, or to RECONSTRUCTION_TOL from the full one.
+    Infeasible returns a Bell functional with a strictly positive,
+    enumeration-verified gap on the tables as given: a CHSH lifting, or the
+    full fit's residual on the cells scaled to max-abs coefficient 1.
+    ``tables`` is a Behavior, or four tables made one by ``Behavior.of``,
+    which refuses them off its pattern.
     """
     stacked = Behavior.of(tables).probs
     clipped = np.clip(stacked, 0.0, None)
@@ -303,22 +295,24 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
         return facet
     b_cells = normalized.reshape(-1)
     supported = np.flatnonzero((b_cells[_strategy_cells()] > 0).all(axis=0))
-    fit = _supported_fit(b_cells, supported) if 0 < len(supported) < N_STRATEGIES else None
-    if fit is not None:
-        return fit
-    result, weights, error = _phase_one(b_cells)
+    if 0 < len(supported) < N_STRATEGIES:
+        fit = _fit(b_cells, np.flatnonzero(b_cells), supported)
+        if fit is not None and fit[1] <= _EXACT_FIT_TOL:
+            return Feasible(LhvModel(fit[0]), fit[1])
+    lifting = _facet_verdict(stacked, normalized, _best_lifting)
+    if lifting is not None:
+        return lifting
+    fit = _fit(b_cells, np.arange(len(b_cells)), np.arange(N_STRATEGIES))
+    if fit is None:
+        raise ModelError("NNLS over all strategies stopped at its iteration limit")
+    weights, error, residual = fit
     if error <= RECONSTRUCTION_TOL:
         return Feasible(LhvModel(weights), error)
-
-    dual = np.asarray(result.eqlin.marginals[:-1], dtype=float)
-    scale = np.abs(dual).max()
-    # Max-abs scaling to 1 also lands CHSH-shaped functionals on their
-    # conventional local bound of 2; an all-zero dual separates nothing.
-    for candidate in (dual, -dual) if scale > 0.0 else ():
-        certificate = _certificate((candidate / scale).reshape(4, N_OUTCOMES, N_OUTCOMES), stacked)
-        if certificate.gap > 0.0:
-            return Infeasible(certificate)
-    raise ModelError("LP reported mismatch but no verifiable separating functional was found")
+    cells = residual[:-1] / np.abs(residual[:-1]).max()
+    certificate = _certificate(cells.reshape(stacked.shape), stacked)
+    if certificate.gap > 0.0:
+        return Infeasible(certificate)
+    raise ModelError("NNLS missed the tables but its residual separates nothing")
 
 
 def synthesize_tables(model: LhvModel, settings: ChshSettings) -> Behavior:
@@ -335,7 +329,7 @@ def verify_certificate(
 
     ``tables`` is a Behavior, or four tables on its pattern (``Behavior.of``).
     Its local bound is enumerated afresh over the 1296 strategies, never
-    taken from an LP output, and its gap is its value on ``tables`` minus
+    taken from a solver, and its gap is its value on ``tables`` minus
     that bound.
     """
     return _certificate(cert.coefficients, Behavior.of(tables).probs)

@@ -12,6 +12,7 @@ from pdcbell.fock import PHYSICS_TOL, STATION_LABELS, StateVector
 from pdcbell.lhv import BellCertificate
 from pdcbell.measurement import (
     FAVORABLE_MASK,
+    JointDistribution,
     OutcomeClass,
     classify_occupation,
     outcome_occupation,
@@ -119,6 +120,14 @@ def chsh_certificate(tables) -> BellCertificate:
     coefficients = np.stack([s * SIGN_TABLE for s in CHSH_SIGNS])
     stacked = np.stack([t.probs for t in tables])
     return BellCertificate(coefficients, float(np.sum(coefficients * stacked)))
+
+
+def outcome_swapped(tables):
+    """Station-1 outcomes 1 and 2 swapped in both xi tables."""
+    return [
+        JointDistribution(t.xi, t.eta, t.probs[[1, 0, 2, 3, 4, 5]]) if pair < 2 else t
+        for pair, t in enumerate(tables)
+    ]
 
 
 def event_log(setting1, setting2, outcome1, outcome2) -> EventLog:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import chsh_certificate
+from conftest import chsh_certificate, outcome_swapped
 
 import pdcbell
 from pdcbell import cli, lhv, montecarlo
@@ -145,8 +145,8 @@ def test_optimize_command(capsys):
 
 
 #: SHA-256 of the exact stdout of each command, frozen before any refactor of
-#: the library: a change that moves any printed digit fails here.  LP-path
-#: verdicts are left out, since they depend on the HiGHS build.
+#: the library: a change that moves any printed digit fails here.  Models
+#: from a fit are left out, since they depend on scipy's NNLS build.
 GOLDEN_STDOUT = [
     (("state",), "a68876f3bc595275ad5aa395c0a9940d08a20017baaecb2f28ce63c675b1fe1e"),
     (
@@ -183,6 +183,10 @@ GOLDEN_STDOUT = [
 #: The same for ``lhv-check`` on the quantum tables (settled by the facet step).
 GOLDEN_LHV_CHECK = "1bff21a56387e0b5c6a19cc8243475caf491544abc8bed66f77dddc7cb3d01e1"
 
+#: The same on the outcome-swapped quantum tables, whose certificate is an
+#: integer +-1 CHSH lifting, so no solver build moves a digit of it.
+GOLDEN_LHV_CHECK_SWAPPED = "7131117925005946354233d2cc278e89c6a1674f0b18d1867dd8e3605f476b18"
+
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _ in GOLDEN_STDOUT])
 def test_golden_stdout(capsys, argv, digest):
@@ -195,6 +199,15 @@ def test_golden_lhv_check_stdout(tmp_path, capsys, quantum_tables):
     path.write_text(json.dumps(tables_to_json_dict(quantum_tables)))
     assert run_cli("lhv-check", "--input", str(path)) == 3
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_LHV_CHECK
+
+
+def test_golden_lhv_check_swapped_stdout(tmp_path, capsys, quantum_tables):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables_to_json_dict(outcome_swapped(quantum_tables))))
+    assert run_cli("lhv-check", "--input", str(path)) == 3
+    out = capsys.readouterr().out
+    assert set(json.loads(out)["certificate"]["coefficients"]) == {-1.0, 1.0}
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LHV_CHECK_SWAPPED
 
 
 def test_lhv_check_quantum_tables(tmp_path, capsys, quantum_tables):
