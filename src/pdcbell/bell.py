@@ -339,7 +339,8 @@ def optimize_angles(state: StateVector) -> tuple[ChshSettings, float]:
     polynomial.  At fixed eta, eta' the CHSH value is b(xi) @ C (b(eta) +
     b(eta')) + b(xi') @ C (b(eta) - b(eta')), so each half-step sets both
     angles of one station to their exact best responses (_best_angle), and
-    is taken only when it gains more than 1e-12.  The returned value comes
+    is taken only when it gains more than 1e-12; sweeps of both half-steps
+    repeat until one gains no more than that.  The returned value comes
     from the joint-distribution tables at the final settings.
     """
     grid = np.arange(GRID_POINTS) * (math.pi / GRID_POINTS)
@@ -351,8 +352,8 @@ def optimize_angles(state: StateVector) -> tuple[ChshSettings, float]:
         b_xi, b_xip, b_eta, b_etap = _harmonics(trial)
         return float(b_xi @ coeffs @ (b_eta + b_etap) + b_xip @ coeffs @ (b_eta - b_etap))
 
-    best = chsh_poly(angles)
-    for _ in range(50):
+    best, improved = chsh_poly(angles), -math.inf
+    while best - improved >= _VALUE_TOL:
         improved = best
         for k, matrix in ((0, coeffs), (2, coeffs.T)):
             b1, b2 = _harmonics(angles[2 - k : 4 - k])
@@ -361,8 +362,6 @@ def optimize_angles(state: StateVector) -> tuple[ChshSettings, float]:
             value = chsh_poly(trial)
             if value > best + _VALUE_TOL:
                 best, angles = value, trial
-        if best - improved < _VALUE_TOL:
-            break
 
     settings = ChshSettings.from_radians(*angles)
     return settings, chsh_from_tables(Behavior.at(state, settings)).total

@@ -4,32 +4,31 @@ A local model assigns each hidden variable value a deterministic outcome
 per station per setting; the achievable correlation patterns form the
 convex hull of the 6^2 * 6^2 = 1296 deterministic strategies.  Membership
 in that polytope of a Behavior, four observed tables in the (xi,eta),
-(xi,eta'), (xi',eta), (xi',eta') pattern, is decided in four exact steps,
+(xi,eta'), (xi',eta), (xi',eta') pattern, is decided in three exact steps,
 and an infeasibility verdict never rests on solver internals: a
 BellCertificate enumerates its own local bound over all 1296 strategies
 when it is built.
 
-1. The best of the eight CHSH relabelings (the minus sign on each setting
-   pair, times an overall sign).  It settles the tables as infeasible when
-   its gap exceeds the L1 distance of the tables from their clipped,
-   renormalized version (the slack a validated but slightly unnormalized
-   input carries) by more than the rounding allowance _FACET_GAP_TOL.  The
-   optimal tables diluted to p_pair, gap (sqrt 2 - 1) p_pair, are settled
-   here down to p_pair of about 2.5e-12, where that gap meets the allowance.
+1. The best CHSH lifting, CHSH on any +-1 grouping of the six outcomes per
+   station and setting, with local bound 2 (Pironio, J. Math. Phys. 46,
+   062112 (2005)).  It covers the eight relabelings of the paper's CHSH, and
+   its maximum does not change when a station's outcomes are relabelled.
+   It settles the tables as infeasible when its gap exceeds the L1 distance
+   of the tables from their clipped, renormalized version (the slack a
+   validated but slightly unnormalized input carries) by more than the
+   rounding allowance _FACET_GAP_TOL.  The optimal tables diluted to
+   p_pair, relabelled or not, gap (sqrt 2 - 1) p_pair, are settled here
+   down to p_pair of about 2.5e-12, where that gap meets the allowance.
 2. Non-negative least squares (NNLS; Lawson & Hanson, Solving Least Squares
    Problems, 1974) of the clipped, renormalized tables.  A strategy of
    weight w adds w to each of its four cells, so an exact model weighs only
    strategies whose cells are all non-zero (27 of 1296 on the optimal
    tables, 37 diluted, 119 under per-photon loss).  NNLS over those, on the
    non-zero cells and the sum row, is accepted only at rounding level per cell.
-3. The best CHSH lifting, CHSH on any +-1 grouping of the six outcomes per
-   station and setting, with local bound 2 (Pironio, J. Math. Phys. 46,
-   062112 (2005)), under step 1's rule.  Its maximum does not change when a
-   station's outcomes are relabelled, so relabelled tables keep their gap.
-4. NNLS over all 1296 strategies and 144 cells.  A fit within
+3. NNLS over all 1296 strategies and 144 cells.  A fit within
    RECONSTRUCTION_TOL per cell is a model; otherwise its residual is a
    separating functional, by the KKT conditions.  A verified certificate
-   from step 3 thus outranks that tolerance.
+   from step 1 thus outranks that tolerance.
 
 A model is one exact mixture, not a canonical one.  Each matrix, the
 reconstruction check and synthesized tables come from one description of
@@ -86,13 +85,6 @@ _EXACT_FIT_TOL = 1e-12
 #: products of +-1 with probabilities adding up to 4, so its rounding error
 #: stays below 1e-13.
 _FACET_GAP_TOL = 1e-12
-
-#: The eight CHSH relabelings, in the fixed order the facet step breaks ties
-#: by: the minus sign on each of the four setting pairs, CHSH_SIGNS first,
-#: then the same four with the overall sign flipped.
-_CHSH_PATTERNS = np.array(
-    [sign * (1.0 - 2.0 * np.eye(4)[minus]) for sign in (1.0, -1.0) for minus in (3, 0, 1, 2)]
-)
 
 
 @lru_cache(maxsize=1)
@@ -200,11 +192,18 @@ def _certificate(coefficients: np.ndarray, stacked: np.ndarray) -> BellCertifica
     return BellCertificate(coefficients, float(np.sum(coefficients * stacked)))
 
 
-def _best_relabeling(stacked: np.ndarray) -> np.ndarray:
-    """The coefficients of the CHSH relabeling with the largest value on ``stacked``."""
-    correlators = (stacked * SIGN_TABLE).sum(axis=(1, 2))
-    pattern = _CHSH_PATTERNS[int(np.argmax(_CHSH_PATTERNS @ correlators))]
-    return pattern[:, None, None] * SIGN_TABLE
+@lru_cache(maxsize=1)
+def _bob_groupings() -> np.ndarray:
+    """Bob's pairs of groupings, +-1 flips of OUTCOME_VALUES, read-only (12, 2048).
+
+    Column 64 g + g' stacks flip g at eta, its outcome 1 held (flipping Bob's
+    and Alice's groupings keeps a lifting), over flip g' at eta'; column 0
+    is the paper's grouping.
+    """
+    flips = 1.0 - 2.0 * np.indices((2,) * N_OUTCOMES).reshape(N_OUTCOMES, -1)
+    pairs = np.vstack([np.repeat(flips[:, :32], 64, axis=1), np.tile(flips, 32)])
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _best_lifting(stacked: np.ndarray) -> np.ndarray:
@@ -212,25 +211,27 @@ def _best_lifting(stacked: np.ndarray) -> np.ndarray:
 
     A lifting is CHSH_SIGNS on a +-1 grouping of the six outcomes per
     station and setting; regrouping moves the minus sign too, so this one
-    sign pattern covers the eight relabelings.  Bob's 64 x 64 groupings are
-    enumerated, and Alice's best grouping per setting is then the sign of a
-    6-vector, +1 where it is 0.
+    sign pattern covers the eight relabelings.  Every pair of Bob's
+    groupings is scored (_bob_groupings), and Alice's best grouping per
+    setting is then the sign of a 6-vector.  Ties keep the paper's
+    grouping: the first Bob pair within _FACET_GAP_TOL of the best score
+    wins, and Alice keeps the paper's value of each outcome whose entry is
+    at least -_FACET_GAP_TOL.
     """
-    groupings = 1.0 - 2.0 * np.indices((2,) * N_OUTCOMES).reshape(N_OUTCOMES, -1)
-    signs = np.array(CHSH_SIGNS)[:, None, None]
-    contracted = signs * (stacked @ groupings)
-    # [setting x, outcome i, eta grouping, eta' grouping]
-    alice = contracted[0::2, :, :, None] + contracted[1::2, :, None, :]
-    best = list(np.unravel_index(np.argmax(np.abs(alice).sum(axis=(0, 1))), alice.shape[2:]))
-    a = np.where(alice[:, :, best[0], best[1]] >= 0.0, 1.0, -1.0)
-    b = groupings[:, best].T
-    return signs * (a[:, None, :, None] * b[None, :, None, :]).reshape(4, N_OUTCOMES, N_OUTCOMES)
+    signed = np.array(CHSH_SIGNS)[:, None, None] * SIGN_TABLE
+    # [(setting x, outcome i), (setting y, outcome j)], relative to the paper's values
+    relative = (signed * stacked).reshape(2, 2, 6, 6).transpose(0, 2, 1, 3).reshape(12, 12)
+    pairs = _bob_groupings()
+    alice = relative @ pairs
+    scores = np.ones(12) @ np.abs(alice, out=alice)
+    best = pairs[:, np.flatnonzero(scores >= scores.max() - _FACET_GAP_TOL)[0]]
+    a = np.where(relative @ best >= -_FACET_GAP_TOL, 1.0, -1.0).reshape(2, N_OUTCOMES)
+    b = best.reshape(2, N_OUTCOMES)
+    return signed * (a[:, None, :, None] * b[None, :, None, :]).reshape(4, N_OUTCOMES, N_OUTCOMES)
 
 
-def _facet_verdict(
-    stacked: np.ndarray, normalized: np.ndarray, best=_best_relabeling
-) -> Infeasible | None:
-    """Infeasible when the ``best`` CHSH lifting certifies it exactly, else None.
+def _facet_verdict(stacked: np.ndarray, normalized: np.ndarray) -> Infeasible | None:
+    """Infeasible when the best CHSH lifting certifies it exactly, else None.
 
     Every lifting has local bound 2 (Pironio, J. Math. Phys. 46, 062112
     (2005)), and every local table set lies at least ``gap`` from
@@ -239,7 +240,7 @@ def _facet_verdict(
     cannot come from a local model that is off only by the normalization a
     JointDistribution admits.
     """
-    certificate = _certificate(best(stacked), stacked)
+    certificate = _certificate(_best_lifting(stacked), stacked)
     slack = float(np.abs(stacked - normalized).sum())
     if certificate.gap > slack + _FACET_GAP_TOL:
         return Infeasible(certificate)
@@ -274,13 +275,13 @@ def _fit(
 def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     """Decide whether four tables admit any local-hidden-variable model.
 
-    The four steps of the module docstring run in turn, and the first that
-    decides returns.  The relabelings and the liftings call the tables
-    Infeasible when their gap exceeds the L1 normalization slack plus
-    _FACET_GAP_TOL.  The fits are to the clipped, renormalized tables,
-    since a strategy mixture sums to 1 on every table.  Feasible returns one
-    exact mixture, reproducing the targets to _EXACT_FIT_TOL per cell from
-    the supported fit, or to RECONSTRUCTION_TOL from the full one.
+    The three steps of the module docstring run in turn, and the first that
+    decides returns.  The best CHSH lifting calls the tables Infeasible when
+    its gap exceeds the L1 normalization slack plus _FACET_GAP_TOL.  The
+    fits are to the clipped, renormalized tables, since a strategy mixture
+    sums to 1 on every table.  Feasible returns one exact mixture,
+    reproducing the targets to _EXACT_FIT_TOL per cell from the supported
+    fit, or to RECONSTRUCTION_TOL from the full one.
     Infeasible returns a Bell functional with a strictly positive,
     enumeration-verified gap on the tables as given: a CHSH lifting, or the
     full fit's residual on the cells scaled to max-abs coefficient 1.
@@ -299,9 +300,6 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
         fit = _fit(b_cells, np.flatnonzero(b_cells), supported)
         if fit is not None and fit[1] <= _EXACT_FIT_TOL:
             return Feasible(LhvModel(fit[0]), fit[1])
-    lifting = _facet_verdict(stacked, normalized, _best_lifting)
-    if lifting is not None:
-        return lifting
     fit = _fit(b_cells, np.arange(len(b_cells)), np.arange(N_STRATEGIES))
     if fit is None:
         raise ModelError("NNLS over all strategies stopped at its iteration limit")

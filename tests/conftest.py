@@ -130,6 +130,14 @@ def outcome_swapped(tables):
     ]
 
 
+def outcome_swapped_chsh() -> np.ndarray:
+    """The CHSH coefficients with station-1 outcomes 1 and 2 swapped at xi, as outcome_swapped
+    swaps the tables: the best CHSH lifting on the outcome-swapped optimal tables."""
+    coefficients = np.stack([s * SIGN_TABLE for s in CHSH_SIGNS])
+    coefficients[:2] = coefficients[:2, [1, 0, 2, 3, 4, 5]]
+    return coefficients
+
+
 def event_log(setting1, setting2, outcome1, outcome2) -> EventLog:
     """An EventLog from its four columns: cell 36 * (2 s1 + s2) + 6 (o1 - 1) + o2 - 1 per bin."""
     s1, s2, o1, o2 = np.stack([setting1, setting2, outcome1, outcome2]).astype(np.int64)

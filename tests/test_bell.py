@@ -251,6 +251,11 @@ def _oracle_cases():
         ("vacuum", vacuum(STATION_LABELS)),
     ]
     cases += [(f"random-{k}", random_station_state(rng)) for k in range(3)]
+    # Two states of a seed-5 draw on which the seesaw climbs a ridge for more
+    # than 50 sweeps before it stops gaining.
+    ridge_rng = np.random.default_rng(5)
+    ridge = [random_station_state(ridge_rng) for _ in range(44)]
+    cases += [(f"ridge-{k}", ridge[k]) for k in (12, 43)]
     return [pytest.param(state, id=name) for name, state in cases]
 
 

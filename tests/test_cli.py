@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import chsh_certificate, outcome_swapped
+from conftest import chsh_certificate, outcome_swapped, outcome_swapped_chsh
 
 import pdcbell
 from pdcbell import cli, lhv, montecarlo
@@ -183,9 +183,9 @@ GOLDEN_STDOUT = [
 #: The same for ``lhv-check`` on the quantum tables (settled by the facet step).
 GOLDEN_LHV_CHECK = "1bff21a56387e0b5c6a19cc8243475caf491544abc8bed66f77dddc7cb3d01e1"
 
-#: The same on the outcome-swapped quantum tables, whose certificate is an
-#: integer +-1 CHSH lifting, so no solver build moves a digit of it.
-GOLDEN_LHV_CHECK_SWAPPED = "7131117925005946354233d2cc278e89c6a1674f0b18d1867dd8e3605f476b18"
+#: The same on the outcome-swapped quantum tables, whose certificate is the
+#: CHSH functional with those outcomes swapped back, found by the facet step.
+GOLDEN_LHV_CHECK_SWAPPED = "1d8d06aff67e09feed53e21a2e30100060dc7bcc6448a7390ea470758471023e"
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _ in GOLDEN_STDOUT])
@@ -206,7 +206,8 @@ def test_golden_lhv_check_swapped_stdout(tmp_path, capsys, quantum_tables):
     path.write_text(json.dumps(tables_to_json_dict(outcome_swapped(quantum_tables))))
     assert run_cli("lhv-check", "--input", str(path)) == 3
     out = capsys.readouterr().out
-    assert set(json.loads(out)["certificate"]["coefficients"]) == {-1.0, 1.0}
+    coefficients = json.loads(out)["certificate"]["coefficients"]
+    assert coefficients == [float(c) for c in outcome_swapped_chsh().reshape(-1)]
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LHV_CHECK_SWAPPED
 
 
@@ -836,17 +837,20 @@ def test_optimize_leaves_scipy_out():
     assert json.loads(result.stdout)["settings_rad"] == list(OPTIMAL_SETTINGS.as_radians())
 
 
-def test_lhv_check_nonlocal_tables_leave_scipy_out(tmp_path, quantum_tables):
+@pytest.mark.parametrize("swapped", [False, True], ids=["quantum", "outcome-swapped"])
+def test_lhv_check_nonlocal_tables_leave_scipy_out(tmp_path, quantum_tables, swapped):
+    # The facet step settles both, the swapped tables by a lifting that
+    # groups station-1 outcomes 1 and 2 back at xi, before any fit.
+    tables = outcome_swapped(quantum_tables) if swapped else quantum_tables
+    expected = outcome_swapped_chsh() if swapped else chsh_certificate(tables).coefficients
     path = tmp_path / "tables.json"
-    path.write_text(json.dumps(tables_to_json_dict(quantum_tables)))
+    path.write_text(json.dumps(tables_to_json_dict(tables)))
     result = _run_fresh(_RUN_MODULE, "lhv-check", "--input", str(path))
     report = json.loads(result.stderr.strip().splitlines()[-1])
     assert report == {"code": 3, "scipy": []}
     certificate = json.loads(result.stdout)["certificate"]
     assert certificate["local_bound"] == 2.0
-    assert certificate["coefficients"] == [
-        float(c) for c in chsh_certificate(quantum_tables).coefficients.reshape(-1)
-    ]
+    assert certificate["coefficients"] == [float(c) for c in expected.reshape(-1)]
 
 
 def test_lhv_check_local_tables_import_scipy_on_demand(tmp_path):

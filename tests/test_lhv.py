@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chsh_certificate, enumerate_strategies, outcome_swapped, thinned_table
+from conftest import (
+    chsh_certificate,
+    enumerate_strategies,
+    outcome_swapped,
+    outcome_swapped_chsh,
+    thinned_table,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -427,19 +433,21 @@ def assert_matches_pruned_oracle(verdict, tables):
 
 def test_lp_certifies_tables_the_facet_step_passes_on(quantum_tables):
     # Station-1 outcomes 1 and 2 swapped in both xi tables: the paper's CHSH
-    # drops to 1, so no CHSH relabeling settles them, yet they stay nonlocal.
-    # Their zero cells prune the fit, which misses, and the best CHSH
-    # lifting, the paper's grouping with those two outcomes regrouped at xi,
-    # supplies the certificate, with the LP oracle's flag.
+    # drops to 1, so none of its eight relabelings settles them, yet they
+    # stay nonlocal.  The facet step's best CHSH lifting, the paper's
+    # grouping with those two outcomes regrouped at xi, settles them before
+    # any fit, with the LP oracle's flag.
     swapped = outcome_swapped(quantum_tables)
     assert chsh_certificate(swapped).quantum_value == pytest.approx(1.0, abs=1e-12)
     stacked = stacked_probs(swapped)
     normalized = stacked / stacked.sum(axis=(1, 2), keepdims=True)
-    assert lhv._facet_verdict(stacked, normalized) is None
+    facet = lhv._facet_verdict(stacked, normalized)
+    assert isinstance(facet, Infeasible)
     verdict = lhv_feasible(swapped)
     assert isinstance(verdict, Infeasible)
     certificate = verdict.certificate
-    assert set(np.unique(certificate.coefficients)) == {-1.0, 1.0}
+    assert np.array_equal(certificate.coefficients, facet.certificate.coefficients)
+    assert np.array_equal(certificate.coefficients, outcome_swapped_chsh())
     assert certificate.local_bound == 2.0
     assert certificate.gap == pytest.approx(SQRT2 - 1, abs=1e-12)
     check = verify_certificate(certificate, swapped)
@@ -453,15 +461,14 @@ def diluted_tables(psi, p_pair):
     return [joint_distribution(state, xi, eta) for xi, eta in OPTIMAL_SETTINGS.setting_pairs()]
 
 
-@pytest.mark.parametrize("p_pair", [1e-5, 3e-6, 2e-6, 1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("p_pair", [1e-5, 3e-6, 2e-6, 1e-6, 1e-8, 1e-10, 1e-11])
 def test_swapped_diluted_tables_keep_their_gap(psi, p_pair):
     # The outcome-swapped tables, diluted: nonlocal with gap (sqrt 2 - 1) p_pair
-    # at every p_pair, which the best CHSH lifting finds.  At 2e-6 and 3e-6
-    # the supported strategies' least-squares fit already misses every cell
-    # by less than RECONSTRUCTION_TOL, and from 2e-6 down the fit over all
-    # strategies does too, so only the supported fit's rounding-level
-    # tolerance, and the lifting running before the full fit, keep these
-    # Infeasible.
+    # at every p_pair, which the best CHSH lifting finds, down to the facet
+    # floor.  From 2e-6 down the fit over all strategies misses every cell by
+    # less than RECONSTRUCTION_TOL, and at 1e-11 the supported fit misses by
+    # less than its rounding-level tolerance, so only the lifting running
+    # first keeps these Infeasible.
     tables = outcome_swapped(diluted_tables(psi, p_pair))
     verdict = lhv_feasible(tables)
     assert isinstance(verdict, Infeasible)
@@ -480,6 +487,9 @@ def test_dilution_sweep_infeasible_with_exact_gap(psi, p_pair):
     report = verify_certificate(verdict.certificate, tables)
     assert report.local_bound == 2.0
     assert report.gap == pytest.approx((SQRT2 - 1) * p_pair, abs=1e-12)
+    # Ties in the lifting search keep the paper's grouping.
+    paper = np.stack([s * SIGN_TABLE for s in CHSH_SIGNS])
+    assert np.array_equal(verdict.certificate.coefficients, paper)
 
 
 #: The 936 strategies on which the CHSH functional reaches its local bound 2.
@@ -500,8 +510,9 @@ def facet_saturating_tables(rng, support: int):
 @pytest.mark.parametrize("minus", range(4))
 def test_facet_step_finds_every_chsh_relabeling(sign, minus):
     # A PR box on outcomes 1 (value -1) and 2 (value +1) with correlators
-    # equal to one relabeling's signs: that relabeling reads 4, every other
-    # one at most 2, so its certificate must come back with gap 2.
+    # equal to one relabeling's signs: that relabeling reads 4, and every
+    # lifting at most 4, so the best lifting agrees with it on the occupied
+    # outcomes and comes back with gap 2.  Only its zero cells may differ.
     pattern = np.array([sign * (-1.0 if k == minus else 1.0) for k in range(4)])
     tables = []
     for (xi, eta), correlator in zip(OPTIMAL_SETTINGS.setting_pairs(), pattern):
@@ -514,7 +525,7 @@ def test_facet_step_finds_every_chsh_relabeling(sign, minus):
     verdict = lhv_feasible(tables)
     assert isinstance(verdict, Infeasible)
     expected = pattern[:, None, None] * SIGN_TABLE
-    assert np.array_equal(verdict.certificate.coefficients, expected)
+    assert np.array_equal(verdict.certificate.coefficients[:, :2, :2], expected[:, :2, :2])
     assert (verdict.certificate.local_bound, verdict.certificate.gap) == (2.0, 2.0)
 
 
@@ -640,16 +651,17 @@ def test_solver_sequence_and_dense_matrices(monkeypatch, quantum_tables):
     expected = []
     for tables, verdict_type in cases:
         assert isinstance(lhv_feasible(tables), verdict_type)
+        if verdict_type is Infeasible:
+            continue
         supported = supported_strategies(tables)
         if 0 < len(supported) < N_STRATEGIES:
             expected.append(("nnls", supported, kept_rows(tables)))
         if len(supported) == N_STRATEGIES:
             expected.append(("nnls", np.arange(N_STRATEGIES), np.arange(144)))
-    # supported fit, supported fit, full fit (every strategy supported), and
-    # the supported fit alone on the swapped tables, which a lifting settles
-    solvers = ["nnls", "nnls", "nnls", "nnls"]
+    # supported fit, supported fit, full fit (every strategy supported); a
+    # lifting settles the swapped and the signalling tables before any fit
+    solvers = ["nnls", "nnls", "nnls"]
     assert [solver for solver, _ in calls] == [solver for solver, _, _ in expected] == solvers
-    assert len(expected[3][1]) == 27
     dense = reference_a_eq()
     for (_, matrix), (_, strategies, rows) in zip(calls, expected):
         assert isinstance(matrix, np.ndarray)
@@ -768,17 +780,17 @@ def relabelled(tables, permutations, swap):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    p_pair=st.sampled_from((1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10)),
+    p_pair=st.sampled_from((1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11)),
     permutations=st.lists(st.permutations(range(6)), min_size=4, max_size=4),
     swap=st.booleans(),
 )
 def test_relabelled_optimal_tables_keep_their_gap(psi, quantum_tables, p_pair, permutations, swap):
     # Relabelling maps the local polytope onto itself, so the verdict and
-    # the enumerated gap (sqrt 2 - 1) p_pair stay.  Tables whose relabelling
-    # breaks the paper's grouping miss in the fit over their supported
-    # strategies, and the best CHSH lifting, whose maximum no relabelling
-    # changes, certifies them before the fit over all strategies, which
-    # from p_pair 1e-6 down would come within RECONSTRUCTION_TOL of them.
+    # the enumerated gap (sqrt 2 - 1) p_pair stay.  The best CHSH lifting,
+    # whose maximum no relabelling changes, certifies them before any fit:
+    # the fit over all strategies would come within RECONSTRUCTION_TOL of
+    # them from p_pair 1e-6 down, and at 1e-11 the supported fit within its
+    # rounding-level tolerance.
     tables = quantum_tables if p_pair == 1.0 else diluted_tables(psi, p_pair)
     tables = relabelled(tables, permutations, swap)
     verdict = lhv_feasible(tables)
