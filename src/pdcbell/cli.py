@@ -10,6 +10,12 @@ rejected to prevent unit mistakes.  Each input is checked by the value it
 builds (``PolarizerAngle``, ``ChshSettings.parse``, the JSON objects' closed
 keys).  Relative ``--out`` paths resolve under ``$PDCBELL_OUT_DIR`` when that
 variable is set.  A failed write, to ``--out`` or to stdout, exits 2.
+
+Each command loads only the layers it runs: the state, table, CHSH and
+angle-search layers are imported here, while ``lhv`` (only lhv-check needs
+it) and ``montecarlo`` (only simulate and analyze) are imported on first
+use.  ``lhv_feasible``, ``run_experiment`` and ``estimate_correlators`` are
+the first-use wrappers, module-level names that a tracer can patch here.
 """
 
 from __future__ import annotations
@@ -26,9 +32,7 @@ from . import __version__
 from .bell import ChshSettings, chsh_decomposition, optimize_angles
 from .errors import InputError, PdcBellError
 from .fock import StateVector, occupation_key
-from .lhv import lhv_feasible, tables_from_json_dict, verdict_to_json_dict
 from .measurement import PolarizerAngle, joint_distribution
-from .montecarlo import EventLog, RunConfig, estimate_correlators, run_experiment
 from .optics import PairAmplitude, attach_vacuum, build_experiment_state, split_by_locality
 
 EXIT_OK = 0
@@ -37,6 +41,33 @@ EXIT_INFEASIBLE = 3
 EXIT_INVARIANT = 4
 
 OUT_DIR_ENV = "PDCBELL_OUT_DIR"
+
+
+def lhv_feasible(*args, **kwargs):
+    """lhv.lhv_feasible, imported on first use, so only lhv-check loads the lhv layer.
+    A module-level name because ``perfbench/workloads.py::_patch_program`` reads
+    ``vars(cli)["lhv_feasible"]``."""
+    from .lhv import lhv_feasible as feasible
+
+    return feasible(*args, **kwargs)
+
+
+def run_experiment(*args, **kwargs):
+    """montecarlo.run_experiment, imported on first use, so only simulate and analyze load
+    the montecarlo layer.  A module-level name because
+    ``perfbench/workloads.py::_patch_program`` reads ``vars(cli)["run_experiment"]``."""
+    from .montecarlo import run_experiment as run
+
+    return run(*args, **kwargs)
+
+
+def estimate_correlators(*args, **kwargs):
+    """montecarlo.estimate_correlators, imported on first use (see ``run_experiment``).
+    A module-level name because ``perfbench/workloads.py::_patch_program`` reads
+    ``vars(cli)["estimate_correlators"]``."""
+    from .montecarlo import estimate_correlators as estimate
+
+    return estimate(*args, **kwargs)
 
 
 def parse_angle(text: str) -> PolarizerAngle:
@@ -147,6 +178,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_lhv_check(args: argparse.Namespace) -> int:
+    from .lhv import tables_from_json_dict, verdict_to_json_dict
+
     tables = tables_from_json_dict(_load_json(args.input))
     out = _checked_out(args.out)
     verdict = lhv_feasible(tables)
@@ -156,6 +189,8 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Check the config (its own seed too), apply ``--seed``, check ``--out``, run and write."""
+    from .montecarlo import RunConfig
+
     config = RunConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -165,6 +200,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .montecarlo import EventLog
+
     settings = args.settings
     if settings is not None:
         settings = ChshSettings.parse(settings.split(","), "--settings", parse_angle)

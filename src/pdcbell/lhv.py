@@ -118,8 +118,10 @@ class LhvModel:
         arr = finite_floats(self.weights, "strategy weights", (N_STRATEGIES,))
         if arr.min() < -BOUND_TOL:
             raise InputError(f"negative strategy weight {arr.min()}")
-        if abs(arr.sum() - 1.0) > BOUND_TOL:
-            raise InputError(f"weights sum to {arr.sum()}, not 1")
+        with np.errstate(over="ignore"):  # finite weights can sum to inf: an error, not a warning
+            total = arr.sum()
+        if abs(total - 1.0) > BOUND_TOL:
+            raise InputError(f"weights sum to {total}, not 1")
         arr = np.clip(arr, 0.0, None)
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)

@@ -112,7 +112,8 @@ class JointDistribution:
         if arr.min() < -PHYSICS_TOL:
             raise InputError(f"negative probability {arr.min()} in table")
         arr[np.abs(arr) < CLAMP_TOL] = 0.0
-        total = arr.sum()
+        with np.errstate(over="ignore"):  # finite cells can sum to inf: an error, not a warning
+            total = arr.sum()
         if abs(total - 1.0) > 1e-6:
             raise InputError(f"probability table sums to {total}, not 1")
         arr.flags.writeable = False

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -551,6 +552,43 @@ def test_package_exports_no_modules_or_removed_names():
     assert "lhv_feasible" in pdcbell.__all__ and "RunConfig" in pdcbell.__all__
 
 
+#: The package's exports, sorted; each is imported from its submodule on first access.
+PACKAGE_EXPORTS = [
+    "Behavior", "BellCertificate", "CHSH_SIGNS", "ChshResult", "ChshSettings", "EstimateReport",
+    "EventLog", "Feasible", "Infeasible", "InputError", "JointDistribution", "LhvModel", "ModeId",
+    "ModelError", "OPTIMAL_SETTINGS", "OutcomeClass", "PairAmplitude", "PdcBellError",
+    "PolarizerAngle", "RunConfig", "StateVector", "apply_beamsplitter", "apply_mode_unitary",
+    "apply_waveplate", "attach_vacuum", "build_experiment_state", "chsh_decomposition",
+    "chsh_from_tables", "chsh_operator_expectation", "classify_occupation", "estimate_correlators",
+    "inner_product", "joint_distribution", "lhv_feasible", "marginal", "optimize_angles",
+    "rotate_station_basis", "run_experiment", "source_state", "station_response",
+    "synthesize_tables", "verify_certificate",
+]
+
+
+def test_package_exports_resolve_to_their_submodules_objects():
+    assert pdcbell.__all__ == PACKAGE_EXPORTS
+    for name in pdcbell.__all__:
+        module = importlib.import_module(f"pdcbell.{pdcbell._MODULE_OF[name]}")
+        assert getattr(pdcbell, name) is vars(module)[name], name
+    submodules = {"bell", "errors", "fock", "lhv", "measurement", "montecarlo", "optics"}
+    assert set(pdcbell.__all__) | submodules <= set(dir(pdcbell))
+    with pytest.raises(AttributeError, match="module 'pdcbell' has no attribute 'no_such_name'"):
+        pdcbell.no_such_name
+
+
+def test_package_import_loads_no_submodule_until_one_is_used():
+    result = _run_fresh(
+        "import sys, pdcbell\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('pdcbell.'))\n"
+        "print(loaded())\n"
+        "print(pdcbell.lhv.__name__, pdcbell.lhv_feasible is pdcbell.lhv.lhv_feasible)\n"
+        "print('pdcbell.montecarlo' in loaded(), 'montecarlo' in dir(pdcbell))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "pdcbell.lhv True", "False True"]
+
+
 def test_analyze_vacuum_log(tmp_path, capsys):
     config = tmp_path / "run.json"
     _write_config(config, p_pair=0.0)
@@ -616,7 +654,7 @@ def test_analyze_bad_settings_exit_2_before_reading_the_log(tmp_path, capsys, mo
     def read_log(path):
         raise AssertionError("analyze read the log before checking --settings")
 
-    monkeypatch.setattr(cli.EventLog, "from_csv", read_log)
+    monkeypatch.setattr(montecarlo.EventLog, "from_csv", read_log)
     events = tmp_path / "events.csv"
     assert run_cli("analyze", "--input", str(events), "--settings", "1,2,3,4") == 2
     assert "needs an explicit 'deg' or 'rad' suffix" in capsys.readouterr().err
@@ -664,14 +702,14 @@ def test_out_dir_environment_variable(tmp_path, monkeypatch, capsys):
 
 
 #: Per command: its arguments besides --out, and the library call that must
-#: not run while --out cannot be written.
+#: not run while --out cannot be written, as it is patched under pdcbell.
 _WORK_AFTER_OUT = {
-    "optimize": ((), "optimize_angles"),
-    "table": (("--xi", "0deg", "--eta", "0deg"), "joint_distribution"),
-    "chsh": (("--settings", OPTIMAL_FLAG), "chsh_decomposition"),
-    "lhv-check": (("--input", "tables.json"), "lhv_feasible"),
-    "simulate": (("--config", "run.json"), "run_experiment"),
-    "analyze": (("--input", "events.csv"), "EventLog.from_csv"),
+    "optimize": ((), "cli.optimize_angles"),
+    "table": (("--xi", "0deg", "--eta", "0deg"), "cli.joint_distribution"),
+    "chsh": (("--settings", OPTIMAL_FLAG), "cli.chsh_decomposition"),
+    "lhv-check": (("--input", "tables.json"), "cli.lhv_feasible"),
+    "simulate": (("--config", "run.json"), "cli.run_experiment"),
+    "analyze": (("--input", "events.csv"), "montecarlo.EventLog.from_csv"),
 }
 
 
@@ -683,7 +721,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, quantum_tables, c
     def no_work(*_args, **_kwargs):
         raise AssertionError(f"{command} called {work} before checking --out")
 
-    monkeypatch.setattr(f"pdcbell.cli.{work}", no_work)
+    monkeypatch.setattr(f"pdcbell.{work}", no_work)
     (tmp_path / "tables.json").write_text(json.dumps(tables_to_json_dict(quantum_tables)))
     _write_config(tmp_path / "run.json")
     args = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in args]
@@ -721,7 +759,8 @@ def _stdout_command(tmp_path, quantum_tables, command):
     """``command``'s argv, with its input file written under ``tmp_path``."""
     (tmp_path / "tables.json").write_text(json.dumps(tables_to_json_dict(quantum_tables)))
     _write_config(tmp_path / "run.json")
-    assert run_cli("simulate", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "events.csv")) == 0
+    events = tmp_path / "events.csv"
+    assert run_cli("simulate", "--config", str(tmp_path / "run.json"), "--out", str(events)) == 0
     args = _STDOUT_COMMANDS[command]
     return [command, *(str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in args)]
 
@@ -865,3 +904,58 @@ def test_lhv_check_local_tables_import_scipy_on_demand(tmp_path):
     assert report["code"] == 0
     assert "scipy.optimize" in report["scipy"]
     assert json.loads(result.stdout)["feasible"] is True
+
+
+#: Appended to ``_RUN_MODULE``: the pdcbell modules the command loaded, as a last stderr line.
+_PRINT_LOADED = """
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("pdcbell."))), file=sys.stderr)
+"""
+
+
+#: Per command: its arguments, its exit code, and the layers it must not load.
+_LAYERS_LEFT_OUT = {
+    "optimize": ((), 0, {"pdcbell.lhv", "pdcbell.montecarlo"}),
+    "chsh": (("--settings", OPTIMAL_FLAG), 0, {"pdcbell.lhv", "pdcbell.montecarlo"}),
+    "lhv-check": (("--input", "tables.json"), 3, {"pdcbell.montecarlo"}),
+    "simulate": (("--config", "run.json", "--out", "new.csv"), 0, {"pdcbell.lhv"}),
+    "analyze": (("--input", "events.csv"), 0, {"pdcbell.lhv"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_LAYERS_LEFT_OUT))
+def test_command_loads_only_its_layers(tmp_path, quantum_tables, command):
+    args, code, left_out = _LAYERS_LEFT_OUT[command]
+    (tmp_path / "tables.json").write_text(json.dumps(tables_to_json_dict(quantum_tables)))
+    _write_config(tmp_path / "run.json")
+    events = tmp_path / "events.csv"
+    assert run_cli("simulate", "--config", str(tmp_path / "run.json"), "--out", str(events)) == 0
+    args = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in args]
+    result = _run_fresh(_RUN_MODULE + _PRINT_LOADED, command, *args)
+    *_, report, loaded = result.stderr.strip().splitlines()
+    assert json.loads(report) == {"code": code, "scipy": []}
+    loaded = set(json.loads(loaded))
+    assert {"pdcbell.bell", "pdcbell.cli"} <= loaded
+    assert not loaded & left_out
+
+
+def test_cli_import_loads_neither_lhv_nor_montecarlo():
+    result = _run_fresh(
+        "import json, sys, pdcbell.cli\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('pdcbell.')]))"
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert "pdcbell.bell" in loaded
+    assert "pdcbell.lhv" not in loaded and "pdcbell.montecarlo" not in loaded
+
+
+def test_lhv_check_cells_summing_to_inf_exit_2_without_a_warning(tmp_path, quantum_tables):
+    data = tables_to_json_dict(quantum_tables)
+    data["tables"][0]["probs"][:2] = [1e308, 1e308]  # finite, but their sum is not
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(data))
+    warnings_as_errors = "import warnings; warnings.simplefilter('error')\n"
+    result = _run_fresh(warnings_as_errors + _RUN_MODULE, "lhv-check", "--input", str(path))
+    *errors, report = result.stderr.strip().splitlines()
+    assert json.loads(report) == {"code": 2, "scipy": []}
+    assert errors == ["error: probability table sums to inf, not 1"]

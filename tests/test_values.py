@@ -7,6 +7,7 @@ so the value could hold what no constructor accepts (an event-log code of
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,20 @@ def test_array_fields_hold_only_finite_numbers(field, corrupt):
     make(valid)
     with pytest.raises(InputError):
         make(corrupt(valid))
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("probs", "probability table sums to inf, not 1"), ("weights", "weights sum to inf, not 1")],
+)
+def test_finite_entries_summing_to_inf_raise_no_warning(field, message):
+    valid, make = ARRAY_FIELDS[field]
+    huge = np.where(np.arange(valid.size).reshape(valid.shape) < 2, 1e308, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as caught:
+            make(huge)
+    assert str(caught.value) == message
 
 
 #: Values built with a plain number or tuple in a typed field, and the message naming that field.
