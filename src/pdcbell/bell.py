@@ -21,8 +21,9 @@ amplitude at a station is a polynomial of degree at most 2 in the cosine
 and sine of that station's analyzer angle, so every correlator is a
 trigonometric polynomial with harmonics {0, 2, 4} in each angle,
 E(xi, eta) = b(xi)^T C b(eta) with b(x) = (1, cos 2x, sin 2x, cos 4x,
-sin 4x).  Twenty-five Fock-space samples fix the 5x5 matrix C, and the
-whole search runs on that polynomial.
+sin 4x).  Each table cell has such a form, fitted to twenty-five
+joint_distribution tables; C weighs the cells by SIGN_TABLE, and the whole
+search runs on that polynomial.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, shown
-from .fock import PHYSICS_TOL, StateVector, inner_product
+from .fock import StateVector, inner_product
 from .measurement import (
     FAVORABLE_MASK,
     JointDistribution,
@@ -195,10 +196,12 @@ def chsh_from_tables(tables: Sequence[JointDistribution]) -> ChshResult:
     correlators = tuple(float(np.sum(w)) for w in weighted)
 
     fav_mass = float(np.mean([p[FAVORABLE_MASK].sum() for p in behavior.probs]))
-    fav_combo = sum(s * float(np.sum(w[FAVORABLE_MASK])) for s, w in zip(CHSH_SIGNS, weighted))
-    rest_combo = sum(s * float(np.sum(w[~FAVORABLE_MASK])) for s, w in zip(CHSH_SIGNS, weighted))
-    favorable_part = fav_combo / fav_mass if fav_mass > _EMPTY_BLOCK_TOL else 0.0
-    unfavorable_part = rest_combo / (1.0 - fav_mass) if 1.0 - fav_mass > _EMPTY_BLOCK_TOL else 0.0
+    favorable_part, unfavorable_part = (
+        sum(s * float(np.sum(w[mask])) for s, w in zip(CHSH_SIGNS, weighted)) / mass
+        if mass > _EMPTY_BLOCK_TOL
+        else 0.0
+        for mask, mass in ((FAVORABLE_MASK, fav_mass), (~FAVORABLE_MASK, 1.0 - fav_mass))
+    )
     return ChshResult(favorable_part, unfavorable_part, correlators, behavior.settings, fav_mass)
 
 
@@ -222,10 +225,7 @@ def pair_operator_expectation(state: StateVector, xi: PolarizerAngle, eta: Polar
         {occ: amp * _value_sign(occ) for occ, amp in rotated.terms.items()},
         rotated.spatial,
     )
-    value = inner_product(rotated, flipped)
-    if abs(value.imag) > PHYSICS_TOL:
-        raise InputError(f"operator expectation has non-real value {value}")
-    return value.real
+    return inner_product(rotated, flipped).real
 
 
 def chsh_operator_expectation(state: StateVector, settings: ChshSettings) -> float:
@@ -241,27 +241,20 @@ def chsh_decomposition(state: StateVector, settings: ChshSettings) -> ChshResult
     total is the weight-averaged sum of the parts; for the undiluted
     experiment state both weights are 1/2.
     """
-    favorable, unfavorable = split_by_locality(state)
-    w_fav = favorable.norm_squared()
-    w_unfav = unfavorable.norm_squared()
-    favorable_part = (
-        chsh_operator_expectation(favorable.normalize(), settings)
-        if w_fav > _EMPTY_BLOCK_TOL
-        else 0.0
-    )
-    unfavorable_part = (
-        chsh_operator_expectation(unfavorable.normalize(), settings)
-        if w_unfav > _EMPTY_BLOCK_TOL
-        else 0.0
+    blocks = split_by_locality(state)
+    weights = [block.norm_squared() for block in blocks]
+    favorable_part, unfavorable_part = (
+        chsh_operator_expectation(block.normalize(), settings) if weight > _EMPTY_BLOCK_TOL else 0.0
+        for block, weight in zip(blocks, weights)
     )
     correlators = tuple(pair_operator_expectation(state, x, e) for x, e in settings.setting_pairs())
-    return ChshResult(favorable_part, unfavorable_part, correlators, settings, w_fav)
+    return ChshResult(favorable_part, unfavorable_part, correlators, settings, weights[0])
 
 
 #: The coarse search grid has this many angles per analyzer, pi/GRID_POINTS apart.
 GRID_POINTS = 72
 
-#: Analyzer angles k*pi/5 at which the correlator is sampled to fit C.
+#: Analyzer angles k*pi/5 at which the tables are sampled to fit the cell form.
 _SAMPLE_ANGLES = np.arange(5) * (math.pi / 5)
 
 #: CHSH values closer than this count as equal: grid points this close to
@@ -295,20 +288,21 @@ def _best_angle(v: np.ndarray) -> float:
     return float(candidates[np.argmax(_harmonics(candidates) @ v)])
 
 
-def _correlator_coefficients(state: StateVector) -> np.ndarray:
-    """The 5x5 matrix C with E(xi, eta) = b(xi)^T C b(eta) for ``state``.
+def _cell_coefficients(state: StateVector) -> np.ndarray:
+    """The (5, 5, 6, 6) tensor C with P_kl(xi, eta) = b(xi)^T C[:, :, k, l] b(eta) for ``state``.
 
-    E is sampled in Fock space on the 5x5 grid of _SAMPLE_ANGLES, where the
-    harmonic basis b is invertible (five equally spaced axis angles).
+    Fitted to the joint_distribution tables on the 5x5 grid of _SAMPLE_ANGLES,
+    where the harmonic basis b is invertible (five equally spaced axis angles).
     """
-    samples = np.empty((5, 5))
-    for i, x in enumerate(_SAMPLE_ANGLES):
-        rot1 = rotate_station_basis(state, state.spatial[0], PolarizerAngle(x))
-        for j, e in enumerate(_SAMPLE_ANGLES):
-            rot = rotate_station_basis(rot1, state.spatial[1], PolarizerAngle(e))
-            samples[i, j] = sum(_value_sign(occ) * abs(amp) ** 2 for occ, amp in rot.terms.items())
+    angles = [PolarizerAngle(x) for x in _SAMPLE_ANGLES]
+    tables = np.array([[joint_distribution(state, x, e).probs for e in angles] for x in angles])
     basis_inv = np.linalg.inv(_harmonics(_SAMPLE_ANGLES))
-    return basis_inv @ samples @ basis_inv.T
+    return np.einsum("ia,abkl,jb->ijkl", basis_inv, tables, basis_inv)
+
+
+def _correlator_coefficients(state: StateVector) -> np.ndarray:
+    """The 5x5 matrix C with E(xi, eta) = b(xi)^T C b(eta): the cell form weighted by SIGN_TABLE."""
+    return np.tensordot(_cell_coefficients(state), SIGN_TABLE, 2)
 
 
 def _best_grid_indices(e_grid: np.ndarray) -> tuple[int, int, int, int]:

@@ -186,7 +186,11 @@ def _strategy_values(coefficients: np.ndarray) -> np.ndarray:
 def local_bound_by_enumeration(coefficients: np.ndarray) -> float:
     """Exact maximum over all 1296 strategies of a Bell functional, (4, 6, 6) finite numbers."""
     arr = finite_floats(coefficients, "coefficients", (4, N_OUTCOMES, N_OUTCOMES))
-    return float(_strategy_values(arr).max())
+    with np.errstate(over="ignore"):  # finite coefficients can sum to inf: an error, not a warning
+        bound = float(_strategy_values(arr).max())
+    if not np.isfinite(bound):
+        raise InputError(f"local bound of the coefficients is {bound}, not finite")
+    return bound
 
 
 def _certificate(coefficients: np.ndarray, stacked: np.ndarray) -> BellCertificate:

@@ -19,6 +19,7 @@ from pdcbell.bell import (
     chsh_operator_expectation,
     optimize_angles,
     _best_angle,
+    _cell_coefficients,
     _correlator_coefficients,
     _harmonics,
     _value_sign,
@@ -265,6 +266,11 @@ def test_harmonic_grid_matches_fock_grid(state):
     basis = _harmonics(grid)
     closed_form = basis @ _correlator_coefficients(state) @ basis.T
     assert np.abs(closed_form - fock_correlator_grid(state)).max() <= 1e-13
+    cells = _cell_coefficients(state)
+    for x, b_xi in zip(grid[::6], basis[::6]):
+        for e, b_eta in zip(grid[::6], basis[::6]):
+            table = joint_distribution(state, PolarizerAngle(x), PolarizerAngle(e)).probs
+            assert np.abs(np.einsum("a,abkl,b->kl", b_xi, cells, b_eta) - table).max() <= 1e-13
 
 
 def test_optimize_angles_experiment_state(psi):

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from pdcbell.lhv import (
     verify_certificate,
 )
 from pdcbell.measurement import JointDistribution, PolarizerAngle, joint_distribution
+from pdcbell.montecarlo import station_response
 from pdcbell.optics import PairAmplitude, attach_vacuum
 
 SQRT2 = math.sqrt(2.0)
@@ -222,6 +224,14 @@ def test_local_bound_enumeration_matches_chsh_structure():
 def test_enumeration_of_a_non_array_raises_input_error():
     with pytest.raises(InputError, match=r"coefficients must have shape \(4, 6, 6\), got \(\)"):
         local_bound_by_enumeration("x")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_certificate_whose_strategy_sums_overflow_raises_input_error_without_a_warning(sign):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="local bound of the coefficients is -?inf"):
+            BellCertificate(np.full((4, 6, 6), sign * 1e308), 1.0)
 
 
 def test_certificate_enumerates_its_local_bound():
@@ -798,3 +808,26 @@ def test_relabelled_optimal_tables_keep_their_gap(psi, quantum_tables, p_pair, p
     report = verify_certificate(verdict.certificate, tables)
     assert report.local_bound == verdict.certificate.local_bound
     assert report.gap == pytest.approx((SQRT2 - 1) * p_pair, abs=1e-12)
+
+
+def lossy_tables(tables, eff: float) -> list[JointDistribution]:
+    """Each table P through station_response(eff) at both stations: R P R^T."""
+    response = station_response(eff)
+    return [JointDistribution(t.xi, t.eta, response @ t.probs @ response.T) for t in tables]
+
+
+@pytest.mark.parametrize("eff", [0.5, 0.9, 0.95])
+def test_chsh_under_loss_in_closed_form(quantum_tables, eff):
+    """At OPTIMAL_SETTINGS a bin with exactly one photon lost adds nothing to CHSH, so it reads
+    eta^2 (1 + sqrt 2) + 2 (1 - eta)^2."""
+    value = chsh_from_tables(lossy_tables(quantum_tables, eff)).total
+    assert value == pytest.approx(eff**2 * (1 + SQRT2) + 2 * (1 - eff) ** 2, abs=1e-14)
+
+
+def test_lhv_verdict_flips_at_the_closed_form_detection_threshold(quantum_tables):
+    """CHSH(eta) = 2 at eta* = 4 / (3 + sqrt 2), where its slope is exactly 4."""
+    eta_star = 4 / (3 + SQRT2)
+    above = lhv_feasible(lossy_tables(quantum_tables, eta_star + 1e-6))
+    assert not above.feasible
+    assert above.certificate.gap == pytest.approx(4e-6, rel=1e-4)
+    assert lhv_feasible(lossy_tables(quantum_tables, eta_star - 1e-6)).feasible
