@@ -52,16 +52,17 @@ from .optics import split_by_locality
 #: Signs of the four setting pairs (xi,eta), (xi,eta'), (xi',eta), (xi',eta').
 CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
-#: Weight below which a favorable/unfavorable part is reported as 0 rather
-#: than divided out.
-_EMPTY_BLOCK_TOL = 1e-12
-
 #: Value of outcome code k at either station, at index k - 1.
 OUTCOME_VALUES = (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 #: Value product of the outcome pair (i, j) at [i - 1, j - 1]; read-only.
 SIGN_TABLE = np.outer(OUTCOME_VALUES, OUTCOME_VALUES)
 SIGN_TABLE.flags.writeable = False
+
+
+def rounding_bound(values) -> float:
+    """16 eps sum |x| over ``values``: the rounding error a decision between sums of them allows."""
+    return 16 * math.ulp(1.0) * float(np.abs(values).sum())
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def chsh_from_tables(tables: Sequence[JointDistribution]) -> ChshResult:
     fav_mass = float(np.mean([p[FAVORABLE_MASK].sum() for p in behavior.probs]))
     favorable_part, unfavorable_part = (
         sum(s * float(np.sum(w[mask])) for s, w in zip(CHSH_SIGNS, weighted)) / mass
-        if mass > _EMPTY_BLOCK_TOL
+        if mass > 0.0
         else 0.0
         for mask, mass in ((FAVORABLE_MASK, fav_mass), (~FAVORABLE_MASK, 1.0 - fav_mass))
     )
@@ -244,7 +245,7 @@ def chsh_decomposition(state: StateVector, settings: ChshSettings) -> ChshResult
     blocks = split_by_locality(state)
     weights = [block.norm_squared() for block in blocks]
     favorable_part, unfavorable_part = (
-        chsh_operator_expectation(block.normalize(), settings) if weight > _EMPTY_BLOCK_TOL else 0.0
+        chsh_operator_expectation(block.normalize(), settings) if weight > 0.0 else 0.0
         for block, weight in zip(blocks, weights)
     )
     correlators = tuple(pair_operator_expectation(state, x, e) for x, e in settings.setting_pairs())
@@ -256,11 +257,6 @@ GRID_POINTS = 72
 
 #: Analyzer angles k*pi/5 at which the tables are sampled to fit the cell form.
 _SAMPLE_ANGLES = np.arange(5) * (math.pi / 5)
-
-#: CHSH values closer than this count as equal: grid points this close to
-#: the maximum are tied, and a seesaw half-step must gain more than this, so
-#: rounding noise never moves the settings.
-_VALUE_TOL = 1e-12
 
 
 def _harmonics(angles) -> np.ndarray:
@@ -305,18 +301,18 @@ def _correlator_coefficients(state: StateVector) -> np.ndarray:
     return np.tensordot(_cell_coefficients(state), SIGN_TABLE, 2)
 
 
-def _best_grid_indices(e_grid: np.ndarray) -> tuple[int, int, int, int]:
+def _best_grid_indices(e_grid: np.ndarray, tol: float) -> tuple[int, int, int, int]:
     """Grid maximizer of E(xi,eta) + E(xi,eta') + E(xi',eta) - E(xi',eta').
 
     The combination splits into an eta part E(xi,.) + E(xi',.) and an eta'
     part E(xi,.) - E(xi',.), maximized independently for every (xi, xi').
-    Among values within _VALUE_TOL of the maximum the lexicographically
+    Among values within ``tol`` of the maximum the lexicographically
     smallest (xi, xi', eta, eta') index tuple wins.
     """
     eta_part = e_grid[:, None, :] + e_grid[None, :, :]
     etap_part = e_grid[:, None, :] - e_grid[None, :, :]
     pair_best = eta_part.max(axis=2) + etap_part.max(axis=2)
-    cutoff = pair_best.max() - _VALUE_TOL
+    cutoff = pair_best.max() - tol
     i_xi, i_xip = np.unravel_index(np.flatnonzero(pair_best >= cutoff)[0], pair_best.shape)
     combo = eta_part[i_xi, i_xip][:, None] + etap_part[i_xi, i_xip][None, :]
     i_eta, i_etap = np.unravel_index(np.flatnonzero(combo >= cutoff)[0], combo.shape)
@@ -328,33 +324,34 @@ def optimize_angles(state: StateVector) -> tuple[ChshSettings, float]:
 
     Coarse stage: all angle combinations on a pi/GRID_POINTS grid, from the
     correlator grid B C B^T of the harmonic form.  Among grid points whose
-    value lies within 1e-12 of the maximum, the lexicographically smallest
-    (xi, xi', eta, eta') index tuple wins.  Fine stage: a seesaw on the same
-    polynomial.  At fixed eta, eta' the CHSH value is b(xi) @ C (b(eta) +
-    b(eta')) + b(xi') @ C (b(eta) - b(eta')), so each half-step sets both
-    angles of one station to their exact best responses (_best_angle), and
-    is taken only when it gains more than 1e-12; sweeps of both half-steps
-    repeat until one gains no more than that.  The returned value comes
-    from the joint-distribution tables at the final settings.
+    value lies within rounding_bound(C) of the maximum, the lexicographically
+    smallest (xi, xi', eta, eta') index tuple wins.  Fine stage: a seesaw on
+    the same polynomial.  At fixed eta, eta' the CHSH value is b(xi) @ C
+    (b(eta) + b(eta')) + b(xi') @ C (b(eta) - b(eta')), so each half-step
+    sets both angles of one station to their exact best responses
+    (_best_angle), and is taken only when it gains more than that bound;
+    sweeps of both half-steps repeat until one gains no more.  The returned
+    value comes from the joint-distribution tables at the final settings.
     """
     grid = np.arange(GRID_POINTS) * (math.pi / GRID_POINTS)
     coeffs = _correlator_coefficients(state)
     basis = _harmonics(grid)
-    angles = [grid[k] for k in _best_grid_indices(basis @ coeffs @ basis.T)]
+    tol = rounding_bound(coeffs)
+    angles = [grid[k] for k in _best_grid_indices(basis @ coeffs @ basis.T, tol)]
 
     def chsh_poly(trial: Sequence[float]) -> float:
         b_xi, b_xip, b_eta, b_etap = _harmonics(trial)
         return float(b_xi @ coeffs @ (b_eta + b_etap) + b_xip @ coeffs @ (b_eta - b_etap))
 
     best, improved = chsh_poly(angles), -math.inf
-    while best - improved >= _VALUE_TOL:
+    while best - improved >= tol:
         improved = best
         for k, matrix in ((0, coeffs), (2, coeffs.T)):
             b1, b2 = _harmonics(angles[2 - k : 4 - k])
             trial = list(angles)
             trial[k : k + 2] = map(_best_angle, (matrix @ (b1 + b2), matrix @ (b1 - b2)))
             value = chsh_poly(trial)
-            if value > best + _VALUE_TOL:
+            if value > best + tol:
                 best, angles = value, trial
 
     settings = ChshSettings.from_radians(*angles)

@@ -13,12 +13,12 @@ when it is built.
    station and setting, with local bound 2 (Pironio, J. Math. Phys. 46,
    062112 (2005)).  It covers the eight relabelings of the paper's CHSH, and
    its maximum does not change when a station's outcomes are relabelled.
-   It settles the tables as infeasible when its gap exceeds the L1 distance
-   of the tables from their clipped, renormalized version (the slack a
-   validated but slightly unnormalized input carries) by more than the
-   rounding allowance _FACET_GAP_TOL.  The optimal tables diluted to
-   p_pair, relabelled or not, gap (sqrt 2 - 1) p_pair, are settled here
-   down to p_pair of about 2.5e-12, where that gap meets the allowance.
+   It settles the tables as infeasible when its gap, summed error-free,
+   exceeds their L1 distance from their clipped, renormalized version (the
+   slack a validated but slightly unnormalized input carries) by more than
+   their rounding bound.  The optimal tables diluted to p_pair, relabelled
+   or not, gap (sqrt 2 - 1) p_pair, are settled here down to p_pair of about
+   2e-13, set by CLAMP_TOL: below it their smallest cells are zeroed.
 2. Non-negative least squares (NNLS; Lawson & Hanson, Solving Least Squares
    Problems, 1974) of the clipped, renormalized tables.  A strategy of
    weight w adds w to each of its four cells, so an exact model weighs only
@@ -38,13 +38,14 @@ scipy.  All inputs and outputs are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .bell import CHSH_SIGNS, SIGN_TABLE, Behavior, ChshSettings
+from .bell import CHSH_SIGNS, SIGN_TABLE, Behavior, ChshSettings, rounding_bound
 from .errors import InputError, ModelError, shown
 from .measurement import JointDistribution, axis_distance, closed_object, finite_floats, number
 
@@ -80,11 +81,6 @@ BOUND_TOL = 1e-9
 #: diluted to p_pair 2e-6 its per-cell miss (0.0298 p on the outcome-swapped
 #: ones) falls below RECONSTRUCTION_TOL, which would call them local.
 _EXACT_FIT_TOL = 1e-12
-
-#: Rounding allowance on a facet gap.  The CHSH value is a sum of 144
-#: products of +-1 with probabilities adding up to 4, so its rounding error
-#: stays below 1e-13.
-_FACET_GAP_TOL = 1e-12
 
 
 @lru_cache(maxsize=1)
@@ -219,37 +215,43 @@ def _best_lifting(stacked: np.ndarray) -> np.ndarray:
     station and setting; regrouping moves the minus sign too, so this one
     sign pattern covers the eight relabelings.  Every pair of Bob's
     groupings is scored (_bob_groupings), and Alice's best grouping per
-    setting is then the sign of a 6-vector.  Ties keep the paper's
-    grouping: the first Bob pair within _FACET_GAP_TOL of the best score
-    wins, and Alice keeps the paper's value of each outcome whose entry is
-    at least -_FACET_GAP_TOL.
+    setting is then the sign of a 6-vector.  Ties within rounding_bound of
+    the tables keep the paper's grouping: the first Bob pair that close to
+    the best score wins, and Alice keeps the paper's value of each outcome
+    whose entry is at least minus that bound.
     """
+    tol = rounding_bound(stacked)
     signed = np.array(CHSH_SIGNS)[:, None, None] * SIGN_TABLE
     # [(setting x, outcome i), (setting y, outcome j)], relative to the paper's values
     relative = (signed * stacked).reshape(2, 2, 6, 6).transpose(0, 2, 1, 3).reshape(12, 12)
     pairs = _bob_groupings()
     alice = relative @ pairs
     scores = np.ones(12) @ np.abs(alice, out=alice)
-    best = pairs[:, np.flatnonzero(scores >= scores.max() - _FACET_GAP_TOL)[0]]
-    a = np.where(relative @ best >= -_FACET_GAP_TOL, 1.0, -1.0).reshape(2, N_OUTCOMES)
+    best = pairs[:, np.flatnonzero(scores >= scores.max() - tol)[0]]
+    a = np.where(relative @ best >= -tol, 1.0, -1.0).reshape(2, N_OUTCOMES)
     b = best.reshape(2, N_OUTCOMES)
     return signed * (a[:, None, :, None] * b[None, :, None, :]).reshape(4, N_OUTCOMES, N_OUTCOMES)
 
 
-def _facet_verdict(stacked: np.ndarray, normalized: np.ndarray) -> Infeasible | None:
+def _facet_verdict(stacked: np.ndarray) -> Infeasible | None:
     """Infeasible when the best CHSH lifting certifies it exactly, else None.
 
     Every lifting has local bound 2 (Pironio, J. Math. Phys. 46, 062112
     (2005)), and every local table set lies at least ``gap`` from
-    ``stacked`` in summed L1 distance (the coefficients are +-1), so a gap
-    above the slack of the clipped, renormalized tables plus _FACET_GAP_TOL
-    cannot come from a local model that is off only by the normalization a
-    JointDistribution admits.
+    ``stacked`` in summed L1 distance (the coefficients are +-1).  The
+    products being exact, fsum rounds the gap and the slack to the clipped,
+    renormalized tables (negative cells, then each table's off-sum)
+    correctly, so a gap above that slack plus the tables' rounding bound
+    cannot come from a local model off only by rounding or by the
+    normalization a JointDistribution admits.
     """
-    certificate = _certificate(_best_lifting(stacked), stacked)
-    slack = float(np.abs(stacked - normalized).sum())
-    if certificate.gap > slack + _FACET_GAP_TOL:
-        return Infeasible(certificate)
+    coefficients = _best_lifting(stacked)
+    gap = math.fsum([-2.0, *(coefficients * stacked).ravel().tolist()])
+    clipped = np.clip(stacked, 0.0, None).reshape(4, -1).tolist()
+    off_sums = [abs(math.fsum([-1.0, *table])) for table in clipped]
+    slack = math.fsum([*(-stacked[stacked < 0.0]).tolist(), *off_sums])
+    if gap > slack + rounding_bound(stacked):
+        return Infeasible(_certificate(coefficients, stacked))
     return None
 
 
@@ -283,7 +285,7 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
 
     The three steps of the module docstring run in turn, and the first that
     decides returns.  The best CHSH lifting calls the tables Infeasible when
-    its gap exceeds the L1 normalization slack plus _FACET_GAP_TOL.  The
+    its gap exceeds the L1 normalization slack plus their rounding bound.  The
     fits are to the clipped, renormalized tables, since a strategy mixture
     sums to 1 on every table.  Feasible returns one exact mixture,
     reproducing the targets to _EXACT_FIT_TOL per cell from the supported
@@ -297,7 +299,7 @@ def lhv_feasible(tables: Sequence[JointDistribution]) -> Feasible | Infeasible:
     stacked = Behavior.of(tables).probs
     clipped = np.clip(stacked, 0.0, None)
     normalized = clipped / clipped.sum(axis=(1, 2), keepdims=True)
-    facet = _facet_verdict(stacked, normalized)
+    facet = _facet_verdict(stacked)
     if facet is not None:
         return facet
     b_cells = normalized.reshape(-1)

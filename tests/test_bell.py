@@ -187,6 +187,22 @@ def test_decomposition_of_diluted_state(psi):
     assert by_tables.favorable_part == pytest.approx(result.favorable_part, abs=1e-9)
 
 
+def test_decomposition_divides_out_any_non_empty_block(psi):
+    # The favorable block is the singlet at every p_pair, however small its
+    # weight; only an empty block reports 0.  The tables hold that block down
+    # to p_pair 1e-12 (at 1e-20 CLAMP_TOL has zeroed it).
+    for p_pair in (1e-12, 1e-20):
+        state = attach_vacuum(psi, PairAmplitude.from_pair_probability(p_pair))
+        result = chsh_decomposition(state, OPTIMAL_SETTINGS)
+        assert result.favorable_part == pytest.approx(2 * SQRT2, abs=1e-12)
+        if p_pair == 1e-12:
+            by_tables = chsh_from_tables(Behavior.at(state, OPTIMAL_SETTINGS))
+            assert by_tables.favorable_part == pytest.approx(2 * SQRT2, abs=1e-12)
+    empty = attach_vacuum(psi, PairAmplitude.from_pair_probability(0.0))
+    assert chsh_decomposition(empty, OPTIMAL_SETTINGS).favorable_part == 0.0
+    assert chsh_from_tables(Behavior.at(empty, OPTIMAL_SETTINGS)).favorable_part == 0.0
+
+
 def test_diluted_chsh_endpoints():
     assert diluted_chsh(0.0, 1 + SQRT2) == 1 + SQRT2
     assert diluted_chsh(1.0, 1 + SQRT2) == 2.0
@@ -287,6 +303,21 @@ def test_optimize_angles_diluted_state(psi, p_pair):
     settings, value = optimize_angles(state)
     assert settings == OPTIMAL_SETTINGS
     assert value == pytest.approx(diluted_chsh(1.0 - p_pair, 1 + SQRT2), abs=1e-12)
+
+
+@pytest.mark.parametrize("p_pair", [2.9e-10, 1e-11, 3e-12, 1e-12])
+def test_optimize_angles_far_down_the_dilution_line(psi, p_pair):
+    # The violation is (sqrt 2 - 1) p_pair, so grid ties and seesaw gains are
+    # judged at the rounding bound of the correlator form, which shrinks with
+    # it; a fixed 1e-12 tie missed these settings from p_pair 2.9e-10 down.
+    # At 1e-12 the search still finds a violation, if not these settings.
+    state = attach_vacuum(psi, PairAmplitude.from_pair_probability(p_pair))
+    settings, value = optimize_angles(state)
+    if p_pair == 1e-12:
+        assert value > 2.0
+        return
+    assert settings == OPTIMAL_SETTINGS
+    assert value == pytest.approx(diluted_chsh(1.0 - p_pair, 1 + SQRT2), abs=1e-15)
 
 
 @pytest.mark.parametrize("state", [c for c in _oracle_cases() if c.id.startswith("random")])

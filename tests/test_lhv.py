@@ -6,13 +6,14 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    VACUUM_MASK,
     chsh_certificate,
     enumerate_strategies,
     outcome_swapped,
     outcome_swapped_chsh,
     thinned_table,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdcbell import lhv
@@ -449,9 +450,7 @@ def test_lp_certifies_tables_the_facet_step_passes_on(quantum_tables):
     # any fit, with the LP oracle's flag.
     swapped = outcome_swapped(quantum_tables)
     assert chsh_certificate(swapped).quantum_value == pytest.approx(1.0, abs=1e-12)
-    stacked = stacked_probs(swapped)
-    normalized = stacked / stacked.sum(axis=(1, 2), keepdims=True)
-    facet = lhv._facet_verdict(stacked, normalized)
+    facet = lhv._facet_verdict(stacked_probs(swapped))
     assert isinstance(facet, Infeasible)
     verdict = lhv_feasible(swapped)
     assert isinstance(verdict, Infeasible)
@@ -471,19 +470,23 @@ def diluted_tables(psi, p_pair):
     return [joint_distribution(state, xi, eta) for xi, eta in OPTIMAL_SETTINGS.setting_pairs()]
 
 
-@pytest.mark.parametrize("p_pair", [1e-5, 3e-6, 2e-6, 1e-6, 1e-8, 1e-10, 1e-11])
+@pytest.mark.parametrize("p_pair", [1e-5, 3e-6, 2e-6, 1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 2e-13])
 def test_swapped_diluted_tables_keep_their_gap(psi, p_pair):
     # The outcome-swapped tables, diluted: nonlocal with gap (sqrt 2 - 1) p_pair
     # at every p_pair, which the best CHSH lifting finds, down to the facet
     # floor.  From 2e-6 down the fit over all strategies misses every cell by
     # less than RECONSTRUCTION_TOL, and at 1e-11 the supported fit misses by
     # less than its rounding-level tolerance, so only the lifting running
-    # first keeps these Infeasible.
+    # first keeps these Infeasible.  At 2e-13 CLAMP_TOL has zeroed 8 of the
+    # 38 non-zero cells, so the gap is no longer (sqrt 2 - 1) p_pair.
     tables = outcome_swapped(diluted_tables(psi, p_pair))
     verdict = lhv_feasible(tables)
     assert isinstance(verdict, Infeasible)
     report = verify_certificate(verdict.certificate, tables)
     assert report.local_bound == 2.0
+    if p_pair == 2e-13:
+        assert report.gap > 0.0
+        return
     assert report.gap == pytest.approx((SQRT2 - 1) * p_pair, abs=1e-14)
     if p_pair >= 1e-6:
         assert report.gap / p_pair == pytest.approx(SQRT2 - 1, abs=1e-9)
@@ -586,6 +589,21 @@ def test_local_tables_with_off_sums_left_to_the_lp(delta):
         verdict = lhv_feasible(scaled)
         assert isinstance(verdict, Feasible)
         assert_matches_pruned_oracle(verdict, scaled)
+
+
+def test_local_tables_with_a_negative_cell_left_to_the_fit():
+    # A table admits cells down to -PHYSICS_TOL.  Moving 1e-10 out of a zero
+    # cell into another cell of a facet-saturating mixture keeps every sum
+    # at 1 and lifts the paper's CHSH by 2e-10: only the negative cell, in
+    # the facet step's slack, keeps these tables from a certificate.
+    tables = facet_saturating_tables(np.random.default_rng(74), 8)
+    probs = np.array(tables[0].probs)
+    probs[tuple(np.argwhere((probs == 0.0) & (SIGN_TABLE < 0.0))[0])] -= 1e-10
+    probs[tuple(np.argwhere((probs > 0.0) & (SIGN_TABLE > 0.0))[0])] += 1e-10
+    tampered = [JointDistribution(tables[0].xi, tables[0].eta, probs), *tables[1:]]
+    assert chsh_certificate(tampered).gap == pytest.approx(2e-10, rel=1e-3)
+    assert lhv._facet_verdict(stacked_probs(tampered)) is None
+    assert lhv_feasible(tampered).feasible
 
 
 def rebuild_error(verdict, tables) -> float:
@@ -717,13 +735,17 @@ def test_supported_strategy_counts_of_the_paper_tables(monkeypatch, psi, quantum
     assert len(supported_strategies(quantum_tables)) == 27
     assert len(supported_strategies(diluted_tables(psi, 0.01))) == 37
     assert len(supported_strategies(lossy)) == 119
-    # Both pass the facet step and are fitted exactly by NNLS alone, over
-    # their supported strategies, on their non-zero cells and the sum row.
+    # The facet step settles the optimal tables diluted to p_pair 1e-12 with
+    # no fit.  At 1e-13, below its floor (CLAMP_TOL has zeroed 16 of their 38
+    # non-zero cells), and under loss, the tables pass it and are fitted
+    # exactly by NNLS alone, over their supported strategies, on their
+    # non-zero cells and the sum row.
     calls = recorded_matrices(monkeypatch)
-    assert lhv_feasible(diluted_tables(psi, 1e-12)).feasible
+    assert isinstance(lhv_feasible(diluted_tables(psi, 1e-12)), Infeasible)
+    assert lhv_feasible(diluted_tables(psi, 1e-13)).feasible
     assert lhv_feasible(lossy).feasible
     assert [solver for solver, _ in calls] == ["nnls", "nnls"]
-    assert [matrix.shape for _, matrix in calls] == [(38 + 1, 37), (54 + 1, 119)]
+    assert [matrix.shape for _, matrix in calls] == [(22 + 1, 9), (54 + 1, 119)]
 
 
 def pruning_case(psi, quantum_tables, kind: str, support: int, seed: int):
@@ -734,7 +756,7 @@ def pruning_case(psi, quantum_tables, kind: str, support: int, seed: int):
         settings = ChshSettings.from_radians(*rng.uniform(0.0, math.pi, 4))
         return synthesize_tables(LhvModel(weights), settings)
     if kind == "diluted":
-        return diluted_tables(psi, 1e-12)
+        return diluted_tables(psi, 1e-13)
     if kind == "lossy":
         return [JointDistribution(t.xi, t.eta, thinned_table(t.probs, 0.85)) for t in quantum_tables]
     return outcome_swapped(quantum_tables)
@@ -762,12 +784,37 @@ def test_pruned_lp_agrees_with_the_unpruned_oracle(psi, quantum_tables, kind, su
 
 
 def test_diluted_below_the_facet_floor_matches_lp_only_oracle(psi):
-    tables = diluted_tables(psi, 1e-12)
-    stacked = stacked_probs(tables)
-    assert lhv._facet_verdict(stacked, stacked / stacked.sum(axis=(1, 2), keepdims=True)) is None
+    # The facet step certifies the optimal tables diluted to p_pair 1e-12.
+    # At 1e-13 CLAMP_TOL has zeroed 16 of their 38 non-zero cells, no lifting
+    # clears the slack, and the supported fit finds a model of what is left.
+    assert isinstance(lhv._facet_verdict(stacked_probs(diluted_tables(psi, 1e-12))), Infeasible)
+    tables = diluted_tables(psi, 1e-13)
+    assert lhv._facet_verdict(stacked_probs(tables)) is None
     verdict = lhv_feasible(tables)
     assert isinstance(verdict, Feasible)
     assert_matches_pruned_oracle(verdict, tables)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(support=st.integers(1, 59), on_facet=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_diluted_local_mixtures_are_never_certified(support, on_facet, seed):
+    # Vacuum is a deterministic strategy, so a local mixture diluted with it
+    # stays local at every p_pair.  Where CLAMP_TOL zeroes its smallest cells
+    # the lost mass shows up as off-sums, which the facet step's slack
+    # counts.  On the CHSH facet only the rounding bound stands between the
+    # lifting's gap and that slack.
+    rng = np.random.default_rng(seed)
+    pool = CHSH_SATURATING if on_facet else np.arange(N_STRATEGIES)
+    weights = np.zeros(N_STRATEGIES)
+    weights[rng.choice(pool, support, replace=False)] = rng.dirichlet(np.ones(support))
+    settings = ChshSettings.from_radians(*rng.uniform(0.0, math.pi, 4))
+    tables = synthesize_tables(LhvModel(weights), settings)
+    for p_pair in (1.0, 1e-3, 1e-8, 1e-12, 3e-13, 1e-13, 1e-14):
+        diluted = [
+            JointDistribution(t.xi, t.eta, p_pair * t.probs + (1.0 - p_pair) * VACUUM_MASK)
+            for t in tables
+        ]
+        assert lhv._facet_verdict(stacked_probs(diluted)) is None
 
 
 def relabelled(tables, permutations, swap):
@@ -790,24 +837,31 @@ def relabelled(tables, permutations, swap):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    p_pair=st.sampled_from((1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11)),
+    p_pair=st.sampled_from((1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 2e-13)),
     permutations=st.lists(st.permutations(range(6)), min_size=4, max_size=4),
     swap=st.booleans(),
 )
+@example(p_pair=1e-12, permutations=[[1, 0, 2, 3, 4, 5]] * 4, swap=True)
+@example(p_pair=2e-13, permutations=[[5, 4, 3, 2, 1, 0], *[list(range(6))] * 3], swap=False)
 def test_relabelled_optimal_tables_keep_their_gap(psi, quantum_tables, p_pair, permutations, swap):
     # Relabelling maps the local polytope onto itself, so the verdict and
     # the enumerated gap (sqrt 2 - 1) p_pair stay.  The best CHSH lifting,
     # whose maximum no relabelling changes, certifies them before any fit:
     # the fit over all strategies would come within RECONSTRUCTION_TOL of
     # them from p_pair 1e-6 down, and at 1e-11 the supported fit within its
-    # rounding-level tolerance.
+    # rounding-level tolerance.  At 2e-13 CLAMP_TOL has zeroed 8 of the 38
+    # non-zero cells, so the gap is no longer (sqrt 2 - 1) p_pair.
     tables = quantum_tables if p_pair == 1.0 else diluted_tables(psi, p_pair)
     tables = relabelled(tables, permutations, swap)
     verdict = lhv_feasible(tables)
     assert isinstance(verdict, Infeasible)
     report = verify_certificate(verdict.certificate, tables)
     assert report.local_bound == verdict.certificate.local_bound
-    assert report.gap == pytest.approx((SQRT2 - 1) * p_pair, abs=1e-12)
+    if p_pair == 2e-13:
+        assert report.gap > 0.0
+    else:
+        tol = 1e-14 if p_pair == 1e-12 else 1e-12
+        assert report.gap == pytest.approx((SQRT2 - 1) * p_pair, abs=tol)
 
 
 def lossy_tables(tables, eff: float) -> list[JointDistribution]:
