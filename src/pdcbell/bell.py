@@ -21,8 +21,8 @@ amplitude at a station is a polynomial of degree at most 2 in the cosine
 and sine of that station's analyzer angle, so every correlator is a
 trigonometric polynomial with harmonics {0, 2, 4} in each angle,
 E(xi, eta) = b(xi)^T C b(eta) with b(x) = (1, cos 2x, sin 2x, cos 4x,
-sin 4x).  Each table cell has such a form, fitted to twenty-five
-joint_distribution tables; C weighs the cells by SIGN_TABLE, and the whole
+sin 4x).  Each table cell has such a form, fitted to twenty-five tables
+from joint_distributions; C weighs the cells by SIGN_TABLE, and the whole
 search runs on that polynomial.
 """
 
@@ -44,6 +44,7 @@ from .measurement import (
     check_angles,
     classify_occupation,
     joint_distribution,
+    joint_distributions,
     named,
     rotate_station_basis,
 )
@@ -287,11 +288,11 @@ def _best_angle(v: np.ndarray) -> float:
 def _cell_coefficients(state: StateVector) -> np.ndarray:
     """The (5, 5, 6, 6) tensor C with P_kl(xi, eta) = b(xi)^T C[:, :, k, l] b(eta) for ``state``.
 
-    Fitted to the joint_distribution tables on the 5x5 grid of _SAMPLE_ANGLES,
+    Fitted to the joint_distributions tables on the 5x5 grid of _SAMPLE_ANGLES,
     where the harmonic basis b is invertible (five equally spaced axis angles).
     """
     angles = [PolarizerAngle(x) for x in _SAMPLE_ANGLES]
-    tables = np.array([[joint_distribution(state, x, e).probs for e in angles] for x in angles])
+    tables = np.array([[t.probs for t in r] for r in joint_distributions(state, angles, angles)])
     basis_inv = np.linalg.inv(_harmonics(_SAMPLE_ANGLES))
     return np.einsum("ia,abkl,jb->ijkl", basis_inv, tables, basis_inv)
 

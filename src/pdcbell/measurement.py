@@ -21,7 +21,7 @@ import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -225,20 +225,33 @@ def rotate_station_basis(state: StateVector, station: str, xi: PolarizerAngle) -
     return apply_mode_unitary(state, (ModeId(station, 0), ModeId(station, 1)), u)
 
 
+def joint_distributions(
+    state: StateVector, xis: Sequence[PolarizerAngle], etas: Sequence[PolarizerAngle]
+) -> list[list[JointDistribution]]:
+    """The 6x6 outcome-pair distributions of a normalized station state at every (xi, eta),
+    one row per xi: station 1 is rotated once per xi, station 2 once per (xi, eta)."""
+    if abs(state.norm_squared() - 1.0) > PHYSICS_TOL:
+        raise InputError("joint_distribution expects a normalized state")
+    rows = []
+    for xi in xis:
+        at_xi = rotate_station_basis(state, state.spatial[0], xi)
+        rows.append([])
+        for eta in etas:
+            rotated = rotate_station_basis(at_xi, state.spatial[1], eta)
+            probs = np.zeros((6, 6))
+            for occ, amp in rotated.terms.items():
+                i = classify_occupation(occ[0], occ[1])
+                j = classify_occupation(occ[2], occ[3])
+                probs[i - 1, j - 1] += abs(amp) ** 2
+            rows[-1].append(JointDistribution(xi, eta, probs))
+    return rows
+
+
 def joint_distribution(
     state: StateVector, xi: PolarizerAngle, eta: PolarizerAngle
 ) -> JointDistribution:
     """Full 6x6 outcome-pair distribution of a normalized station state."""
-    if abs(state.norm_squared() - 1.0) > PHYSICS_TOL:
-        raise InputError("joint_distribution expects a normalized state")
-    rotated = rotate_station_basis(state, state.spatial[0], xi)
-    rotated = rotate_station_basis(rotated, state.spatial[1], eta)
-    probs = np.zeros((6, 6))
-    for occ, amp in rotated.terms.items():
-        i = classify_occupation(occ[0], occ[1])
-        j = classify_occupation(occ[2], occ[3])
-        probs[i - 1, j - 1] += abs(amp) ** 2
-    return JointDistribution(xi, eta, probs)
+    return joint_distributions(state, (xi,), (eta,))[0][0]
 
 
 def marginal(dist: JointDistribution, station: int) -> np.ndarray:

@@ -122,6 +122,17 @@ def chsh_certificate(tables) -> BellCertificate:
     return BellCertificate(coefficients, float(np.sum(coefficients * stacked)))
 
 
+def cglmp_box(noise: float):
+    """A d = 3 CGLMP box on outcomes 1-3, b - a = xy mod 3, with ``noise`` white noise there."""
+    a, b = np.indices((3, 3))
+    tables = []
+    for pair, (xi, eta) in enumerate(OPTIMAL_SETTINGS.setting_pairs()):
+        probs = np.zeros((6, 6))
+        probs[:3, :3] = (1.0 - noise) * ((b - a) % 3 == (pair // 2) * (pair % 2)) / 3 + noise / 9
+        tables.append(JointDistribution(xi, eta, probs))
+    return tables
+
+
 def outcome_swapped(tables):
     """Station-1 outcomes 1 and 2 swapped in both xi tables."""
     return [

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import chsh_certificate, outcome_swapped, outcome_swapped_chsh
+from conftest import cglmp_box, chsh_certificate, outcome_swapped, outcome_swapped_chsh
 
 import pdcbell
 from pdcbell import cli, lhv, montecarlo
 from pdcbell.bell import CHSH_SIGNS, OPTIMAL_SETTINGS, SIGN_TABLE
 from pdcbell.errors import InputError, ModelError
 from pdcbell.lhv import LhvModel, N_STRATEGIES, synthesize_tables, tables_to_json_dict
-from pdcbell.measurement import PolarizerAngle, joint_distribution
+from pdcbell.measurement import JointDistribution, PolarizerAngle, joint_distribution
 
 SQRT2 = math.sqrt(2.0)
 
@@ -892,18 +892,54 @@ def test_lhv_check_nonlocal_tables_leave_scipy_out(tmp_path, quantum_tables, swa
     assert certificate["coefficients"] == [float(c) for c in expected.reshape(-1)]
 
 
-def test_lhv_check_local_tables_import_scipy_on_demand(tmp_path):
+def dense_local_mixture():
+    """A local mixture weighing every strategy (seed 61): only a fit decides it."""
+    weights = np.random.default_rng(61).random(N_STRATEGIES)
+    return synthesize_tables(LhvModel(weights / weights.sum()), OPTIMAL_SETTINGS)
+
+
+@pytest.mark.parametrize("case", ["local", "cglmp"])
+def test_lhv_check_fits_leave_scipy_out(tmp_path, case):
+    # Both fits run on lhv.nnls.  The CGLMP box at 45 % noise, which no CHSH
+    # lifting separates, exits 3 through the full fit, whose residual is no
+    # lifting's +-1 coefficients.
     assert callable(vars(lhv)["linprog"])
-    rng = np.random.default_rng(61)
-    weights = rng.random(N_STRATEGIES)
-    tables = synthesize_tables(LhvModel(weights / weights.sum()), OPTIMAL_SETTINGS)
+    tables, code = (dense_local_mixture(), 0) if case == "local" else (cglmp_box(0.45), 3)
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(tables_to_json_dict(tables)))
     result = _run_fresh(_RUN_MODULE, "lhv-check", "--input", str(path))
     report = json.loads(result.stderr.strip().splitlines()[-1])
-    assert report["code"] == 0
-    assert "scipy.optimize" in report["scipy"]
-    assert json.loads(result.stdout)["feasible"] is True
+    assert report == {"code": code, "scipy": []}
+    verdict = json.loads(result.stdout)
+    assert verdict["feasible"] is (code == 0)
+    if code == 3:
+        assert set(map(abs, verdict["certificate"]["coefficients"])) != {1.0}
+
+
+#: Runs lhv-check on each input path in one interpreter where every scipy import
+#: raises, and prints each exit code and verdict flag.
+_SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from pdcbell import cli
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["lhv-check", "--input", path])
+    print(json.dumps([code, json.loads(out.getvalue())["feasible"]]))
+"""
+
+
+def test_lhv_check_verdicts_with_scipy_blocked(tmp_path, quantum_tables):
+    response = montecarlo.station_response(0.85)
+    lossy = [JointDistribution(t.xi, t.eta, response @ t.probs @ response.T) for t in quantum_tables]
+    inputs = {"local": dense_local_mixture(), "lossy": lossy, "cglmp": cglmp_box(0.45)}
+    for name, tables in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(tables_to_json_dict(tables)))
+    result = _run_fresh(_SCIPY_BLOCKED, *(str(tmp_path / f"{name}.json") for name in inputs))
+    assert result.returncode == 0, result.stderr
+    flags = [json.loads(line) for line in result.stdout.splitlines()]
+    assert flags == [[0, True], [0, True], [3, False]]
+    assert [feasible for _, feasible in flags] == [lhv.lhv_feasible(t).feasible for t in inputs.values()]
 
 
 #: Appended to ``_RUN_MODULE``: the pdcbell modules the command loaded, as a last stderr line.

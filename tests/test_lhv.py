@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import (
     VACUUM_MASK,
+    cglmp_box,
     chsh_certificate,
     enumerate_strategies,
     outcome_swapped,
@@ -15,6 +16,7 @@ from conftest import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from pdcbell import lhv
 from pdcbell.bell import (
@@ -696,17 +698,6 @@ def test_solver_sequence_and_dense_matrices(monkeypatch, quantum_tables):
         assert np.array_equal(matrix, dense[np.append(rows, 144)][:, strategies])
 
 
-def cglmp_box(noise: float):
-    """A d = 3 CGLMP box on outcomes 1-3, b - a = xy mod 3, with ``noise`` white noise there."""
-    a, b = np.indices((3, 3))
-    tables = []
-    for pair, (xi, eta) in enumerate(OPTIMAL_SETTINGS.setting_pairs()):
-        probs = np.zeros((6, 6))
-        probs[:3, :3] = (1.0 - noise) * ((b - a) % 3 == (pair // 2) * (pair % 2)) / 3 + noise / 9
-        tables.append(JointDistribution(xi, eta, probs))
-    return tables
-
-
 def test_box_no_lifting_separates_gets_the_full_fits_residual(monkeypatch):
     # The CGLMP box (Collins et al., Phys. Rev. Lett. 88, 040404 (2002)) at
     # 45 % white noise is nonlocal, yet no CHSH lifting exceeds 2 on it: the
@@ -746,6 +737,73 @@ def test_supported_strategy_counts_of_the_paper_tables(monkeypatch, psi, quantum
     assert lhv_feasible(lossy).feasible
     assert [solver for solver, _ in calls] == ["nnls", "nnls"]
     assert [matrix.shape for _, matrix in calls] == [(22 + 1, 9), (54 + 1, 119)]
+
+
+# -- the NNLS solver -------------------------------------------------------------
+
+
+def fit_problem(b_cells: np.ndarray, supported: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The [cells; 1] matrix and [b; 1] target of lhv's supported fit (the full one when no
+    strategy has all four cells non-zero) or of its full fit, selected from reference_a_eq."""
+    strategies = np.flatnonzero(dense_cells()[b_cells > 0].sum(axis=0) == 4)
+    rows = np.flatnonzero(b_cells)
+    if not (supported and strategies.size):
+        strategies, rows = np.arange(N_STRATEGIES), np.arange(len(b_cells))
+    a = reference_a_eq()[np.append(rows, len(b_cells))][:, strategies]
+    return a, np.append(b_cells[rows], 1.0)
+
+
+def nnls_target(kind: str, support: int, seed: int) -> np.ndarray:
+    """144 cell values: a random mixture of ``support`` strategies, a dense mixture, the CGLMP
+    box at 45 % noise, or random non-negative numbers (a third of them zero)."""
+    rng = np.random.default_rng(seed)
+    if kind == "cglmp":
+        return stacked_probs(cglmp_box(0.45)).reshape(-1)
+    if kind == "random":
+        return rng.random(144) * (rng.random(144) < 2 / 3)
+    weights = np.zeros(N_STRATEGIES)
+    picked = rng.choice(N_STRATEGIES, N_STRATEGIES if kind == "dense" else support, replace=False)
+    weights[picked] = rng.dirichlet(np.ones(len(picked)))
+    return dense_cells() @ weights
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["mixture", "dense", "cglmp", "random"]),
+    support=st.integers(1, 150),
+    supported=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="cglmp", support=1, supported=False, seed=0)
+@example(kind="dense", support=1, supported=False, seed=3)
+@example(kind="mixture", support=150, supported=True, seed=5)
+def test_nnls_matches_scipy_and_meets_the_kkt_conditions(kind, support, supported, seed):
+    # scipy's compiled Lawson-Hanson solver is the reference; only the tests use it.
+    a, b = fit_problem(nnls_target(kind, support, seed), supported)
+    x, rnorm = lhv.nnls(a, b)
+    _, reference_rnorm = scipy_nnls(a, b)
+    assert x.shape == (a.shape[1],) and x.min() >= 0.0
+    scale = 1e-12 * np.linalg.norm(b)
+    assert abs(rnorm - np.linalg.norm(b - a @ x)) <= scale
+    assert abs(rnorm - reference_rnorm) <= scale
+    tol = max(a.shape) * np.finfo(float).eps * np.abs(a).sum(axis=0).max()
+    gradient = a.T @ (b - a @ x)
+    assert (gradient[x == 0.0] <= tol).all()
+    assert (np.abs(gradient[x > 0.0]) <= tol).all()
+
+
+def test_full_fit_at_its_iteration_limit_raises_model_error(monkeypatch):
+    # The supported fit runs, and misses the CGLMP box; the full fit then stops.
+    fit = lhv.nnls
+
+    def stopped_full_fit(a, b):
+        if a.shape[1] == N_STRATEGIES:
+            raise RuntimeError("NNLS reached its iteration limit")
+        return fit(a, b)
+
+    monkeypatch.setattr(lhv, "nnls", stopped_full_fit)
+    with pytest.raises(ModelError, match="NNLS over all strategies stopped at its iteration limit"):
+        lhv_feasible(cglmp_box(0.45))
 
 
 def pruning_case(psi, quantum_tables, kind: str, support: int, seed: int):
